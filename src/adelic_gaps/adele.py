@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd
+from math import floor
 
 from .arith import is_prime, next_prime, padic_abs, valuation
 
@@ -86,19 +86,6 @@ class PrimeSet:
                 out.append(p)
             p = next_prime(p)
         return out
-
-    def contains_all_factors(self, n: int) -> bool:
-        """True iff every prime factor of the nonzero integer n lies in the set."""
-        n = abs(n)
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                if d not in self:
-                    return False
-                while n % d == 0:
-                    n //= d
-            d += 1
-        return n == 1 or n in self
 
     def __str__(self) -> str:
         if self.finite:
@@ -354,28 +341,3 @@ def _reduced_distance(xbar: AdelePoint, ybar: AdelePoint) -> Fraction:
                 break
     return best
 
-
-def gamma_elements(primes: PrimeSet, height_bound: int):
-    """All a/b in Gamma_P with |a| <= bound, 1 <= b <= bound, in lowest terms."""
-    for b in range(1, height_bound + 1):
-        if b > 1 and not primes.contains_all_factors(b):
-            continue
-        for a in range(-height_bound, height_bound + 1):
-            if gcd(a, b) == 1:
-                yield Fraction(a, b)
-
-
-def brute_force_torus_distance(x: AdelePoint, y: AdelePoint, height_bound: int) -> Fraction:
-    """Independent oracle: minimize the ambient metric over all gamma of bounded height.
-
-    gamma in {-1, 0, 1} is always included, even for height_bound 1, so on
-    reduced points the result never exceeds the three-shift minimum.
-    """
-    _require_same_primes(x, y)
-    diff = sub(x, y)
-    best = min(ambient_abs(add_diagonal(diff, g)) for g in (0, 1, -1))
-    for g in gamma_elements(x.primes, height_bound):
-        val = ambient_abs(add_diagonal(diff, -g))
-        if val < best:
-            best = val
-    return best

@@ -107,16 +107,20 @@ def random_rational(rng: random.Random, max_height: int) -> Fraction:
     return Fraction(rng.randint(-max_height, max_height), rng.randint(1, max_height))
 
 
+def random_point(rng: random.Random, primes: PrimeSet, max_height: int) -> AdelePoint:
+    """Uniform-height coordinate at infinity, default 0, random small-prime overrides."""
+    overrides = {}
+    for p in primes.first_members(4):
+        if rng.random() < 0.4:
+            overrides[p] = random_rational(rng, max_height)
+    return make_point(random_rational(rng, max_height), 0, overrides, primes)
+
+
 def random_instance(
     rng: random.Random, primes: PrimeSet, max_N: int, max_height: int
 ) -> tuple[AdelePoint, int]:
-    """One sampled (alpha, N): uniform-height coordinates, random small-prime overrides."""
-    small = primes.first_members(4)
-    overrides = {}
-    for p in small:
-        if rng.random() < 0.4:
-            overrides[p] = random_rational(rng, max_height)
-    alpha = make_point(random_rational(rng, max_height), 0, overrides, primes)
+    """One sampled (alpha, N): a random_point, then N uniform in [2, max_N]."""
+    alpha = random_point(rng, primes, max_height)
     return alpha, rng.randint(2, max_N)
 
 

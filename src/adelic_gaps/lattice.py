@@ -13,41 +13,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
 
-from .adele import (
-    AdelePoint,
-    ambient_abs,
-    diagonal_point,
-    gamma_elements,
-    scale_by_integer,
-    torus_distance,
-    zero_point,
-)
-
-# Height bound for the search over nonzero gamma' when the point lies on the
-# lattice itself.  For reduced points the minimum is attained at height <= 2
-# (any denominator > 1 forces a p-adic norm >= 1, any integer has |.| >= 1,
-# so +-1 already achieves the minimum); 4 gives slack, and the test suite
-# re-runs the search with a larger bound to confirm stability.
-_GAMMA_SEARCH_HEIGHT = 4
+from .adele import AdelePoint, scale_by_integer, torus_distance, zero_point
 
 
-def min_positive_diagonal_distance(x: AdelePoint, height_bound: int = _GAMMA_SEARCH_HEIGHT) -> Fraction:
+def min_positive_diagonal_distance(x: AdelePoint) -> Fraction:
     """min{ |x - gamma| > 0 : gamma in Gamma_P }, exactly.
 
     Equals the torus distance to zero unless x lies on the lattice, in which
-    case it is the norm of the shortest nonzero lattice element.
+    case it is the norm of the shortest nonzero element of Gamma_P, which is
+    1: a denominator divisible by some p in P gives a p-term >= 1, a nonzero
+    integer has |.|_inf >= 1, and gamma = 1 has norm exactly 1.
     """
     d = torus_distance(x, zero_point(x.primes))
-    if d > 0:
-        return d
-    best = None
-    for g in gamma_elements(x.primes, height_bound):
-        if g == 0:
-            continue
-        val = ambient_abs(diagonal_point(g, x.primes))
-        if best is None or val < best:
-            best = val
-    return best
+    return d if d > 0 else Fraction(1)
 
 
 @dataclass

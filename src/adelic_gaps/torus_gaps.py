@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adele import AdelePoint, TorusPoint, _reduced_distance, reduce, scale_by_integer
+from .adele import AdelePoint, TorusPoint, _reduced_distance, reduce, scale_by_integer, zero_point
 
 
 class DegenerateOrbitError(ValueError):
@@ -39,48 +39,42 @@ def orbit(alpha: AdelePoint, N: int) -> list[TorusPoint]:
     return [reduce(scale_by_integer(alpha, n))[0] for n in range(1, N + 1)]
 
 
-def _distance_matrix(points: list[TorusPoint]) -> list[list[Fraction]]:
-    N = len(points)
-    mat = [[Fraction(0)] * N for _ in range(N)]
-    for i in range(N):
-        for j in range(i + 1, N):
-            d = _reduced_distance(points[i], points[j])
-            mat[i][j] = d
-            mat[j][i] = d
-    return mat
+def _deltas(alpha: AdelePoint, N: int) -> list[Fraction]:
+    """deltas[n-1] = least positive d(n*alpha, m*alpha) over 1 <= m <= N.
 
-
-def _deltas(points: list[TorusPoint]) -> list[Fraction]:
-    mat = _distance_matrix(points)
-    deltas = []
-    for row in mat:
-        positive = [d for d in row if d > 0]
-        if not positive:
-            raise DegenerateOrbitError(
-                "degenerate orbit: all orbit points coincide, no positive distance"
-            )
-        deltas.append(min(positive))
-    return deltas
+    The quotient metric is translation-invariant, so d(n*alpha, m*alpha) =
+    D[|n-m|] with D[k] = d(k*alpha, 0), and delta_n is the least positive
+    D[k] over 1 <= k <= max(n-1, N-n): a prefix minimum over N - 1 values.
+    """
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    zero = zero_point(alpha.primes)
+    diffs = [_reduced_distance(xi, zero) for xi in orbit(alpha, N - 1)] if N > 1 else []
+    # k = 1 lies in every window, so the orbit is degenerate exactly when D[1]
+    # is missing (N = 1) or zero (alpha in Gamma_P)
+    if not diffs or diffs[0] == 0:
+        raise DegenerateOrbitError(
+            "degenerate orbit: all orbit points coincide, no positive distance"
+        )
+    least = []  # least[k-1] = least positive D[j] over j <= k
+    low = diffs[0]
+    for d in diffs:
+        if 0 < d < low:
+            low = d
+        least.append(low)
+    return [least[max(n - 1, N - n) - 1] for n in range(1, N + 1)]
 
 
 def nn_distance(alpha: AdelePoint, N: int, n: int) -> Fraction:
     """Distance from the n-th orbit point to its nearest distinct neighbor."""
     if not 1 <= n <= N:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
-    points = orbit(alpha, N)
-    target = points[n - 1]
-    positive = [_reduced_distance(target, q) for q in points]
-    positive = [d for d in positive if d > 0]
-    if not positive:
-        raise DegenerateOrbitError(
-            "degenerate orbit: all orbit points coincide, no positive distance"
-        )
-    return min(positive)
+    return _deltas(alpha, N)[n - 1]
 
 
 def gap_report(alpha: AdelePoint, N: int) -> GapReport:
     """All nearest-neighbor distances, the distinct values, and their count."""
-    deltas = _deltas(orbit(alpha, N))
+    deltas = _deltas(alpha, N)
     distinct = sorted(set(deltas))
     witnesses = {}
     for idx, d in enumerate(deltas, start=1):

@@ -1,9 +1,9 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from adelic_gaps import AdelePoint, PrimeSet, make_point
+from adelic_gaps import PrimeSet
+from adelic_gaps.cli import random_point  # noqa: F401  (the one sampler, re-exported to the tests)
 
 # Prime-set mix used by the seeded sweeps: small finite sets plus the two
 # cofinite shapes exercised throughout.
@@ -19,18 +19,6 @@ PRIMESET_POOL = [
     PrimeSet.all_primes(),
     PrimeSet.all_except(2),
 ]
-
-
-def random_rational(rng: random.Random, height: int) -> Fraction:
-    return Fraction(rng.randint(-height, height), rng.randint(1, height))
-
-
-def random_point(rng: random.Random, primes: PrimeSet, height: int = 30) -> AdelePoint:
-    overrides = {}
-    for p in primes.first_members(4):
-        if rng.random() < 0.4:
-            overrides[p] = random_rational(rng, height)
-    return make_point(random_rational(rng, height), 0, overrides, primes)
 
 
 def random_primeset(rng: random.Random) -> PrimeSet:

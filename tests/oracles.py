@@ -1,0 +1,76 @@
+"""Independent reference implementations the tests compare the package against.
+
+None of these is used by the package itself: each computes a quantity the
+package computes faster, by the definition and without its shortcuts.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from adelic_gaps import (
+    AdelePoint,
+    DegenerateOrbitError,
+    PrimeSet,
+    add_diagonal,
+    orbit,
+    reduce,
+    sub,
+    torus_distance,
+)
+from adelic_gaps.adele import ambient_abs
+
+
+def contains_all_factors(primes: PrimeSet, n: int) -> bool:
+    """True iff every prime factor of the nonzero integer n lies in the set."""
+    n = abs(n)
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            if d not in primes:
+                return False
+            while n % d == 0:
+                n //= d
+        d += 1
+    return n == 1 or n in primes
+
+
+def gamma_elements(primes: PrimeSet, height_bound: int):
+    """All a/b in Gamma_P with |a| <= bound, 1 <= b <= bound, in lowest terms."""
+    for b in range(1, height_bound + 1):
+        if b > 1 and not contains_all_factors(primes, b):
+            continue
+        for a in range(-height_bound, height_bound + 1):
+            if gcd(a, b) == 1:
+                yield Fraction(a, b)
+
+
+def brute_force_torus_distance(x: AdelePoint, y: AdelePoint, height_bound: int) -> Fraction:
+    """Minimize the ambient metric over all gamma of bounded height.
+
+    Both points are reduced first: a gamma of bounded height cannot undo an
+    arbitrary offset, and on reduced points gamma in {-1, 0, 1}, always
+    included even for height_bound 1, already attains the quotient distance.
+    """
+    diff = sub(reduce(x)[0], reduce(y)[0])
+    best = min(ambient_abs(add_diagonal(diff, g)) for g in (0, 1, -1))
+    for g in gamma_elements(x.primes, height_bound):
+        val = ambient_abs(add_diagonal(diff, -g))
+        if val < best:
+            best = val
+    return best
+
+
+def pairwise_deltas(alpha: AdelePoint, N: int) -> list[Fraction]:
+    """delta_n as the least positive entry of row n of the N x N distance matrix."""
+    points = orbit(alpha, N)
+    matrix = [[Fraction(0)] * N for _ in range(N)]
+    for i in range(N):
+        for j in range(i + 1, N):
+            matrix[i][j] = matrix[j][i] = torus_distance(points[i], points[j])
+    deltas = []
+    for row in matrix:
+        positive = [d for d in row if d > 0]
+        if not positive:
+            raise DegenerateOrbitError("degenerate orbit: no positive distance in a row")
+        deltas.append(min(positive))
+    return deltas

@@ -6,6 +6,7 @@ All comparisons are exact rational equality (zero tolerance).  Run with
 
 import random
 import time
+from fractions import Fraction
 
 from adelic_gaps import (
     DegenerateOrbitError,
@@ -14,18 +15,21 @@ from adelic_gaps import (
     G_N_value,
     add,
     add_diagonal,
-    brute_force_torus_distance,
     default_instances,
     delta_via_lattice,
     gap_report,
+    make_point,
     reduce,
     reproduce_all,
     scan_G,
     torus_distance,
 )
+from adelic_gaps.adele import diagonal_point
 from adelic_gaps.arith import padic_abs
+from adelic_gaps.cli import random_rational
 
 from conftest import random_point
+from oracles import brute_force_torus_distance, pairwise_deltas
 
 SWEEP_PRIMESETS = [
     PrimeSet.of(2),
@@ -37,6 +41,17 @@ SWEEP_PRIMESETS = [
     PrimeSet.of(2, 3, 5),
     PrimeSet.all_primes(),
     PrimeSet.all_except(2),
+]
+
+# Criterion 8 adds sets whose tail starts past several excluded primes.
+ORACLE_PRIMESETS = [
+    PrimeSet.of(2),
+    PrimeSet.of(3, 5),
+    PrimeSet.of(2, 5, 7),
+    PrimeSet.all_primes(),
+    PrimeSet.all_except(2),
+    PrimeSet.all_except(3),
+    PrimeSet.all_except(2, 3, 5, 7),
 ]
 
 
@@ -55,6 +70,36 @@ def _sample_instance(rng, max_N, height):
             return alpha, N, gap_report(alpha, N)
         except DegenerateOrbitError:
             continue
+
+
+def _random_gamma(rng, primes, height):
+    """An element of Gamma_P: an integer over a power of the set's smallest prime."""
+    return Fraction(rng.randint(-height, height), primes.smallest() ** rng.randint(0, 2))
+
+
+def _oracle_point(rng, primes, height):
+    """A point with a nonzero default, p-integral at every prime of the set it applies to.
+
+    One draw in 16 is a diagonal element of Gamma_P (a degenerate orbit) and
+    one in 16, where a prime q lies outside the set, has order q on the torus
+    (zero differences inside the window).
+    """
+    kind = rng.randrange(16)
+    if kind == 0:
+        return diagonal_point(_random_gamma(rng, primes, height), primes)
+    q = next((p for p in (2, 3, 5, 7, 11) if p not in primes), None)
+    if kind == 1 and q is not None:
+        c = Fraction(rng.randint(1, q - 1), q)
+        return add_diagonal(make_point(c, c, {}, primes), _random_gamma(rng, primes, height))
+    alpha = random_point(rng, primes, height)
+    default = random_rational(rng, height) or Fraction(1)
+    den = default.denominator
+    for p in range(2, den + 1):
+        if den % p == 0 and p in primes and p not in alpha.overrides:
+            while den % p == 0:
+                den //= p
+    default = Fraction(default.numerator, den)
+    return make_point(alpha.at_infinity, default, alpha.overrides, primes)
 
 
 def test_criterion_1_paper_reproduction_exact():
@@ -181,3 +226,31 @@ def test_criterion_7_reduction_suite():
             violations.append(f"non-integral coordinate at point {i}")
     _verdict(7, "fundamental-domain reduction suite", not violations, time.time() - start,
              "; ".join(violations[:3]) or "zero violations in 1000 points")
+
+
+def _deltas_or_degenerate(compute):
+    try:
+        return compute()
+    except DegenerateOrbitError:
+        return "degenerate"
+
+
+def test_criterion_8_gap_engine_vs_pairwise_oracle():
+    start = time.time()
+    rng = random.Random(1008)
+    mismatches = []
+    degenerate = cofinite_default = 0
+    for _ in range(600):
+        primes = rng.choice(ORACLE_PRIMESETS)
+        alpha = _oracle_point(rng, primes, 30)
+        N = rng.randint(1, 12)
+        engine = _deltas_or_degenerate(lambda: gap_report(alpha, N).deltas)
+        oracle = _deltas_or_degenerate(lambda: pairwise_deltas(alpha, N))
+        if engine != oracle:
+            mismatches.append(f"alpha={alpha}, primes={primes}, N={N}: {engine} != {oracle}")
+        degenerate += engine == "degenerate"
+        cofinite_default += not primes.finite and alpha.default_value != 0
+    ok = not mismatches and degenerate > 0 and cofinite_default > 0
+    _verdict(8, "gap engine vs pairwise-matrix oracle", ok, time.time() - start,
+             "; ".join(mismatches[:3])
+             or f"{degenerate} degenerate, {cofinite_default} cofinite with nonzero default")

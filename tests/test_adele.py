@@ -8,7 +8,6 @@ from adelic_gaps import (
     add,
     add_diagonal,
     ambient_metric,
-    brute_force_torus_distance,
     make_point,
     reduce,
     scale_by_integer,
@@ -19,6 +18,7 @@ from adelic_gaps import (
 from adelic_gaps.adele import ambient_abs, diagonal_point
 
 from conftest import random_point, random_primeset
+from oracles import brute_force_torus_distance
 
 P2 = PrimeSet.of(2)
 P3 = PrimeSet.of(3)
@@ -144,7 +144,7 @@ class TestReduce:
     def test_idempotent(self, rng):
         for _ in range(50):
             primes = random_primeset(rng)
-            point, gamma = reduce(random_point(rng, primes))
+            point, gamma = reduce(random_point(rng, primes, 30))
             again, gamma2 = reduce(point)
             assert gamma2 == 0
             assert again == point
@@ -161,7 +161,7 @@ class TestReduce:
     def test_reduction_is_exact_translate(self, rng):
         for _ in range(50):
             primes = random_primeset(rng)
-            x = random_point(rng, primes)
+            x = random_point(rng, primes, 30)
             point, gamma = reduce(x)
             assert point == add_diagonal(x, -gamma)
             assert isinstance(point, TorusPoint)
@@ -199,11 +199,19 @@ class TestBruteForceOracle:
         z = zero_point(P2)
         assert brute_force_torus_distance(x, z, 1) == Fraction(1, 100)
 
+    def test_reduces_unreduced_inputs(self):
+        # x - y needs the shift 17/4, above height 8; without reducing first the
+        # oracle returned 41/12, above the diameter bound 1
+        x = make_point(Fraction(17, 6), 3, {2: Fraction(5, 4)}, P2)
+        y = make_point(Fraction(-7, 3), 0, {}, P2)
+        assert torus_distance(x, y) == Fraction(1, 4)
+        assert brute_force_torus_distance(x, y, 8) == Fraction(1, 4)
+
     def test_matches_quotient_distance_on_reduced_pairs(self, rng):
         for _ in range(40):
             primes = random_primeset(rng)
-            x, _ = reduce(random_point(rng, primes))
-            y, _ = reduce(random_point(rng, primes))
+            x, _ = reduce(random_point(rng, primes, 30))
+            y, _ = reduce(random_point(rng, primes, 30))
             assert torus_distance(x, y) == brute_force_torus_distance(x, y, 8)
 
 
@@ -211,9 +219,9 @@ class TestMetricProperties:
     def test_symmetry_and_triangle(self, rng):
         for _ in range(60):
             primes = random_primeset(rng)
-            x = random_point(rng, primes)
-            y = random_point(rng, primes)
-            z = random_point(rng, primes)
+            x = random_point(rng, primes, 30)
+            y = random_point(rng, primes, 30)
+            z = random_point(rng, primes, 30)
             dxy = torus_distance(x, y)
             assert dxy == torus_distance(y, x)
             assert torus_distance(x, z) <= dxy + torus_distance(y, z)
@@ -221,25 +229,25 @@ class TestMetricProperties:
     def test_zero_iff_same_coset(self, rng):
         for _ in range(40):
             primes = random_primeset(rng)
-            x = random_point(rng, primes)
+            x = random_point(rng, primes, 30)
             assert torus_distance(x, add_diagonal(x, 7)) == 0
-            y = random_point(rng, primes)
+            y = random_point(rng, primes, 30)
             if reduce(x)[0] != reduce(y)[0]:
                 assert torus_distance(x, y) > 0
 
     def test_translation_invariance(self, rng):
         for _ in range(40):
             primes = random_primeset(rng)
-            x = random_point(rng, primes)
-            y = random_point(rng, primes)
-            t = random_point(rng, primes)
+            x = random_point(rng, primes, 30)
+            y = random_point(rng, primes, 30)
+            t = random_point(rng, primes, 30)
             assert torus_distance(add(x, t), add(y, t)) == torus_distance(x, y)
 
     def test_diameter_bound(self, rng):
         for _ in range(60):
             primes = random_primeset(rng)
-            x, _ = reduce(random_point(rng, primes))
-            y, _ = reduce(random_point(rng, primes))
+            x, _ = reduce(random_point(rng, primes, 30))
+            y, _ = reduce(random_point(rng, primes, 30))
             d = torus_distance(x, y)
             if primes.finite:
                 assert d <= 1

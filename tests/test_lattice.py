@@ -8,6 +8,7 @@ from adelic_gaps import (
     G_N_value,
     PrimeSet,
     RotationMatrixSpec,
+    add_diagonal,
     delta_via_lattice,
     gap_report,
     make_point,
@@ -17,8 +18,10 @@ from adelic_gaps import (
     scan_G,
     zero_point,
 )
+from adelic_gaps.adele import ambient_abs, diagonal_point
 
 from conftest import random_point, random_primeset
+from oracles import gamma_elements
 
 P2 = PrimeSet.of(2)
 P3 = PrimeSet.of(3)
@@ -39,10 +42,21 @@ class TestMinPositiveDiagonalDistance:
     def test_zero_point_cofinite(self):
         assert min_positive_diagonal_distance(zero_point(PrimeSet.all_primes())) == 1
 
-    def test_stable_under_larger_search_height(self):
-        for primes in (P2, P3, PrimeSet.all_primes(), PrimeSet.all_except(2)):
-            z = zero_point(primes)
-            assert min_positive_diagonal_distance(z, 4) == min_positive_diagonal_distance(z, 16)
+    def test_lattice_points_match_gamma_search(self):
+        # on the lattice the answer is the shortest nonzero element of Gamma_P;
+        # an independent search over gamma of height <= 16 must find the same
+        sets = (P2, PrimeSet.of(3, 5), PrimeSet.all_primes(), PrimeSet.all_except(2),
+                PrimeSet.all_except(2, 3, 5, 7))
+        for primes in sets:
+            for gamma in (0, 3, Fraction(1, 2)):
+                if gamma == Fraction(1, 2) and 2 not in primes:
+                    continue
+                x = diagonal_point(gamma, primes)
+                searched = min(
+                    d for d in (ambient_abs(add_diagonal(x, -g)) for g in gamma_elements(primes, 16))
+                    if d > 0
+                )
+                assert min_positive_diagonal_distance(x) == searched
 
 
 class TestFValue:
@@ -88,7 +102,7 @@ class TestDeltaViaLattice:
     def test_agrees_with_direct_path(self, rng):
         for _ in range(20):
             primes = random_primeset(rng)
-            alpha = random_point(rng, primes)
+            alpha = random_point(rng, primes, 30)
             N = rng.randint(2, 12)
             try:
                 report = gap_report(alpha, N)
@@ -141,7 +155,7 @@ class TestScanG:
     def test_random_specs_bounded_by_three(self, rng):
         for _ in range(15):
             primes = random_primeset(rng)
-            alpha = random_point(rng, primes)
+            alpha = random_point(rng, primes, 30)
             N = rng.randint(1, 10)
             spec = RotationMatrixSpec.for_gap_instance(alpha, N)
             assert scan_G(spec, 2 * N + 1).distinct_count <= 3
@@ -159,7 +173,7 @@ class TestGNValue:
     def test_matches_gap_count(self, rng):
         for _ in range(15):
             primes = random_primeset(rng)
-            alpha = random_point(rng, primes)
+            alpha = random_point(rng, primes, 30)
             N = rng.randint(2, 10)
             try:
                 g = gap_report(alpha, N).gap_count

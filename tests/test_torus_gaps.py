@@ -106,7 +106,7 @@ class TestGapReport:
     def test_invariant_under_reduction(self, rng):
         for _ in range(20):
             primes = random_primeset(rng)
-            alpha = random_point(rng, primes)
+            alpha = random_point(rng, primes, 30)
             reduced, _ = reduce(alpha)
             try:
                 a = gap_report(alpha, 7)
@@ -129,7 +129,7 @@ class TestThreeGapCheck:
     def test_random_sweep(self, rng):
         for _ in range(30):
             primes = random_primeset(rng)
-            alpha = random_point(rng, primes)
+            alpha = random_point(rng, primes, 30)
             N = rng.randint(2, 15)
             try:
                 ok, report = three_gap_check(alpha, N)
