@@ -56,12 +56,7 @@ class PrimeSet:
         return is_prime(p) and p not in self.listed
 
     def smallest(self) -> int:
-        if self.finite:
-            return self.listed[0]
-        p = 2
-        while p in self.listed:
-            p = next_prime(p)
-        return p
+        return self.smallest_outside(())
 
     def smallest_outside(self, avoid) -> int | None:
         """Smallest member not in `avoid`; None if the finite set is exhausted."""
@@ -175,11 +170,6 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     if n > 1:
         out.append(n)
     return tuple(out)
-
-
-def make_point(at_infinity, default_value, overrides, primes: PrimeSet) -> AdelePoint:
-    """Validated constructor; rejects invariant violations."""
-    return AdelePoint(Fraction(at_infinity), Fraction(default_value), dict(overrides), primes)
 
 
 def zero_point(primes: PrimeSet) -> AdelePoint:

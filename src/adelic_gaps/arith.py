@@ -1,7 +1,8 @@
 """Exact rational arithmetic helpers: primality, p-adic valuations and absolute values.
 
-All scalar quantities in this package are `fractions.Fraction` instances, so
-every computation is exact.  Floats never appear in the core.
+All scalar quantities in this package are `fractions.Fraction` instances or
+integers, so every computation is exact.  The one float is `math.inf`, which
+`valuation` returns for v_p(0) = +infinity.
 """
 
 from __future__ import annotations

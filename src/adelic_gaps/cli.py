@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adele import AdelePoint, PrimeSet, make_point
+from .adele import AdelePoint, PrimeSet
 from .lattice import RotationMatrixSpec, G_N_value, delta_via_lattice, scan_G
 from .paper_examples import reproduce_all
 from .torus_gaps import DegenerateOrbitError, gap_report
@@ -59,9 +59,7 @@ def parse_primes(text: str) -> PrimeSet:
 
 
 def parse_alpha(text: str, primes: PrimeSet) -> AdelePoint:
-    at_infinity = Fraction(0)
-    default = Fraction(0)
-    overrides: dict[int, Fraction] = {}
+    coords: dict = {}  # "inf", "default" or an override prime -> its rational
     for part in text.split(";"):
         part = part.strip()
         if not part:
@@ -70,18 +68,18 @@ def parse_alpha(text: str, primes: PrimeSet) -> AdelePoint:
             raise CliError(f"cannot parse point component {part!r} (expected key=value)")
         key, value = part.split("=", 1)
         key = key.strip()
-        if key == "inf":
-            at_infinity = parse_rational(value)
-        elif key == "default":
-            default = parse_rational(value)
-        else:
+        if key not in ("inf", "default"):
             try:
-                p = int(key)
+                key = int(key)
             except ValueError:
                 raise CliError(f"unknown point key {key!r}") from None
-            overrides[p] = parse_rational(value)
+        if key in coords:
+            raise CliError(f"repeated point key {key}")
+        coords[key] = parse_rational(value)
+    at_infinity = coords.pop("inf", 0)
+    default = coords.pop("default", 0)
     try:
-        return make_point(at_infinity, default, overrides, primes)
+        return AdelePoint(at_infinity, default, coords, primes)
     except ValueError as exc:
         raise CliError(f"invalid point: {exc}") from None
 
@@ -113,7 +111,7 @@ def random_point(rng: random.Random, primes: PrimeSet, max_height: int) -> Adele
     for p in primes.first_members(4):
         if rng.random() < 0.4:
             overrides[p] = random_rational(rng, max_height)
-    return make_point(random_rational(rng, max_height), 0, overrides, primes)
+    return AdelePoint(random_rational(rng, max_height), 0, overrides, primes)
 
 
 def random_instance(
@@ -169,7 +167,8 @@ def cmd_gaps(args) -> int:
     except DegenerateOrbitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(_emit_gap_report(alpha, args.N, report, args.format))
+    end = "" if args.format == "csv" else "\n"  # the csv writer ends every row itself
+    print(_emit_gap_report(alpha, args.N, report, args.format), end=end)
     return EXIT_OK
 
 
@@ -231,9 +230,9 @@ def cmd_lattice_check(args) -> int:
         via_lattice = delta_via_lattice(alpha, N, n)
         if direct != via_lattice:
             mismatches.append((n, direct, via_lattice))
-    g_n_count = G_N_value(alpha, N)
-    spec = RotationMatrixSpec.for_gap_instance(alpha, N)
-    scan = scan_G(spec, 2 * N + 1)
+    spec = RotationMatrixSpec(alpha, N)
+    g_n_count = G_N_value(spec)
+    scan = scan_G(spec)
     chain_ok = report.gap_count == g_n_count <= scan.distinct_count
     summary = {
         "alpha": str(alpha),

@@ -32,23 +32,20 @@ def min_positive_diagonal_distance(x: AdelePoint) -> Fraction:
 class RotationMatrixSpec:
     """Upper-triangular determinant-1 matrix with diagonal (1/t, t) and shear t*alpha.
 
-    For the gap identity, t is N + 1/2.
+    The gap identity for the orbit of length N uses t = N + 1/2.
     """
 
     alpha: AdelePoint
-    t: Fraction
+    N: int
     _v_min_cache: dict[int, Fraction] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self.t = Fraction(self.t)
-        if self.t == 0:
-            raise ValueError("matrix parameter t must be nonzero")
+        if self.N < 1:
+            raise ValueError(f"N must be >= 1, got {self.N}")
 
-    @classmethod
-    def for_gap_instance(cls, alpha: AdelePoint, N: int) -> "RotationMatrixSpec":
-        if N < 1:
-            raise ValueError(f"N must be >= 1, got {N}")
-        return cls(alpha, Fraction(2 * N + 1, 2))
+    @property
+    def t(self) -> Fraction:
+        return Fraction(2 * self.N + 1, 2)
 
     def v_min(self, k: int) -> Fraction:
         """Minimal positive |k*alpha - gamma| over Gamma_P; symmetric in +-k."""
@@ -68,26 +65,8 @@ class ScanResult:
     interval_values: list[Fraction]
     distinct_count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "breakpoints": [str(b) for b in self.breakpoints],
-            "interval_values": [str(v) for v in self.interval_values],
-            "distinct_count": self.distinct_count,
-        }
 
-
-def _window_halfinteger(spec: RotationMatrixSpec, z: int) -> int:
-    """Validate (spec, z) and return N with spec.t = N + 1/2 = z/2."""
-    if z < 1 or z % 2 == 0:
-        raise ValueError(f"window parameter z must be an odd natural number, got {z}")
-    if spec.t != Fraction(z, 2):
-        raise ValueError(
-            f"unsupported matrix/window combination: t={spec.t} but z/2={Fraction(z, 2)}"
-        )
-    return (z - 1) // 2
-
-
-def F_value(spec: RotationMatrixSpec, t, z: int) -> Fraction:
+def F_value(spec: RotationMatrixSpec, t) -> Fraction:
     """Minimal |v|-norm over lattice vectors whose u-coordinate lies in (-t, 1-t).
 
     The p-adic window constraint restricts u-coordinates to k / spec.t with k
@@ -97,7 +76,6 @@ def F_value(spec: RotationMatrixSpec, t, z: int) -> Fraction:
     t = Fraction(t)
     if not 0 < t < 1:
         raise ValueError(f"t must lie in (0,1), got {t}")
-    _window_halfinteger(spec, z)
     n_plus = spec.t
     # strict inequalities: smallest integer > lower bound, largest < upper bound
     k_lo = floor(-t * n_plus) + 1
@@ -109,35 +87,25 @@ def delta_via_lattice(alpha: AdelePoint, N: int, n: int) -> Fraction:
     """Nearest-neighbor distance computed through the lattice identity."""
     if not 1 <= n <= N:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
-    spec = RotationMatrixSpec.for_gap_instance(alpha, N)
-    n_plus = spec.t
-    return F_value(spec, Fraction(n, 1) / n_plus, 2 * N + 1) / n_plus
+    spec = RotationMatrixSpec(alpha, N)
+    return F_value(spec, n / spec.t) / spec.t
 
 
-def G_N_value(alpha: AdelePoint, N: int) -> int:
+def G_N_value(spec: RotationMatrixSpec) -> int:
     """Number of distinct F values at the gap sample parameters n / (N + 1/2)."""
-    spec = RotationMatrixSpec.for_gap_instance(alpha, N)
-    n_plus = spec.t
-    values = {F_value(spec, Fraction(n, 1) / n_plus, 2 * N + 1) for n in range(1, N + 1)}
-    return len(values)
+    return len({F_value(spec, n / spec.t) for n in range(1, spec.N + 1)})
 
 
-def scan_G(spec: RotationMatrixSpec, z: int) -> ScanResult:
+def scan_G(spec: RotationMatrixSpec) -> ScanResult:
     """Exact piecewise-constant scan of t -> F over (0,1).
 
     The admissible k-set changes only when t crosses k/t0 or 1 - k/t0
-    (t0 = spec.t), so F is constant on the open subintervals between those
-    breakpoints and one interior sample per subinterval determines it.
+    (t0 = spec.t, 1 <= k <= N), so F is constant on the open subintervals
+    between those breakpoints and one interior sample per subinterval
+    determines it.  Every cut lies in (0,1) because N < t0.
     """
-    N = _window_halfinteger(spec, z)
-    n_plus = spec.t
-    cuts = set()
-    for k in range(1, N + 1):
-        cuts.add(Fraction(k) / n_plus)
-        cuts.add(1 - Fraction(k) / n_plus)
-    breakpoints = sorted(c for c in cuts if 0 < c < 1)
+    cuts = {k / spec.t for k in range(1, spec.N + 1)}
+    breakpoints = sorted(cuts | {1 - c for c in cuts})
     edges = [Fraction(0)] + breakpoints + [Fraction(1)]
-    values = [
-        F_value(spec, (lo + hi) / 2, z) for lo, hi in zip(edges[:-1], edges[1:])
-    ]
+    values = [F_value(spec, (lo + hi) / 2) for lo, hi in zip(edges[:-1], edges[1:])]
     return ScanResult(breakpoints, values, len(set(values)))

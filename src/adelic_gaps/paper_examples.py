@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .adele import AdelePoint, PrimeSet, make_point
+from .adele import AdelePoint, PrimeSet
 from .arith import next_prime
 from .torus_gaps import gap_report
 
@@ -33,14 +33,14 @@ class ExampleInstance:
 
 def build_F1() -> ExampleInstance:
     primes = PrimeSet.of(2)
-    alpha = make_point(Fraction(351, 100), 0, {2: 1}, primes)
+    alpha = AdelePoint(Fraction(351, 100), 0, {2: 1}, primes)
     expected = ((1, Fraction(1, 100)), (2, Fraction(3, 20)), (18, Fraction(4, 25)))
     return ExampleInstance("F1", primes, alpha, 52, expected)
 
 
 def build_F2() -> ExampleInstance:
     primes = PrimeSet.of(3)
-    alpha = make_point(Fraction(16, 5), 0, {3: 1}, primes)
+    alpha = AdelePoint(Fraction(16, 5), 0, {3: 1}, primes)
     expected = ((1, Fraction(1, 5)), (2, Fraction(3, 5)), (3, Fraction(4, 5)))
     return ExampleInstance("F2", primes, alpha, 5, expected)
 
@@ -55,7 +55,7 @@ def build_F3(primes: PrimeSet) -> ExampleInstance:
     product = prod(primes.listed)
     if product < 5:
         raise ValueError(f"F3 requires the product of the primes to be >= 5, got {product}")
-    alpha = make_point(Fraction(1, 4 * product), -1, {}, primes)
+    alpha = AdelePoint(Fraction(1, 4 * product), -1, {}, primes)
     p1 = primes.listed[0]
     expected = (
         (1, max(Fraction(1, 4), Fraction(1, p1))),
@@ -89,7 +89,7 @@ def build_I1(five_in_set: bool = True, primes: PrimeSet | None = None) -> Exampl
         raise ValueError("I1 prime set disagrees with the requested 5-membership variant")
     if not five_in_set and 7 in primes:
         raise ValueError("I1 with 5 outside the set also requires 7 outside the set")
-    alpha = make_point(Fraction(1, 9), 0, {3: 1}, primes)
+    alpha = AdelePoint(Fraction(1, 9), 0, {3: 1}, primes)
     delta1 = Fraction(1, 5) if five_in_set else Fraction(1, 9)
     expected = ((1, delta1), (2, Fraction(2, 9)), (5, Fraction(1, 3)))
     label = "I1[5 in P]" if five_in_set else "I1[5 not in P]"
@@ -103,7 +103,7 @@ def build_I2(primes: PrimeSet | None = None) -> ExampleInstance:
     _check_cofinite(primes, "I2")
     if 2 not in primes or 3 not in primes:
         raise ValueError("I2 requires both 2 and 3 in the prime set")
-    alpha = make_point(Fraction(27, 50), 0, {2: -1}, primes)
+    alpha = AdelePoint(Fraction(27, 50), 0, {2: -1}, primes)
     expected = ((1, Fraction(3, 10)), (2, Fraction(1, 3)), (3, Fraction(23, 50)))
     return ExampleInstance("I2", primes, alpha, 6, expected)
 
@@ -122,7 +122,7 @@ def build_I3(five_in_set: bool = True, primes: PrimeSet | None = None) -> Exampl
     overrides = {2: Fraction(-1)}
     if five_in_set:
         overrides[5] = Fraction(3)  # needed for the first gap value
-    alpha = make_point(Fraction(8, 49), 0, overrides, primes)
+    alpha = AdelePoint(Fraction(8, 49), 0, overrides, primes)
     expected = ((1, Fraction(1, 7)), (2, Fraction(1, 4)), (4, Fraction(16, 49)))
     label = "I3[5 in P]" if five_in_set else "I3[5 not in P]"
     return ExampleInstance(label, primes, alpha, 8, expected)
@@ -139,7 +139,7 @@ def build_I4(q: int, primes: PrimeSet | None = None) -> ExampleInstance:
     _check_cofinite(primes, "I4")
     if primes.smallest() != q or q < 5:
         raise ValueError(f"I4 requires smallest prime q >= 5, got smallest {primes.smallest()}")
-    alpha = make_point(Fraction(q - 1, q * (q - 2)), 0, {q: -1}, primes)
+    alpha = AdelePoint(Fraction(q - 1, q * (q - 2)), 0, {q: -1}, primes)
     runner_up = primes.smallest_outside({q})
     expected = (
         (1, max(Fraction(1, q * (q - 2)), Fraction(1, runner_up))),

@@ -82,12 +82,3 @@ def gap_report(alpha: AdelePoint, N: int) -> GapReport:
             witnesses[d] = idx
     return GapReport(N, deltas, distinct, len(distinct), witnesses)
 
-
-def three_gap_check(alpha: AdelePoint, N: int) -> tuple[bool, GapReport]:
-    """True iff the number of distinct gaps is at most three.
-
-    A False return would contradict the three gap bound and signals an
-    implementation bug; callers should surface it loudly.
-    """
-    report = gap_report(alpha, N)
-    return report.gap_count <= 3, report

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 
 from adelic_gaps import (
+    AdelePoint,
     DegenerateOrbitError,
     PrimeSet,
     RotationMatrixSpec,
@@ -18,7 +19,6 @@ from adelic_gaps import (
     default_instances,
     delta_via_lattice,
     gap_report,
-    make_point,
     reduce,
     reproduce_all,
     scan_G,
@@ -90,7 +90,7 @@ def _oracle_point(rng, primes, height):
     q = next((p for p in (2, 3, 5, 7, 11) if p not in primes), None)
     if kind == 1 and q is not None:
         c = Fraction(rng.randint(1, q - 1), q)
-        return add_diagonal(make_point(c, c, {}, primes), _random_gamma(rng, primes, height))
+        return add_diagonal(AdelePoint(c, c, {}, primes), _random_gamma(rng, primes, height))
     alpha = random_point(rng, primes, height)
     default = random_rational(rng, height) or Fraction(1)
     den = default.denominator
@@ -99,7 +99,7 @@ def _oracle_point(rng, primes, height):
             while den % p == 0:
                 den //= p
     default = Fraction(default.numerator, den)
-    return make_point(alpha.at_infinity, default, alpha.overrides, primes)
+    return AdelePoint(alpha.at_infinity, default, alpha.overrides, primes)
 
 
 def test_criterion_1_paper_reproduction_exact():
@@ -169,10 +169,10 @@ def test_criterion_5_scan_bound_and_chain():
         alpha, N, _ = _sample_instance(rng, max_N=12, height=30)
         cases.append((alpha, N))
     for alpha, N in cases:
-        spec = RotationMatrixSpec.for_gap_instance(alpha, N)
-        scan = scan_G(spec, 2 * N + 1)
+        spec = RotationMatrixSpec(alpha, N)
+        scan = scan_G(spec)
         g = gap_report(alpha, N).gap_count
-        g_n = G_N_value(alpha, N)
+        g_n = G_N_value(spec)
         if scan.distinct_count > 3:
             problems.append(f"scan count {scan.distinct_count} > 3 at alpha={alpha}, N={N}")
         if not g == g_n <= scan.distinct_count:

@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 
 from adelic_gaps import (
+    AdelePoint,
     PrimeSet,
     TorusPoint,
     add,
     add_diagonal,
     ambient_metric,
-    make_point,
     reduce,
     scale_by_integer,
     sub,
@@ -53,39 +53,39 @@ class TestPrimeSet:
 
 class TestMakePoint:
     def test_f1_point_valid(self):
-        point = make_point(Fraction(351, 100), 0, {2: 1}, P2)
+        point = AdelePoint(Fraction(351, 100), 0, {2: 1}, P2)
         assert point.coordinate(2) == 1
 
     def test_rejects_non_integral_default(self):
         with pytest.raises(ValueError, match="not 2-integral"):
-            make_point(Fraction(1, 2), Fraction(1, 2), {}, P2)
+            AdelePoint(Fraction(1, 2), Fraction(1, 2), {}, P2)
 
     def test_i1_point_valid(self):
-        point = make_point(Fraction(1, 9), 0, {3: 1}, PrimeSet.all_except(2))
+        point = AdelePoint(Fraction(1, 9), 0, {3: 1}, PrimeSet.all_except(2))
         assert point.coordinate(3) == 1
         assert point.coordinate(7) == 0
 
     def test_rejects_override_outside_primes(self):
         with pytest.raises(ValueError, match="not a prime of the prime set"):
-            make_point(0, 0, {3: 1}, P2)
+            AdelePoint(0, 0, {3: 1}, P2)
         with pytest.raises(ValueError, match="not a prime of the prime set"):
-            make_point(0, 0, {4: 1}, P2)
+            AdelePoint(0, 0, {4: 1}, P2)
 
 
 class TestPointwiseArithmetic:
     def test_scale_by_integer(self):
-        x = make_point(Fraction(351, 100), 0, {2: 1}, P2)
+        x = AdelePoint(Fraction(351, 100), 0, {2: 1}, P2)
         y = scale_by_integer(x, 51)
-        assert y == make_point(Fraction(17901, 100), 0, {2: 51}, P2)
+        assert y == AdelePoint(Fraction(17901, 100), 0, {2: 51}, P2)
 
     def test_sub_self_is_zero(self):
-        x = make_point(Fraction(351, 100), 0, {2: 1}, P2)
+        x = AdelePoint(Fraction(351, 100), 0, {2: 1}, P2)
         assert sub(x, x) == zero_point(P2)
 
     def test_add(self):
         primes = PrimeSet.all_except(2)
-        x = make_point(Fraction(1, 9), 0, {3: 1}, primes)
-        assert add(x, x) == make_point(Fraction(2, 9), 0, {3: 2}, primes)
+        x = AdelePoint(Fraction(1, 9), 0, {3: 1}, primes)
+        assert add(x, x) == AdelePoint(Fraction(2, 9), 0, {3: 2}, primes)
 
     def test_mismatched_primesets_rejected(self):
         with pytest.raises(ValueError, match="different prime sets"):
@@ -94,12 +94,12 @@ class TestPointwiseArithmetic:
 
 class TestAddDiagonal:
     def test_f1_reduction_step(self):
-        x = make_point(Fraction(17901, 100), 0, {2: 51}, P2)
+        x = AdelePoint(Fraction(17901, 100), 0, {2: 51}, P2)
         shifted = add_diagonal(x, -179)
-        assert shifted == make_point(Fraction(1, 100), -179, {2: -128}, P2)
+        assert shifted == AdelePoint(Fraction(1, 100), -179, {2: -128}, P2)
 
     def test_zero_is_identity(self):
-        x = make_point(Fraction(1, 9), 0, {3: 1}, PrimeSet.all_except(2))
+        x = AdelePoint(Fraction(1, 9), 0, {3: 1}, PrimeSet.all_except(2))
         assert add_diagonal(x, 0) == x
 
     def test_rejects_gamma_outside_group(self):
@@ -115,31 +115,31 @@ class TestAddDiagonal:
 
 class TestAmbientMetric:
     def test_f1_reduced_value(self):
-        x = make_point(Fraction(1, 100), -179, {2: -128}, P2)
+        x = AdelePoint(Fraction(1, 100), -179, {2: -128}, P2)
         assert ambient_metric(x, zero_point(P2)) == Fraction(1, 100)
 
     def test_distance_to_self_is_zero(self):
-        x = make_point(Fraction(1, 9), 0, {3: 1}, PrimeSet.all_except(2))
+        x = AdelePoint(Fraction(1, 9), 0, {3: 1}, PrimeSet.all_except(2))
         assert ambient_metric(x, x) == 0
 
     def test_cofinite_sup_attained_at_smallest_prime(self):
         primes = PrimeSet.all_except(2)
-        delta = make_point(0, -1, {}, primes)
+        delta = AdelePoint(0, -1, {}, primes)
         assert ambient_abs(delta) == Fraction(1, 3)
 
     def test_cofinite_override_prime_can_dominate(self):
         primes = PrimeSet.all_primes()
-        x = make_point(0, 0, {2: Fraction(1, 4)}, primes)
+        x = AdelePoint(0, 0, {2: Fraction(1, 4)}, primes)
         # |1/4|_2 / 2 = 2
         assert ambient_abs(x) == 2
 
 
 class TestReduce:
     def test_f1_multiple(self):
-        x = make_point(Fraction(17901, 100), 0, {2: 51}, P2)
+        x = AdelePoint(Fraction(17901, 100), 0, {2: 51}, P2)
         point, gamma = reduce(x)
         assert gamma == 179
-        assert point == make_point(Fraction(1, 100), -179, {2: -128}, P2)
+        assert point == AdelePoint(Fraction(1, 100), -179, {2: -128}, P2)
 
     def test_idempotent(self, rng):
         for _ in range(50):
@@ -150,7 +150,7 @@ class TestReduce:
             assert again == point
 
     def test_fractional_p_part(self):
-        x = make_point(0, 0, {2: Fraction(1, 2)}, P2)
+        x = AdelePoint(0, 0, {2: Fraction(1, 2)}, P2)
         point, gamma = reduce(x)
         assert gamma == Fraction(-1, 2)
         assert point.at_infinity == Fraction(1, 2)
@@ -169,41 +169,41 @@ class TestReduce:
 
 class TestTorusDistance:
     def test_f1_first_gap(self):
-        alpha = make_point(Fraction(351, 100), 0, {2: 1}, P2)
+        alpha = AdelePoint(Fraction(351, 100), 0, {2: 1}, P2)
         x = scale_by_integer(alpha, 51)
         assert torus_distance(x, zero_point(P2)) == Fraction(1, 100)
 
     def test_f2_first_gap(self):
-        alpha = make_point(Fraction(16, 5), 0, {3: 1}, P3)
+        alpha = AdelePoint(Fraction(16, 5), 0, {3: 1}, P3)
         x = scale_by_integer(alpha, 4)
         assert torus_distance(x, zero_point(P3)) == Fraction(1, 5)
 
     def test_distance_to_self_is_zero(self):
-        x = make_point(Fraction(3, 7), 5, {2: Fraction(1, 3)}, P2)
+        x = AdelePoint(Fraction(3, 7), 5, {2: Fraction(1, 3)}, P2)
         assert torus_distance(x, x) == 0
 
     def test_half_integral_coordinate(self):
-        x = make_point(0, 0, {2: Fraction(1, 2)}, P2)
+        x = AdelePoint(0, 0, {2: Fraction(1, 2)}, P2)
         assert torus_distance(x, zero_point(P2)) == Fraction(1, 2)
 
 
 class TestBruteForceOracle:
     def test_f1_agrees(self):
-        alpha = make_point(Fraction(351, 100), 0, {2: 1}, P2)
+        alpha = AdelePoint(Fraction(351, 100), 0, {2: 1}, P2)
         xbar, _ = reduce(scale_by_integer(alpha, 51))
         z = zero_point(P2)
         assert brute_force_torus_distance(xbar, z, 256) == Fraction(1, 100)
 
     def test_height_bound_one_still_covers_unit_shifts(self):
-        x, _ = reduce(make_point(Fraction(99, 100), 1, {}, P2))
+        x, _ = reduce(AdelePoint(Fraction(99, 100), 1, {}, P2))
         z = zero_point(P2)
         assert brute_force_torus_distance(x, z, 1) == Fraction(1, 100)
 
     def test_reduces_unreduced_inputs(self):
         # x - y needs the shift 17/4, above height 8; without reducing first the
         # oracle returned 41/12, above the diameter bound 1
-        x = make_point(Fraction(17, 6), 3, {2: Fraction(5, 4)}, P2)
-        y = make_point(Fraction(-7, 3), 0, {}, P2)
+        x = AdelePoint(Fraction(17, 6), 3, {2: Fraction(5, 4)}, P2)
+        y = AdelePoint(Fraction(-7, 3), 0, {}, P2)
         assert torus_distance(x, y) == Fraction(1, 4)
         assert brute_force_torus_distance(x, y, 8) == Fraction(1, 4)
 

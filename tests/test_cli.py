@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from fractions import Fraction
 
@@ -44,6 +46,9 @@ class TestParsing:
             parse_alpha("foo=1", primes)
         with pytest.raises(CliError, match="invalid point"):
             parse_alpha("inf=0;3=1", primes)
+        for repeated in ("inf=1/2;inf=1/3", "default=0;default=2", "2=1;2=1/2", "2=1;02=1"):
+            with pytest.raises(CliError, match="repeated point key"):
+                parse_alpha(repeated, primes)
 
 
 class TestGapsCommand:
@@ -72,9 +77,10 @@ class TestGapsCommand:
     def test_csv_output(self, capsys):
         main(["gaps", "--primes", "3", "--alpha", "inf=16/5;default=0;3=1", "--N", "5",
               "--format", "csv"])
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "n,delta"
-        assert lines[1] == "1,1/5"
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 5 + 1  # the header and one row per n, no empty last row
+        assert rows[0] == ["n", "delta"]
+        assert rows[1] == ["1", "1/5"]
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -86,6 +92,8 @@ class TestGapsCommand:
 
     def test_parse_error_exit_code(self):
         assert main(["gaps", "--primes", "2,4", "--alpha", "inf=0", "--N", "5"]) == 1
+        assert main(["gaps", "--primes", "all-except:2", "--alpha",
+                     "inf=1/2;inf=16/5;default=0;3=7;3=1", "--N", "5"]) == 1
 
     def test_degenerate_orbit_is_an_error(self, capsys):
         assert main(["gaps", "--primes", "2", "--alpha", "inf=3;default=3", "--N", "4"]) == 1

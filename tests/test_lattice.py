@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from adelic_gaps import (
+    AdelePoint,
     DegenerateOrbitError,
     F_value,
     G_N_value,
@@ -11,7 +12,6 @@ from adelic_gaps import (
     add_diagonal,
     delta_via_lattice,
     gap_report,
-    make_point,
     min_positive_diagonal_distance,
     nn_distance,
     scale_by_integer,
@@ -26,8 +26,8 @@ from oracles import gamma_elements
 P2 = PrimeSet.of(2)
 P3 = PrimeSet.of(3)
 
-F1_ALPHA = make_point(Fraction(351, 100), 0, {2: 1}, P2)
-F2_ALPHA = make_point(Fraction(16, 5), 0, {3: 1}, P3)
+F1_ALPHA = AdelePoint(Fraction(351, 100), 0, {2: 1}, P2)
+F2_ALPHA = AdelePoint(Fraction(16, 5), 0, {3: 1}, P3)
 
 
 class TestMinPositiveDiagonalDistance:
@@ -61,34 +61,29 @@ class TestMinPositiveDiagonalDistance:
 
 class TestFValue:
     def test_f2_at_first_sample(self):
-        spec = RotationMatrixSpec.for_gap_instance(F2_ALPHA, 5)
+        spec = RotationMatrixSpec(F2_ALPHA, 5)
         n_plus = Fraction(11, 2)
-        assert F_value(spec, Fraction(1, 1) / n_plus, 11) == n_plus * Fraction(1, 5)
+        assert spec.t == n_plus
+        assert F_value(spec, Fraction(1, 1) / n_plus) == n_plus * Fraction(1, 5)
 
     def test_f1_second_sample(self):
-        spec = RotationMatrixSpec.for_gap_instance(F1_ALPHA, 52)
+        spec = RotationMatrixSpec(F1_ALPHA, 52)
         n_plus = Fraction(105, 2)
-        assert F_value(spec, 2 / n_plus, 105) / n_plus == Fraction(3, 20)
+        assert F_value(spec, 2 / n_plus) / n_plus == Fraction(3, 20)
 
     def test_definitional_recomputation_at_half(self):
-        spec = RotationMatrixSpec.for_gap_instance(F2_ALPHA, 5)
+        spec = RotationMatrixSpec(F2_ALPHA, 5)
         n_plus = spec.t
         # direct recomputation of the windowed minimum at t = 1/2
         ks = [k for k in range(-5, 6) if -Fraction(1, 2) < Fraction(k) / n_plus < Fraction(1, 2)]
         expected = n_plus * min(spec.v_min(k) for k in ks)
-        assert F_value(spec, Fraction(1, 2), 11) == expected
+        assert F_value(spec, Fraction(1, 2)) == expected
 
     def test_rejects_bad_arguments(self):
-        spec = RotationMatrixSpec.for_gap_instance(F2_ALPHA, 5)
+        spec = RotationMatrixSpec(F2_ALPHA, 5)
         with pytest.raises(ValueError, match=r"t must lie in \(0,1\)"):
-            F_value(spec, Fraction(0), 11)
-        with pytest.raises(ValueError, match="odd natural"):
-            F_value(spec, Fraction(1, 2), 10)
-        with pytest.raises(ValueError, match="unsupported"):
-            F_value(spec, Fraction(1, 2), 13)
-
-    def test_rejects_zero_t_parameter(self):
-        with pytest.raises(ValueError, match="nonzero"):
+            F_value(spec, Fraction(0))
+        with pytest.raises(ValueError, match="N must be >= 1"):
             RotationMatrixSpec(F2_ALPHA, 0)
 
 
@@ -118,38 +113,46 @@ class TestDeltaViaLattice:
 
 class TestScanG:
     def test_f2_scan(self):
-        spec = RotationMatrixSpec.for_gap_instance(F2_ALPHA, 5)
-        result = scan_G(spec, 11)
-        assert result.distinct_count <= 3
-        assert len(result.interval_values) == len(result.breakpoints) + 1
-        assert result.distinct_count == len(set(result.interval_values))
+        result = scan_G(RotationMatrixSpec(F2_ALPHA, 5))
+        # the cuts k/t and 1 - k/t (t = 11/2, 1 <= k <= 5) are the ten j/11
+        assert result.breakpoints == [Fraction(j, 11) for j in range(1, 11)]
+        low, mid, high = Fraction(11, 10), Fraction(33, 10), Fraction(22, 5)
+        assert result.interval_values == [low] * 3 + [mid] * 2 + [high] + [mid] * 2 + [low] * 3
+        assert result.distinct_count == 3
+
+    def test_f1_scan(self):
+        result = scan_G(RotationMatrixSpec(F1_ALPHA, 52))
+        # t = 105/2, so the cuts are the 104 fractions j/105
+        assert result.breakpoints == [Fraction(j, 105) for j in range(1, 105)]
+        assert len(result.interval_values) == 105
+        assert set(result.interval_values) == {Fraction(21, 40), Fraction(42, 5), Fraction(63, 8)}
+        assert result.distinct_count == 3
 
     def test_chain_on_paper_instances(self):
         for alpha, N in ((F1_ALPHA, 52), (F2_ALPHA, 5)):
-            spec = RotationMatrixSpec.for_gap_instance(alpha, N)
+            spec = RotationMatrixSpec(alpha, N)
             g = gap_report(alpha, N).gap_count
-            g_n = G_N_value(alpha, N)
-            g_scan = scan_G(spec, 2 * N + 1).distinct_count
+            g_n = G_N_value(spec)
+            g_scan = scan_G(spec).distinct_count
             assert g == g_n <= g_scan <= 3
 
     def test_piecewise_constancy(self):
-        spec = RotationMatrixSpec.for_gap_instance(F2_ALPHA, 5)
-        result = scan_G(spec, 11)
+        spec = RotationMatrixSpec(F2_ALPHA, 5)
+        result = scan_G(spec)
         edges = [Fraction(0)] + result.breakpoints + [Fraction(1)]
         for (lo, hi), value in zip(zip(edges[:-1], edges[1:]), result.interval_values):
             for frac in (Fraction(1, 3), Fraction(3, 4)):
                 t = lo + (hi - lo) * frac
-                assert F_value(spec, t, 11) == value
+                assert F_value(spec, t) == value
 
     def test_candidate_set_negation_symmetry(self):
-        spec = RotationMatrixSpec.for_gap_instance(F1_ALPHA, 52)
+        spec = RotationMatrixSpec(F1_ALPHA, 52)
         for k in range(0, 53):
             assert spec.v_min(k) == spec.v_min(-k)
 
     def test_degenerate_spec_scan_completes(self):
-        diagonal = make_point(Fraction(2), 2, {}, P2)
-        spec = RotationMatrixSpec.for_gap_instance(diagonal, 3)
-        result = scan_G(spec, 7)
+        diagonal = AdelePoint(Fraction(2), 2, {}, P2)
+        result = scan_G(RotationMatrixSpec(diagonal, 3))
         assert result.distinct_count >= 1
 
     def test_random_specs_bounded_by_three(self, rng):
@@ -157,18 +160,17 @@ class TestScanG:
             primes = random_primeset(rng)
             alpha = random_point(rng, primes, 30)
             N = rng.randint(1, 10)
-            spec = RotationMatrixSpec.for_gap_instance(alpha, N)
-            assert scan_G(spec, 2 * N + 1).distinct_count <= 3
+            assert scan_G(RotationMatrixSpec(alpha, N)).distinct_count <= 3
 
 
 class TestGNValue:
     def test_f1(self):
-        assert G_N_value(F1_ALPHA, 52) == 3
+        assert G_N_value(RotationMatrixSpec(F1_ALPHA, 52)) == 3
 
     def test_i4(self):
         primes = PrimeSet.all_except(2, 3)
-        alpha = make_point(Fraction(4, 15), 0, {5: -1}, primes)
-        assert G_N_value(alpha, 5) == 3
+        alpha = AdelePoint(Fraction(4, 15), 0, {5: -1}, primes)
+        assert G_N_value(RotationMatrixSpec(alpha, 5)) == 3
 
     def test_matches_gap_count(self, rng):
         for _ in range(15):
@@ -179,4 +181,4 @@ class TestGNValue:
                 g = gap_report(alpha, N).gap_count
             except DegenerateOrbitError:
                 continue
-            assert G_N_value(alpha, N) == g
+            assert G_N_value(RotationMatrixSpec(alpha, N)) == g

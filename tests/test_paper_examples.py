@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from adelic_gaps import (
+    AdelePoint,
     PrimeSet,
     build_F1,
     build_F2,
@@ -14,9 +15,7 @@ from adelic_gaps import (
     build_I4,
     default_instances,
     gap_report,
-    make_point,
     reproduce_all,
-    three_gap_check,
 )
 from adelic_gaps.paper_examples import reproduce_instance
 
@@ -109,8 +108,7 @@ class TestBuilders:
 
     def test_all_instances_achieve_three_gaps(self):
         for inst in default_instances():
-            ok, report = three_gap_check(inst.alpha, inst.N)
-            assert ok and report.gap_count == 3, inst.label
+            assert gap_report(inst.alpha, inst.N).gap_count == 3, inst.label
 
 
 class TestReproduction:
@@ -128,7 +126,7 @@ class TestReproduction:
         perturbed = inst.__class__(
             inst.label,
             inst.primes,
-            make_point(Fraction(17, 5), 0, {3: 1}, inst.primes),
+            AdelePoint(Fraction(17, 5), 0, {3: 1}, inst.primes),
             inst.N,
             inst.expected,
         )

@@ -3,14 +3,13 @@ from fractions import Fraction
 import pytest
 
 from adelic_gaps import (
+    AdelePoint,
     DegenerateOrbitError,
     PrimeSet,
     gap_report,
-    make_point,
     nn_distance,
     orbit,
     reduce,
-    three_gap_check,
     torus_distance,
 )
 
@@ -19,8 +18,8 @@ from conftest import random_point, random_primeset
 P2 = PrimeSet.of(2)
 P3 = PrimeSet.of(3)
 
-F1_ALPHA = make_point(Fraction(351, 100), 0, {2: 1}, P2)
-F2_ALPHA = make_point(Fraction(16, 5), 0, {3: 1}, P3)
+F1_ALPHA = AdelePoint(Fraction(351, 100), 0, {2: 1}, P2)
+F2_ALPHA = AdelePoint(Fraction(16, 5), 0, {3: 1}, P3)
 
 
 class TestOrbit:
@@ -38,7 +37,7 @@ class TestOrbit:
         assert points[0] == reduce(F1_ALPHA)[0]
 
     def test_zero_alpha_collapses(self):
-        zero = make_point(0, 0, {}, P2)
+        zero = AdelePoint(0, 0, {}, P2)
         points = orbit(zero, 4)
         assert all(p == points[0] for p in points)
 
@@ -73,12 +72,12 @@ class TestGapReport:
         assert report.witnesses[Fraction(4, 25)] == 18
 
     def test_i2(self):
-        alpha = make_point(Fraction(27, 50), 0, {2: -1}, PrimeSet.all_primes())
+        alpha = AdelePoint(Fraction(27, 50), 0, {2: -1}, PrimeSet.all_primes())
         report = gap_report(alpha, 6)
         assert report.distinct_gaps == [Fraction(3, 10), Fraction(1, 3), Fraction(23, 50)]
 
     def test_single_gap(self):
-        alpha = make_point(Fraction(2, 7), 0, {}, P2)
+        alpha = AdelePoint(Fraction(2, 7), 0, {}, P2)
         report = gap_report(alpha, 3)
         assert report.gap_count == 1
         assert set(report.deltas) == {Fraction(2, 7)}
@@ -91,14 +90,14 @@ class TestGapReport:
         assert all(report.deltas[n - 1] == g for g, n in report.witnesses.items())
 
     def test_degenerate_orbit_propagates(self):
-        diagonal = make_point(Fraction(3), 3, {}, P2)  # the coset of 3 in Gamma_P
+        diagonal = AdelePoint(Fraction(3), 3, {}, P2)  # the coset of 3 in Gamma_P
         with pytest.raises(DegenerateOrbitError):
             gap_report(diagonal, 4)
 
     def test_duplicate_orbit_points_are_skipped_not_fatal(self):
         # 3*alpha is the zero coset, so xi_1 = xi_4 gives zero distances, but
         # positive distances remain and the gaps stay defined
-        alpha = make_point(Fraction(1, 3), Fraction(1, 3), {}, P2)
+        alpha = AdelePoint(Fraction(1, 3), Fraction(1, 3), {}, P2)
         report = gap_report(alpha, 4)
         assert all(d > 0 for d in report.deltas)
         assert torus_distance(orbit(alpha, 4)[0], orbit(alpha, 4)[3]) == 0
@@ -118,13 +117,11 @@ class TestGapReport:
 
 class TestThreeGapCheck:
     def test_paper_instances(self):
-        ok, report = three_gap_check(F1_ALPHA, 52)
-        assert ok and report.gap_count == 3
+        assert gap_report(F1_ALPHA, 52).gap_count == 3
 
     def test_small_instance(self):
-        alpha = make_point(Fraction(1, 2), 0, {}, P3)
-        ok, report = three_gap_check(alpha, 4)
-        assert ok
+        alpha = AdelePoint(Fraction(1, 2), 0, {}, P3)
+        assert gap_report(alpha, 4).gap_count <= 3
 
     def test_random_sweep(self, rng):
         for _ in range(30):
@@ -132,10 +129,10 @@ class TestThreeGapCheck:
             alpha = random_point(rng, primes, 30)
             N = rng.randint(2, 15)
             try:
-                ok, report = three_gap_check(alpha, N)
+                report = gap_report(alpha, N)
             except DegenerateOrbitError:
                 continue
-            assert ok, f"three gap bound violated: {alpha}, N={N}, report={report}"
+            assert report.gap_count <= 3, f"three gap bound violated: {alpha}, N={N}, report={report}"
 
 
 def test_distance_matrix_symmetry():
