@@ -111,16 +111,29 @@ class AdelePoint:
             self, "overrides", {p: Fraction(v) for p, v in sorted(self.overrides.items())}
         )
         for p in self.overrides:
-            if not is_prime(p) or p not in self.primes:
+            if p not in self.primes:
                 raise ValueError(f"override key {p} is not a prime of the prime set")
         den = self.default_value.denominator
-        if den > 1:
-            for p in _prime_factors(den):
-                if p in self.primes and p not in self.overrides:
+        if den == 1:
+            return
+        if self.primes.finite:
+            for p in self.primes.listed:
+                if den % p == 0 and p not in self.overrides:
                     raise ValueError(
                         f"default coordinate {self.default_value} is not {p}-integral "
                         f"and {p} is not overridden"
                     )
+            return
+        # every prime outside the exclusions is in the set: what the excluded
+        # and overridden primes leave of the denominator must be 1
+        for p in (*self.primes.listed, *self.overrides):
+            while den % p == 0:
+                den //= p
+        if den != 1:
+            raise ValueError(
+                f"default coordinate {self.default_value} is not integral at a prime "
+                f"of the set that is not overridden"
+            )
 
     def coordinate(self, p: int) -> Fraction:
         if p not in self.primes:
@@ -213,13 +226,22 @@ def scale_by_integer(x: AdelePoint, n: int) -> AdelePoint:
 
 
 def add_diagonal(x: AdelePoint, gamma) -> AdelePoint:
-    """Add the diagonal embedding of gamma in Gamma_P to every coordinate."""
+    """Add the diagonal embedding of gamma in Gamma_P to every coordinate.
+
+    Only the part of gamma's denominator prime to x's override keys is
+    factored; for the shifts `reduce` builds that part is 1, however large the
+    override primes are.
+    """
     gamma = Fraction(gamma)
-    den_primes = _prime_factors(gamma.denominator)
-    for p in den_primes:
+    den = gamma.denominator
+    for p in x.overrides:
+        while den % p == 0:
+            den //= p
+    keys = set(x.overrides)
+    for p in _prime_factors(den):
         if p not in x.primes:
             raise ValueError(f"{gamma} is not in Gamma_P: denominator prime {p} outside the set")
-    keys = set(x.overrides) | {p for p in den_primes if p in x.primes}
+        keys.add(p)
     return AdelePoint(
         x.at_infinity + gamma,
         x.default_value + gamma,
@@ -234,7 +256,17 @@ def diagonal_point(gamma, primes: PrimeSet) -> AdelePoint:
 
 
 def _raw_abs(at_infinity: Fraction, default: Fraction, coords: dict[int, Fraction], primes: PrimeSet) -> Fraction:
-    """Max-metric norm from raw coordinate data (coords = explicit prime coordinates)."""
+    """Max-metric norm from raw coordinate data (coords = explicit prime coordinates).
+
+    On a cofinite set the term at p is |x_p|_p / p.  A prime outside `coords`
+    carries the default d, and validity already puts every prime of the set
+    that divides d's denominator among the keys of `coords`, so there |d|_p <= 1
+    and the denominator is never factored.  Walking the set's primes outside
+    `coords` upward, each p that divides d's numerator adds |d|_p / p, and the
+    first p that does not adds 1/p and ends the walk: every later term is at
+    most 1/p' < 1/p.  The walk visits at most one prime more than d's
+    numerator has prime factors.
+    """
     best = abs(at_infinity)
     if primes.finite:
         for p in primes.listed:
@@ -242,25 +274,21 @@ def _raw_abs(at_infinity: Fraction, default: Fraction, coords: dict[int, Fractio
             if term > best:
                 best = term
         return best
-    # Cofinite: the term at p is |x_p|_p / p.  Outside a finite candidate set the
-    # coordinate is the default d with |d|_p = 1 (or 0), so only the smallest
-    # remaining prime can matter.
-    candidates = set(coords)
-    if default != 0:
-        for p in _prime_factors(default.numerator):
-            if p in primes:
-                candidates.add(p)
-        for p in _prime_factors(default.denominator):
-            if p in primes:
-                candidates.add(p)
-    for p in candidates:
-        term = padic_abs(coords.get(p, default), p) / p
+    for p, v in coords.items():
+        term = padic_abs(v, p) / p
         if term > best:
             best = term
     if default != 0:
-        p = primes.smallest_outside(candidates)
-        if p is not None:
-            best = max(best, Fraction(1, p))
+        numerator = default.numerator
+        avoid = set(coords)
+        while True:
+            p = primes.smallest_outside(avoid)
+            if numerator % p:
+                return max(best, Fraction(1, p))
+            term = padic_abs(default, p) / p
+            if term > best:
+                best = term
+            avoid.add(p)
     return best
 
 

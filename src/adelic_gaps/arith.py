@@ -3,6 +3,10 @@
 All scalar quantities in this package are `fractions.Fraction` instances or
 integers, so every computation is exact.  The one float is `math.inf`, which
 `valuation` returns for v_p(0) = +infinity.
+
+Primality is decided by Miller-Rabin on a fixed set of bases, which is exact
+below `PRIMALITY_LIMIT`; nothing here factors an integer, so the cost of every
+helper grows with the number of digits of its input, not with its size.
 """
 
 from __future__ import annotations
@@ -15,20 +19,42 @@ from functools import lru_cache
 INFINITE_VALUATION = math.inf
 
 
+#: The first 13 primes: no composite below PRIMALITY_LIMIT is a strong
+#: pseudoprime to all of them (Sorenson & Webster, "Strong pseudoprimes to
+#: twelve prime bases", Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: psi_13, the least composite that passes every base above.
+PRIMALITY_LIMIT = 3317044064679887385961981
+
+
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division; inputs here are desk-scale."""
+    """Deterministic Miller-Rabin on the bases 2, 3, ..., 41; exact for n < PRIMALITY_LIMIT.
+
+    Raises ValueError for n >= PRIMALITY_LIMIT, where these bases no longer
+    decide primality.
+    """
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(f"primality of {n} is not decided: integers must be below {PRIMALITY_LIMIT}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -18,20 +18,60 @@ from adelic_gaps import (
     torus_distance,
 )
 from adelic_gaps.adele import ambient_abs
+from adelic_gaps.arith import padic_abs
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of the nonzero integer n, by trial division."""
+    n = abs(n)
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def contains_all_factors(primes: PrimeSet, n: int) -> bool:
     """True iff every prime factor of the nonzero integer n lies in the set."""
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            if d not in primes:
-                return False
-            while n % d == 0:
-                n //= d
-        d += 1
-    return n == 1 or n in primes
+    return all(p in primes for p in prime_factors(n))
+
+
+def reference_ambient_abs(x: AdelePoint) -> Fraction:
+    """The ambient norm, with the cofinite tail found by factoring the default.
+
+    On a cofinite set the term at p is |x_p|_p / p.  The candidates are the
+    override primes and every prime of the set dividing the default's
+    numerator or denominator; at any other prime the default is a unit, so
+    the least such prime q contributes 1/q and bounds all the rest.
+    """
+    best = abs(x.at_infinity)
+    default = x.default_value
+    if x.primes.finite:
+        return max([best] + [padic_abs(x.coordinate(p), p) for p in x.primes.listed])
+    candidates = set(x.overrides)
+    if default != 0:
+        factors = prime_factors(default.numerator) + prime_factors(default.denominator)
+        candidates |= {p for p in factors if p in x.primes}
+    best = max([best] + [padic_abs(x.coordinate(p), p) / p for p in candidates])
+    if default != 0:
+        q = 2
+        while q in candidates or q not in x.primes:
+            q += 1
+        best = max(best, Fraction(1, q))
+    return best
+
+
+def reference_torus_distance(x: AdelePoint, y: AdelePoint) -> Fraction:
+    """The quotient distance of reduced points over the shifts {-1, 0, 1}, each
+    norm taken by `reference_ambient_abs`."""
+    diff = sub(reduce(x)[0], reduce(y)[0])
+    return min(reference_ambient_abs(add_diagonal(diff, g)) for g in (0, 1, -1))
 
 
 def gamma_elements(primes: PrimeSet, height_bound: int):

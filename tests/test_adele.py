@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from adelic_gaps import (
 from adelic_gaps.adele import ambient_abs, diagonal_point
 
 from conftest import random_point, random_primeset
-from oracles import brute_force_torus_distance
+from oracles import brute_force_torus_distance, reference_ambient_abs, reference_torus_distance
 
 P2 = PrimeSet.of(2)
 P3 = PrimeSet.of(3)
@@ -70,6 +71,16 @@ class TestMakePoint:
             AdelePoint(0, 0, {3: 1}, P2)
         with pytest.raises(ValueError, match="not a prime of the prime set"):
             AdelePoint(0, 0, {4: 1}, P2)
+
+    def test_cofinite_default_denominator_needs_overrides(self):
+        everything = PrimeSet.all_primes()
+        assert AdelePoint(0, Fraction(1, 6), {2: 1, 3: 0}, everything).coordinate(5) == Fraction(1, 6)
+        point = AdelePoint(0, Fraction(1, 12), {2: 1}, PrimeSet.all_except(3))
+        assert point.coordinate(5) == Fraction(1, 12)
+        with pytest.raises(ValueError, match="not integral at a prime of the set"):
+            AdelePoint(0, Fraction(1, 6), {2: 1}, everything)
+        with pytest.raises(ValueError, match="not integral at a prime of the set"):
+            AdelePoint(0, Fraction(1, 6), {}, PrimeSet.all_except(2))
 
 
 class TestPointwiseArithmetic:
@@ -132,6 +143,48 @@ class TestAmbientMetric:
         x = AdelePoint(0, 0, {2: Fraction(1, 4)}, primes)
         # |1/4|_2 / 2 = 2
         assert ambient_abs(x) == 2
+
+    def test_cofinite_tail_walk_matches_factoring_oracle(self):
+        """The norm's walk over the primes dividing the default, against full factoring.
+
+        Defaults have 7-10 digits; a third are multiples of 2*3*5*7*11 and a
+        third of 2*3*...*23, so the walk passes many primes before the first
+        that does not divide.  Half the defaults are divided by a power of an
+        overridden prime, and overrides are integers or rationals.  With inf
+        in [0, 1) and integer overrides reduce leaves the default as it is, so
+        the difference of a pair keeps the common factor.
+        """
+        rng = random.Random(20261018)
+        mismatches, deep = [], 0
+        for spec in (PrimeSet.all_primes(), PrimeSet.all_except(2), PrimeSet.all_except(2, 3, 5, 7)):
+            members = spec.first_members(4)
+            for i in range(60):
+                step = (1, 2310, 223092870)[i % 3]
+                pair = []
+                for _ in range(2):
+                    digits = rng.randint(7, 10)
+                    default = max(1, rng.randint(10 ** (digits - 1), 10**digits - 1) // step) * step
+                    overrides = {}
+                    for p in members:
+                        if rng.random() < 0.5:
+                            value = rng.randint(-60, 60)
+                            overrides[p] = Fraction(value, rng.randint(1, 12)) if i % 2 else value
+                    if overrides and rng.random() < 0.5:
+                        default = Fraction(default, min(overrides) ** rng.randint(1, 2))
+                    if i % 2:
+                        inf = Fraction(rng.randint(-60, 60), rng.randint(1, 60))
+                    else:
+                        inf = Fraction(rng.randint(0, 59), 60)
+                    pair.append(AdelePoint(inf, rng.choice((-1, 1)) * default, overrides, spec))
+                x, y = pair
+                deep += sub(x, y).default_value.numerator % 2310 == 0
+                for point in (x, sub(x, y)):
+                    if ambient_abs(point) != reference_ambient_abs(point):
+                        mismatches.append(("ambient_abs", str(point)))
+                if torus_distance(x, y) != reference_torus_distance(x, y):
+                    mismatches.append(("torus_distance", str(x), str(y)))
+        assert mismatches == []
+        assert deep >= 40
 
 
 class TestReduce:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from adelic_gaps.arith import (
+    PRIMALITY_LIMIT,
     archimedean_abs,
     is_prime,
     next_prime,
@@ -52,6 +53,31 @@ def test_is_prime_small():
     assert not is_prime(91)  # 7 * 13
     primes_below_50 = [n for n in range(50) if is_prime(n)]
     assert primes_below_50 == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def test_is_prime_agrees_with_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(2 * 10**5) if is_prime(n) != by_trial_division(n)] == []
+    is_prime.cache_clear()
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    assert not is_prime(3215031751)  # strong pseudoprime to the bases 2, 3, 5, 7
+    assert not is_prime(3825123056546413051)  # to the bases 2, ..., 31
+    psi_12 = 318665857834031151167461  # to the bases 2, ..., 37
+    assert psi_12 == 399165290221 * 798330580441
+    assert not is_prime(psi_12)
+    assert is_prime(2**61 - 1)
+
+
+def test_is_prime_refuses_from_psi_13():
+    assert PRIMALITY_LIMIT == 3317044064679887385961981
+    assert not is_prime(PRIMALITY_LIMIT - 1)  # even
+    for n in (PRIMALITY_LIMIT, 10**30 + 57):
+        with pytest.raises(ValueError, match="primality"):
+            is_prime(n)
 
 
 def test_next_prime():

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import io
 import json
+import signal
 from fractions import Fraction
 
 import pytest
@@ -164,3 +166,54 @@ class TestLatticeCheckCommand:
                      "--N", "52"])
         assert code == 0
         assert "52/52 match" in capsys.readouterr().out
+
+
+Q = 10**30 + 57  # a prime above arith.PRIMALITY_LIMIT
+P = 10**20 + 39  # a prime below it
+
+
+@contextlib.contextmanager
+def within_seconds(limit):
+    """Fail the block with TimeoutError if it runs past `limit` wall-clock seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {limit} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestBoundedWork:
+    """Inputs with 21- and 31-digit integers are answered or refused within 2 s."""
+
+    @pytest.mark.parametrize("command", ["gaps", "lattice-check"])
+    def test_31_digit_default_is_answered(self, command, capsys):
+        with within_seconds(2):
+            code = main([command, "--primes", "all", "--alpha", f"inf=1/3;default={Q}",
+                         "--N", "8", "--format", "json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["gap_count" if command == "gaps" else "chain_ok"]
+
+    def test_large_override_prime_below_the_limit_is_answered(self, capsys):
+        with within_seconds(2):
+            code = main(["lattice-check", "--primes", "all-except:2", "--alpha",
+                         f"inf=1/3;default=7/{P};{P}=1/{P}", "--N", "6", "--format", "json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["chain_ok"] is True
+
+    @pytest.mark.parametrize("primes, alpha", [
+        ("all", f"inf=1/3;{Q}=1"),
+        (f"all-except:{Q}", "inf=1/3"),
+        ("all", f"inf=1/3;default=1/{Q}"),
+    ])
+    def test_refused_with_exit_1(self, primes, alpha, capsys):
+        with within_seconds(2):
+            code = main(["gaps", "--primes", primes, "--alpha", alpha, "--N", "8"])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
