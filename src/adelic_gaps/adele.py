@@ -114,8 +114,6 @@ class AdelePoint:
             if p not in self.primes:
                 raise ValueError(f"override key {p} is not a prime of the prime set")
         den = self.default_value.denominator
-        if den == 1:
-            return
         if self.primes.finite:
             for p in self.primes.listed:
                 if den % p == 0 and p not in self.overrides:
@@ -123,17 +121,17 @@ class AdelePoint:
                         f"default coordinate {self.default_value} is not {p}-integral "
                         f"and {p} is not overridden"
                     )
-            return
-        # every prime outside the exclusions is in the set: what the excluded
-        # and overridden primes leave of the denominator must be 1
-        for p in (*self.primes.listed, *self.overrides):
-            while den % p == 0:
-                den //= p
-        if den != 1:
-            raise ValueError(
-                f"default coordinate {self.default_value} is not integral at a prime "
-                f"of the set that is not overridden"
-            )
+        elif den > 1:
+            # every prime outside the exclusions is in the set: what the excluded
+            # and overridden primes leave of the denominator must be 1
+            for p in (*self.primes.listed, *self.overrides):
+                while den % p == 0:
+                    den //= p
+            if den != 1:
+                raise ValueError(
+                    f"default coordinate {self.default_value} is not integral at a prime "
+                    f"of the set that is not overridden"
+                )
 
     def coordinate(self, p: int) -> Fraction:
         if p not in self.primes:

@@ -35,7 +35,9 @@ def is_prime(n: int) -> bool:
     decide primality.
     """
     if n >= PRIMALITY_LIMIT:
-        raise ValueError(f"primality of {n} is not decided: integers must be below {PRIMALITY_LIMIT}")
+        raise ValueError(
+            f"primality of {n} is not decided: integers must be below {PRIMALITY_LIMIT}"
+        )
     if n < 2:
         return False
     for a in _MILLER_RABIN_BASES:

@@ -198,7 +198,12 @@ class TestBoundedWork:
                          "--N", "8", "--format", "json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["gap_count" if command == "gaps" else "chain_ok"]
+        if command == "gaps":
+            # d(k alpha, 0) < 1/3 needs inf part 0, so k = 3 or 6; there the
+            # default kQ - k/3 is even and prime to 3, so the tail term is 1/3
+            assert payload["distinct_gaps"] == ["1/3"]
+        else:
+            assert payload["chain_ok"] is True
 
     def test_large_override_prime_below_the_limit_is_answered(self, capsys):
         with within_seconds(2):
