@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import floor
+from types import MappingProxyType
+from typing import Mapping
 
-from .arith import is_prime, next_prime, padic_abs, valuation
+from .arith import PRIMALITY_LIMIT, is_prime, next_prime, padic_abs, valuation
 
 
 @dataclass(frozen=True)
@@ -97,19 +99,21 @@ class AdelePoint:
     Coordinates: `at_infinity` at the real place; at a prime p of the set,
     `overrides[p]` if present, else `default_value`.  The restricted-product
     condition forces the default to be p-integral wherever it applies.
+    The constructor stores `overrides` as a read-only sorted copy, so a point
+    is immutable and hashable.
     """
 
     at_infinity: Fraction
     default_value: Fraction
-    overrides: dict[int, Fraction]
+    overrides: Mapping[int, Fraction]
     primes: PrimeSet
 
     def __post_init__(self):
         object.__setattr__(self, "at_infinity", Fraction(self.at_infinity))
         object.__setattr__(self, "default_value", Fraction(self.default_value))
-        object.__setattr__(
-            self, "overrides", {p: Fraction(v) for p, v in sorted(self.overrides.items())}
-        )
+        object.__setattr__(self, "overrides", MappingProxyType(
+            {p: Fraction(v) for p, v in sorted(self.overrides.items())}
+        ))
         for p in self.overrides:
             if p not in self.primes:
                 raise ValueError(f"override key {p} is not a prime of the prime set")
@@ -148,6 +152,13 @@ class AdelePoint:
             return False
         return self.default_value == other.default_value
 
+    def __hash__(self) -> int:
+        # an override equal to the default does not change the point (see __eq__)
+        differing = frozenset(
+            (p, v) for p, v in self.overrides.items() if v != self.default_value
+        )
+        return hash((self.primes, self.at_infinity, self.default_value, differing))
+
     def __str__(self) -> str:
         parts = [f"inf={self.at_infinity}", f"default={self.default_value}"]
         parts += [f"{p}={v}" for p, v in self.overrides.items()]
@@ -167,16 +178,28 @@ class TorusPoint(AdelePoint):
         # non-overridden primes are covered by the base-class default check
 
 
+def _is_prime_cofactor(n: int) -> bool:
+    return n < PRIMALITY_LIMIT and is_prime(n)
+
+
 @lru_cache(maxsize=1 << 16)
 def _prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct prime factors of n, ascending.
+
+    Trial division stops as soon as the remaining cofactor is a prime below
+    PRIMALITY_LIMIT, so a large prime factor costs one primality test.  A
+    cofactor with two large prime factors is still trial-divided.
+    """
     n = abs(n)
     out = []
     d = 2
-    while d * d <= n:
+    prime_rest = _is_prime_cofactor(n)
+    while not prime_rest and d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
+            prime_rest = _is_prime_cofactor(n)
         d += 1
     if n > 1:
         out.append(n)

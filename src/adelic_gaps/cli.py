@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import random
+import shlex
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -180,7 +181,9 @@ def cmd_verify(args) -> int:
             print(
                 f"VERIFICATION FAILURE at sample {i}: g_N = {report.gap_count} > 3\n"
                 f"  alpha = {alpha}\n  primes = {alpha.primes}\n  N = {N}\n"
-                f"  deltas = {[str(d) for d in report.deltas]}",
+                f"  deltas = {[str(d) for d in report.deltas]}\n"
+                f"adelic-gaps gaps --primes {shlex.quote(str(alpha.primes))} "
+                f"--alpha {shlex.quote(str(alpha))} --N {N}",
                 file=sys.stderr,
             )
             return EXIT_VERIFICATION

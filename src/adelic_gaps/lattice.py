@@ -9,6 +9,7 @@ so everything is a finite exact scan.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
@@ -28,20 +29,28 @@ def min_positive_diagonal_distance(x: AdelePoint) -> Fraction:
     return d if d > 0 else Fraction(1)
 
 
+#: alpha -> {|k|: v_min(k)}.  v_min depends on alpha alone, not on N, so every
+#: spec on an equal alpha shares one table; an entry lives as long as its alpha.
+_V_MIN_TABLES = weakref.WeakKeyDictionary()
+
+
 @dataclass
 class RotationMatrixSpec:
     """Upper-triangular determinant-1 matrix with diagonal (1/t, t) and shear t*alpha.
 
-    The gap identity for the orbit of length N uses t = N + 1/2.
+    The gap identity for the orbit of length N uses t = N + 1/2.  The shortest
+    vectors `v_min(k)` are cached in one table per alpha, which every spec on
+    an equal alpha that is still alive shares.
     """
 
     alpha: AdelePoint
     N: int
-    _v_min_cache: dict[int, Fraction] = field(default_factory=dict, repr=False, compare=False)
+    _v_min_cache: dict[int, Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
+        self._v_min_cache = _V_MIN_TABLES.setdefault(self.alpha, {})
 
     @property
     def t(self) -> Fraction:

@@ -1,4 +1,6 @@
+import contextlib
 import random
+import signal
 
 import pytest
 
@@ -28,3 +30,19 @@ def random_primeset(rng: random.Random) -> PrimeSet:
 @pytest.fixture
 def rng():
     return random.Random(20260823)
+
+
+@contextlib.contextmanager
+def within_seconds(limit):
+    """Fail the block with TimeoutError if it runs past `limit` wall-clock seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {limit} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -16,9 +16,9 @@ from adelic_gaps import (
     torus_distance,
     zero_point,
 )
-from adelic_gaps.adele import ambient_abs, diagonal_point
+from adelic_gaps.adele import _prime_factors, ambient_abs, diagonal_point
 
-from conftest import random_point, random_primeset
+from conftest import random_point, random_primeset, within_seconds
 from oracles import brute_force_torus_distance, reference_ambient_abs, reference_torus_distance
 
 P2 = PrimeSet.of(2)
@@ -82,6 +82,27 @@ class TestMakePoint:
         with pytest.raises(ValueError, match="not integral at a prime of the set"):
             AdelePoint(0, Fraction(1, 6), {}, PrimeSet.all_except(2))
 
+    def test_equal_points_hash_equal(self):
+        primes = PrimeSet.of(2, 3)
+        pairs = [
+            (AdelePoint(Fraction(1, 3), 0, {2: Fraction(1, 2), 3: 1}, primes),
+             AdelePoint(Fraction(1, 3), 0, {3: 1, 2: Fraction(1, 2)}, primes)),
+            (AdelePoint(Fraction(1, 3), 2, {3: 2}, primes), AdelePoint(Fraction(1, 3), 2, {}, primes)),
+            (TorusPoint(Fraction(1, 3), 0, {3: 1}, primes), AdelePoint(Fraction(1, 3), 0, {3: 1}, primes)),
+        ]
+        for x, y in pairs:
+            assert x == y
+            assert hash(x) == hash(y)
+        assert len({x for pair in pairs for x in pair}) == len(pairs)
+
+    def test_overrides_are_read_only(self):
+        overrides = {2: Fraction(1)}
+        point = AdelePoint(Fraction(351, 100), 0, overrides, P2)
+        with pytest.raises(TypeError):
+            point.overrides[2] = Fraction(3)
+        overrides[2] = Fraction(3)
+        assert point.coordinate(2) == 1
+
 
 class TestPointwiseArithmetic:
     def test_scale_by_integer(self):
@@ -122,6 +143,16 @@ class TestAddDiagonal:
         y = add_diagonal(x, Fraction(1, 2))
         assert y.coordinate(2) == Fraction(1, 2)
         assert 2 in y.overrides
+
+    def test_large_prime_denominator_is_bounded(self):
+        p = 10**20 + 39
+        with within_seconds(2):
+            point = diagonal_point(Fraction(1, p), PrimeSet.all_primes())
+        assert point.coordinate(p) == Fraction(1, p)
+        assert point.coordinate(2) == Fraction(1, p)
+        with within_seconds(2):
+            assert _prime_factors(8 * p) == (2, p)
+        assert _prime_factors(10**30) == (2, 5)
 
 
 class TestAmbientMetric:

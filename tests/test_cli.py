@@ -1,22 +1,26 @@
-import contextlib
 import csv
+import dataclasses
 import io
 import json
-import signal
+import shlex
 from fractions import Fraction
 
 import pytest
 
 from adelic_gaps import PrimeSet
+from adelic_gaps import cli
 from adelic_gaps.cli import (
     CliError,
     SweepConfig,
+    build_parser,
     main,
     parse_alpha,
     parse_primes,
     parse_rational,
     run_sweep,
 )
+
+from conftest import within_seconds
 
 
 class TestParsing:
@@ -120,6 +124,23 @@ class TestVerifyCommand:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_failure_ends_with_replay_line(self, capsys, monkeypatch):
+        config = SweepConfig(7, 1, 20, 30, parse_primes("all-except:2"))
+        _, alpha, N, _ = next(run_sweep(config))
+        real_gap_report = cli.gap_report
+        monkeypatch.setattr(
+            cli, "gap_report", lambda a, n: dataclasses.replace(real_gap_report(a, n), gap_count=4)
+        )
+        code = main(["verify", "--primes", "all-except:2", "--seed", "7", "--samples", "5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("VERIFICATION FAILURE at sample 0: g_N = 4 > 3")
+        argv = shlex.split(err.rstrip("\n").splitlines()[-1])
+        assert argv[:2] == ["adelic-gaps", "gaps"]
+        args = build_parser().parse_args(argv[1:])
+        assert args.N == N
+        assert parse_alpha(args.alpha, parse_primes(args.primes)) == alpha
+
     def test_config_validation(self):
         with pytest.raises(CliError):
             SweepConfig(0, 0, 10, 10, PrimeSet.of(2))
@@ -170,22 +191,6 @@ class TestLatticeCheckCommand:
 
 Q = 10**30 + 57  # a prime above arith.PRIMALITY_LIMIT
 P = 10**20 + 39  # a prime below it
-
-
-@contextlib.contextmanager
-def within_seconds(limit):
-    """Fail the block with TimeoutError if it runs past `limit` wall-clock seconds."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"ran past {limit} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, limit)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestBoundedWork:

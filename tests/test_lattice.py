@@ -1,3 +1,4 @@
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,9 @@ from adelic_gaps import (
     scan_G,
     zero_point,
 )
+from adelic_gaps import lattice
 from adelic_gaps.adele import ambient_abs, diagonal_point
+from adelic_gaps.cli import main
 
 from conftest import random_point, random_primeset
 from oracles import gamma_elements
@@ -109,6 +112,30 @@ class TestDeltaViaLattice:
     def test_f2_full_dual_path(self):
         for n in range(1, 6):
             assert delta_via_lattice(F2_ALPHA, 5, n) == nn_distance(F2_ALPHA, 5, n)
+
+
+class TestVMinTable:
+    def test_lattice_check_computes_each_v_min_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return min_positive_diagonal_distance(x)
+
+        monkeypatch.setattr(lattice, "min_positive_diagonal_distance", counting)
+        # start empty: this module's F1_ALPHA is alive and its table is warm
+        tables = weakref.WeakKeyDictionary()
+        monkeypatch.setattr(lattice, "_V_MIN_TABLES", tables)
+        argv = ["lattice-check", "--primes", "2", "--alpha", "inf=351/100;default=0;2=1",
+                "--N", "52"]
+        assert main(argv) == 0
+        first = len(calls)
+        assert first <= 53  # one per |k| <= N
+        # the table dies with alpha: a second call starts from an empty table
+        assert len(tables) == 0
+        assert main(argv) == 0
+        assert len(calls) == 2 * first
+        assert capsys.readouterr().out.count("52/52 match") == 2
 
 
 class TestScanG:
