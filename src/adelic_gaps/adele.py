@@ -16,7 +16,7 @@ from math import floor
 from types import MappingProxyType
 from typing import Mapping
 
-from .arith import PRIMALITY_LIMIT, is_prime, next_prime, padic_abs, valuation
+from .arith import PRIMALITY_LIMIT, int_valuation, is_prime, next_prime, padic_abs, valuation
 
 
 @dataclass(frozen=True)
@@ -136,6 +136,21 @@ class AdelePoint:
                     f"default coordinate {self.default_value} is not integral at a prime "
                     f"of the set that is not overridden"
                 )
+
+    @classmethod
+    def _trusted(cls, at_infinity: Fraction, default_value: Fraction,
+                 overrides: dict[int, Fraction], primes: PrimeSet):
+        """A point from coordinates the caller already knows to be valid for `cls`.
+
+        Skips `__post_init__`: the coordinates must be Fractions and `overrides`
+        a sorted dict that nothing else holds.
+        """
+        point = object.__new__(cls)
+        object.__setattr__(point, "at_infinity", at_infinity)
+        object.__setattr__(point, "default_value", default_value)
+        object.__setattr__(point, "overrides", MappingProxyType(overrides))
+        object.__setattr__(point, "primes", primes)
+        return point
 
     def coordinate(self, p: int) -> Fraction:
         if p not in self.primes:
@@ -276,46 +291,72 @@ def diagonal_point(gamma, primes: PrimeSet) -> AdelePoint:
     return add_diagonal(zero_point(primes), gamma)
 
 
-def _raw_abs(at_infinity: Fraction, default: Fraction, coords: dict[int, Fraction], primes: PrimeSet) -> Fraction:
-    """Max-metric norm from raw coordinate data (coords = explicit prime coordinates).
+#: A rational a/b as the integer pair (a, b) with b > 0, not necessarily in
+#: lowest terms: the distance kernel's coordinates and norms.
+Pair = tuple[int, int]
+
+
+def _pair(r: Fraction) -> Pair:
+    return r.numerator, r.denominator
+
+
+def _padic_pair(num: int, den: int, p: int) -> Pair:
+    """|num/den|_p as a pair, from the valuations of num != 0 and den."""
+    e = int_valuation(num, p) - int_valuation(den, p)
+    return (1, p**e) if e >= 0 else (p**-e, 1)
+
+
+def _raw_abs(inf: Pair, default: Pair, coords: Mapping[int, Pair], primes: PrimeSet) -> Pair:
+    """Max-metric norm from raw coordinate pairs, itself returned as a pair.
+
+    `inf` is the coordinate at the real place, `coords` the explicit prime
+    coordinates and `default` the coordinate at every other prime of the set;
+    a coordinate need not be p-integral.  The term of a/b at p is
+    |a/b|_p = p^-(v_p(a) - v_p(b)), from `int_valuation`, and terms are
+    compared by cross-multiplication, so no Fraction is built here: the
+    caller makes one from the pair it keeps.
 
     On a cofinite set the term at p is |x_p|_p / p.  A prime outside `coords`
-    carries the default d, and validity already puts every prime of the set
-    that divides d's denominator among the keys of `coords`, so there |d|_p <= 1
-    and the denominator is never factored.  Walking the set's primes outside
-    `coords` upward, each p that divides d's numerator adds |d|_p / p, and the
-    first p that does not adds 1/p and ends the walk: every later term is at
-    most 1/p' < 1/p.  The walk visits at most one prime more than d's
-    numerator has prime factors.
+    carries the default d = a/b, and validity already puts every prime of the
+    set that divides b among the keys of `coords`, so there b is prime to p
+    and |d|_p <= 1.  Walking the set's primes outside `coords` upward, each p
+    that divides a adds |d|_p / p, and the first p that does not adds 1/p and
+    ends the walk: every later term is at most 1/p' < 1/p.  The walk visits at
+    most one prime more than a has prime factors.
     """
-    best = abs(at_infinity)
+    best_num, best_den = abs(inf[0]), inf[1]
     if primes.finite:
         for p in primes.listed:
-            term = padic_abs(coords.get(p, default), p)
-            if term > best:
-                best = term
-        return best
-    for p, v in coords.items():
-        term = padic_abs(v, p) / p
-        if term > best:
-            best = term
-    if default != 0:
-        numerator = default.numerator
+            num, den = coords.get(p, default)
+            if num:
+                term_num, term_den = _padic_pair(num, den, p)
+                if term_num * best_den > best_num * term_den:
+                    best_num, best_den = term_num, term_den
+        return best_num, best_den
+    for p, (num, den) in coords.items():
+        if num:
+            term_num, term_den = _padic_pair(num, den, p)
+            if term_num * best_den > best_num * term_den * p:
+                best_num, best_den = term_num, term_den * p
+    num, den = default
+    if num:
         avoid = set(coords)
         while True:
             p = primes.smallest_outside(avoid)
-            if numerator % p:
-                return max(best, Fraction(1, p))
-            term = padic_abs(default, p) / p
-            if term > best:
-                best = term
+            if num % p:
+                return (1, p) if best_den > best_num * p else (best_num, best_den)
+            term_den = p ** (int_valuation(num, p) + 1)  # |d|_p / p, as b is prime to p
+            if best_den > best_num * term_den:
+                best_num, best_den = 1, term_den
             avoid.add(p)
-    return best
+    return best_num, best_den
 
 
 def ambient_abs(x: AdelePoint) -> Fraction:
     """Distance to zero under the max metric (with weight 1/p when the set is infinite)."""
-    return _raw_abs(x.at_infinity, x.default_value, x.overrides, x.primes)
+    coords = {p: _pair(v) for p, v in x.overrides.items()}
+    num, den = _raw_abs(_pair(x.at_infinity), _pair(x.default_value), coords, x.primes)
+    return Fraction(num, den)
 
 
 def ambient_metric(x: AdelePoint, y: AdelePoint) -> Fraction:
@@ -365,18 +406,33 @@ def torus_distance(x: AdelePoint, y: AdelePoint) -> Fraction:
     return _reduced_distance(xbar, ybar)
 
 
-def _reduced_distance(xbar: AdelePoint, ybar: AdelePoint) -> Fraction:
-    # raw-coordinate hot path: avoids intermediate AdelePoint construction
-    inf = xbar.at_infinity - ybar.at_infinity
-    default = xbar.default_value - ybar.default_value
-    keys = set(xbar.overrides) | set(ybar.overrides)
-    coords = {p: xbar.coordinate(p) - ybar.coordinate(p) for p in keys}
-    best = None
-    for g in (0, 1, -1):
-        val = _raw_abs(inf - g, default - g, {p: v - g for p, v in coords.items()}, xbar.primes)
-        if best is None or val < best:
-            best = val
-            if best == 0:
-                break
-    return best
+def _pair_difference(x: Fraction, y: Fraction) -> Pair:
+    return x.numerator * y.denominator - y.numerator * x.denominator, x.denominator * y.denominator
 
+
+def _reduced_distance(xbar: AdelePoint, ybar: AdelePoint) -> Fraction:
+    """min over g in {0, 1, -1} of |xbar - ybar - g|, for points in the fundamental domain.
+
+    The difference and its shifts are integer pairs (see `_raw_abs`), so the
+    one Fraction built is the minimum.
+    """
+    x_default, y_default = xbar.default_value, ybar.default_value
+    inf = _pair_difference(xbar.at_infinity, ybar.at_infinity)
+    default = _pair_difference(x_default, y_default)
+    coords = {
+        p: _pair_difference(xbar.overrides.get(p, x_default), ybar.overrides.get(p, y_default))
+        for p in {*xbar.overrides, *ybar.overrides}
+    }
+    best_num, best_den = _raw_abs(inf, default, coords, xbar.primes)
+    for g in (1, -1):
+        if not best_num:
+            break
+        num, den = _raw_abs(
+            (inf[0] - g * inf[1], inf[1]),
+            (default[0] - g * default[1], default[1]),
+            {p: (a - g * b, b) for p, (a, b) in coords.items()},
+            xbar.primes,
+        )
+        if num * best_den < best_num * den:
+            best_num, best_den = num, den
+    return Fraction(best_num, best_den)

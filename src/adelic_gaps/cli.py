@@ -24,6 +24,7 @@ import shlex
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .adele import AdelePoint, PrimeSet
 from .lattice import RotationMatrixSpec, G_N_value, delta_via_lattice, scan_G
@@ -317,10 +318,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first `main` call.
+
+    Building it costs about ten times as much as a parse, and a parse leaves
+    it unchanged, so in-process callers share it.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

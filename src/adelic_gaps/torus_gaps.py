@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adele import AdelePoint, TorusPoint, _reduced_distance, reduce, scale_by_integer, zero_point
+from .adele import AdelePoint, TorusPoint, _reduced_distance, reduce, zero_point
 
 
 class DegenerateOrbitError(ValueError):
@@ -33,10 +33,33 @@ class GapReport:
 
 
 def orbit(alpha: AdelePoint, N: int) -> list[TorusPoint]:
-    """The reduced points n*alpha for 1 <= n <= N."""
+    """The reduced points n*alpha for 1 <= n <= N.
+
+    Only alpha itself goes through `reduce`.  The fundamental domain
+    [0,1) x prod Z_p holds one point of each coset, so the reduced (n+1)*alpha
+    is the reduced n*alpha plus the reduced alpha, less 1 in every coordinate
+    once the coordinate at infinity reaches 1.  Each coordinate of the n-th
+    point is therefore (n*a - m*b)/b, where a/b is that coordinate of the
+    reduced alpha and m counts the wraps so far; the steps are integer sums,
+    and each point is built without re-validation, since a sum of two points
+    of the domain, shifted back into [0,1) at infinity, lies in the domain.
+    """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    return [reduce(scale_by_integer(alpha, n))[0] for n in range(1, N + 1)]
+    first, _ = reduce(alpha)
+    keys = list(first.overrides)
+    steps = [(c.numerator, c.denominator)
+             for c in (first.at_infinity, first.default_value, *first.overrides.values())]
+    inf_den = steps[0][1]
+    nums = [a for a, _ in steps]
+    points = [first]
+    for _ in range(N - 1):
+        nums = [n + a for n, (a, _) in zip(nums, steps)]
+        if nums[0] >= inf_den:
+            nums = [n - b for n, (_, b) in zip(nums, steps)]
+        inf, default, *values = [Fraction(n, b) for n, (_, b) in zip(nums, steps)]
+        points.append(TorusPoint._trusted(inf, default, dict(zip(keys, values)), alpha.primes))
+    return points
 
 
 def _deltas(alpha: AdelePoint, N: int) -> list[Fraction]:

@@ -2,9 +2,11 @@ import contextlib
 import random
 import signal
 
+from fractions import Fraction
+
 import pytest
 
-from adelic_gaps import PrimeSet
+from adelic_gaps import AdelePoint, PrimeSet, add_diagonal
 from adelic_gaps.cli import random_point  # noqa: F401  (the one sampler, re-exported to the tests)
 
 # Prime-set mix used by the seeded sweeps: small finite sets plus the two
@@ -23,8 +25,55 @@ PRIMESET_POOL = [
 ]
 
 
+# The acceptance oracle sets: criterion 8 adds sets whose tail starts past
+# several excluded primes.
+ORACLE_PRIMESETS = [
+    PrimeSet.of(2),
+    PrimeSet.of(3, 5),
+    PrimeSet.of(2, 5, 7),
+    PrimeSet.all_primes(),
+    PrimeSet.all_except(2),
+    PrimeSet.all_except(3),
+    PrimeSet.all_except(2, 3, 5, 7),
+]
+
+
 def random_primeset(rng: random.Random) -> PrimeSet:
     return rng.choice(PRIMESET_POOL)
+
+
+def unreduced_point(rng: random.Random, primes: PrimeSet, height: int) -> AdelePoint:
+    """A valid point that is mostly far from the fundamental domain.
+
+    One draw in 8, where a prime q among 2, 3, 5, 7, 11 lies outside the set,
+    is torsion: (c, c) with c = a/q, shifted by a diagonal element of Gamma_P.
+    The others have the coordinate at infinity anywhere in [-3, 3] at height
+    `height`; overrides at a random subset of the three smallest members, with
+    denominators p^k * m for k <= 3 and m <= 4, one in four of them 0 or the
+    default instead; and a nonzero default whose denominator is built from
+    overridden primes and q, so it stays p-integral where it applies.
+    """
+    q = next((p for p in (2, 3, 5, 7, 11) if p not in primes), None)
+    gamma = Fraction(rng.randint(-height, height), primes.smallest() ** rng.randint(0, 2))
+    if q is not None and rng.randrange(8) == 0:
+        c = Fraction(rng.randint(1, q - 1), q)
+        return add_diagonal(AdelePoint(c, c, {}, primes), gamma)
+    keys = [p for p in primes.first_members(3) if rng.random() < 0.6]
+    den = q ** rng.randint(0, 1) if q is not None else 1
+    for p in keys:
+        den *= p ** rng.randint(0, 2)
+    default = Fraction(rng.choice((-1, 1)) * rng.randint(1, height), den)
+    overrides = {}
+    for p in keys:
+        kind = rng.randrange(8)
+        if kind == 0:
+            overrides[p] = Fraction(0)
+        elif kind == 1:
+            overrides[p] = default
+        else:
+            overrides[p] = Fraction(rng.randint(-height, height), p ** rng.randint(0, 3) * rng.randint(1, 4))
+    inf = Fraction(rng.randint(-3 * height, 3 * height), rng.randint(1, height))
+    return AdelePoint(inf, default, overrides, primes)
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ from adelic_gaps.adele import diagonal_point
 from adelic_gaps.arith import padic_abs
 from adelic_gaps.cli import random_rational
 
-from conftest import random_point
+from conftest import ORACLE_PRIMESETS, random_point
 from oracles import brute_force_torus_distance, pairwise_deltas
 
 SWEEP_PRIMESETS = [
@@ -41,17 +41,6 @@ SWEEP_PRIMESETS = [
     PrimeSet.of(2, 3, 5),
     PrimeSet.all_primes(),
     PrimeSet.all_except(2),
-]
-
-# Criterion 8 adds sets whose tail starts past several excluded primes.
-ORACLE_PRIMESETS = [
-    PrimeSet.of(2),
-    PrimeSet.of(3, 5),
-    PrimeSet.of(2, 5, 7),
-    PrimeSet.all_primes(),
-    PrimeSet.all_except(2),
-    PrimeSet.all_except(3),
-    PrimeSet.all_except(2, 3, 5, 7),
 ]
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from adelic_gaps import (
 )
 from adelic_gaps.adele import _prime_factors, ambient_abs, diagonal_point
 
-from conftest import random_point, random_primeset, within_seconds
+from conftest import ORACLE_PRIMESETS, random_point, random_primeset, unreduced_point, within_seconds
 from oracles import brute_force_torus_distance, reference_ambient_abs, reference_torus_distance
 
 P2 = PrimeSet.of(2)
@@ -216,6 +217,34 @@ class TestAmbientMetric:
                     mismatches.append(("torus_distance", str(x), str(y)))
         assert mismatches == []
         assert deep >= 40
+
+
+class TestIntegerKernel:
+    """The integer-pair norm and distance against the padic_abs / trial-division oracles."""
+
+    def test_ambient_abs_on_unreduced_points(self):
+        rng = random.Random(20261019)
+        seen = Counter()
+        for i in range(700):
+            primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
+            x = unreduced_point(rng, primes, 30)
+            assert ambient_abs(x) == reference_ambient_abs(x), str(x)
+            values = list(x.overrides.values())
+            seen["finite, a coordinate not p-integral"] += primes.finite and any(
+                v.denominator % p == 0 for p, v in x.overrides.items())
+            seen["override 0"] += Fraction(0) in values
+            seen["override = default"] += x.default_value in values
+            seen["cofinite, nonzero default"] += not primes.finite and x.default_value != 0
+        assert min(seen.values()) >= 20, seen
+
+    def test_torus_distance_on_unreduced_pairs(self):
+        rng = random.Random(20261020)
+        for i in range(350):
+            primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
+            x = unreduced_point(rng, primes, 30)
+            y = unreduced_point(rng, primes, 30)
+            assert torus_distance(x, y) == reference_torus_distance(x, y), (str(x), str(y))
+            assert ambient_abs(sub(x, y)) == reference_ambient_abs(sub(x, y)), (str(x), str(y))
 
 
 class TestReduce:

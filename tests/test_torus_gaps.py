@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,14 +8,18 @@ from adelic_gaps import (
     AdelePoint,
     DegenerateOrbitError,
     PrimeSet,
+    TorusPoint,
+    adele,
     gap_report,
     nn_distance,
     orbit,
     reduce,
+    scale_by_integer,
     torus_distance,
+    torus_gaps,
 )
 
-from conftest import random_point, random_primeset
+from conftest import ORACLE_PRIMESETS, random_point, random_primeset, unreduced_point
 
 P2 = PrimeSet.of(2)
 P3 = PrimeSet.of(3)
@@ -44,6 +50,33 @@ class TestOrbit:
     def test_rejects_bad_N(self):
         with pytest.raises(ValueError):
             orbit(F1_ALPHA, 0)
+
+    def test_steps_match_per_point_reduction(self):
+        """The stepped orbit against reducing each n*alpha on its own, field by field."""
+        rng = random.Random(20261018)
+        seen = Counter()
+        for i in range(280):
+            primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
+            alpha = unreduced_point(rng, primes, 30)
+            N = rng.randint(1, 60)
+            points = orbit(alpha, N)
+            assert len(points) == N
+            for n, point in enumerate(points, start=1):
+                expected, _ = reduce(scale_by_integer(alpha, n))
+                assert type(point) is TorusPoint and point.primes == primes
+                assert point.at_infinity == expected.at_infinity, (str(alpha), n)
+                assert point.default_value == expected.default_value, (str(alpha), n)
+                assert dict(point.overrides) == dict(expected.overrides), (str(alpha), n)
+                assert str(point) == str(expected)
+            seen["torsion"] += reduce(scale_by_integer(alpha, 11 * 7 * 5 * 3 * 2))[0] == reduce(
+                AdelePoint(0, 0, {}, primes))[0]
+            seen["inf < 0"] += alpha.at_infinity < 0
+            seen["inf >= 1"] += alpha.at_infinity >= 1
+            seen["nonzero default"] += alpha.default_value != 0
+            seen["p-power denominator"] += any(
+                v.denominator % p == 0 for p, v in alpha.overrides.items())
+            seen["N >= 50"] += N >= 50
+        assert min(seen.values()) >= 10, seen
 
 
 class TestNnDistance:
@@ -101,6 +134,34 @@ class TestGapReport:
         report = gap_report(alpha, 4)
         assert all(d > 0 for d in report.deltas)
         assert torus_distance(orbit(alpha, 4)[0], orbit(alpha, 4)[3]) == 0
+
+    def test_counts_one_reduce_and_n_minus_1_distances(self, monkeypatch):
+        """gap_report reduces alpha once and builds no validated point per orbit point."""
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        counted_reduce = counting("reduce", adele.reduce)
+        for module in (adele, torus_gaps):
+            monkeypatch.setattr(module, "reduce", counted_reduce)
+        monkeypatch.setattr(torus_gaps, "_reduced_distance",
+                            counting("_reduced_distance", torus_gaps._reduced_distance))
+        monkeypatch.setattr(AdelePoint, "__post_init__",
+                            counting("__post_init__", AdelePoint.__post_init__))
+        cofinite = AdelePoint(Fraction(-7, 3), 10, {2: Fraction(1, 4), 3: 5}, PrimeSet.all_primes())
+        for alpha in (F1_ALPHA, F2_ALPHA, cofinite):
+            constructions = set()
+            for N in (2, 9, 60):
+                counts.clear()
+                gap_report(alpha, N)
+                assert counts["reduce"] == 1
+                assert counts["_reduced_distance"] == N - 1
+                constructions.add(counts["__post_init__"])
+            assert len(constructions) == 1, (str(alpha), constructions)
 
     def test_invariant_under_reduction(self, rng):
         for _ in range(20):
