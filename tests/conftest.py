@@ -1,7 +1,6 @@
 import contextlib
 import random
 import signal
-
 from fractions import Fraction
 
 import pytest
@@ -47,11 +46,12 @@ def unreduced_point(rng: random.Random, primes: PrimeSet, height: int) -> AdeleP
 
     One draw in 8, where a prime q among 2, 3, 5, 7, 11 lies outside the set,
     is torsion: (c, c) with c = a/q, shifted by a diagonal element of Gamma_P.
-    The others have the coordinate at infinity anywhere in [-3, 3] at height
-    `height`; overrides at a random subset of the three smallest members, with
-    denominators p^k * m for k <= 3 and m <= 4, one in four of them 0 or the
-    default instead; and a nonzero default whose denominator is built from
-    overridden primes and q, so it stays p-integral where it applies.
+    The others have the coordinate at infinity a/b with |a| <= 3 * height and
+    b <= height, mostly outside [0, 1); overrides at a random subset of the
+    three smallest members, with denominators p^k * m for k <= 3 and m <= 4,
+    one in four of them 0 or the default instead; and a nonzero default whose
+    denominator is built from overridden primes and q, so it stays p-integral
+    where it applies.
     """
     q = next((p for p in (2, 3, 5, 7, 11) if p not in primes), None)
     gamma = Fraction(rng.randint(-height, height), primes.smallest() ** rng.randint(0, 2))
