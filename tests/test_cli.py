@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import shlex
@@ -227,3 +228,87 @@ class TestBoundedWork:
             code = main(["gaps", "--primes", primes, "--alpha", alpha, "--N", "8"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+F1 = ["--primes", "2", "--alpha", "inf=351/100;default=0;2=1", "--N", "52"]
+I1 = ["--primes", "all-except:2", "--alpha", "inf=1/9;default=0;3=1", "--N", "11"]
+SWEEP = ["--primes", "all-except:2", "--seed", "7", "--samples", "500", "--max-N", "30"]
+
+# SHA-256 of f"{exit code}\0{stdout}\0{stderr}" for whole runs of `main`
+GOLDEN = {
+    "paper-plain": (
+        ["paper"],
+        "917e83e88de813b52c144956d510e4f9116dcf56df420ebfe186b99c3ec393fd",
+    ),
+    "paper-json": (
+        ["paper", "--format", "json"],
+        "9403081105821141a26bd135aaf1e07259982cc3fd63bc2ae16128f819280cb7",
+    ),
+    "paper-csv": (
+        ["paper", "--format", "csv"],
+        "41094d64313b8edcc9cd110cff6917716f15b4f149a0250d9c94ddb14f95e0aa",
+    ),
+    "gaps-F1-plain": (
+        ["gaps", *F1],
+        "ae36c4363a36b760eaa174b0ee3bdd76f13321fae07ba4de6f0977d355037f31",
+    ),
+    "gaps-F1-json": (
+        ["gaps", *F1, "--format", "json"],
+        "90873de3bccb0ed09085ddd4fcbe4c160c0e279433e26b17c4f3d53f406cdca2",
+    ),
+    "gaps-F1-csv": (
+        ["gaps", *F1, "--format", "csv"],
+        "a2f11591b1b30dd7ee5b08d6ae43b275e1ff0bc76602fcb3fcb049c9486b522f",
+    ),
+    "gaps-I1-plain": (
+        ["gaps", *I1],
+        "a30cdc89fe4d30f90d488b239146d5b457d126324cd97cd93ef7e705ea0c552d",
+    ),
+    "lattice-check-F1-plain": (
+        ["lattice-check", *F1],
+        "419306a96515dbb087ad7cdcfce315c8c747deb564aa9cdf728c10c36c90b9f6",
+    ),
+    "lattice-check-F1-json": (
+        ["lattice-check", *F1, "--format", "json"],
+        "ba6ff5395e08e5b449a1a4ea4c5d022a460d4c77d82df096cf859c01aa387744",
+    ),
+    "lattice-check-I1-plain": (
+        ["lattice-check", *I1],
+        "ea04e19c4fdde6c74d0b9f97d75d44275a14c9fd2d26373747f488b625acb3aa",
+    ),
+    "lattice-check-I1-json": (
+        ["lattice-check", *I1, "--format", "json"],
+        "2d13cf9455dbe46292a8520eac80bf577e8c2d17aadfbb8081e5a782bbfe8652",
+    ),
+    "verify-plain": (
+        ["verify", *SWEEP],
+        "8902ea19c048be88f48ea32ffb913cc5cc27c23fcfcac61e6432e26f8a5fab8b",
+    ),
+    "verify-json": (
+        ["verify", *SWEEP, "--format", "json"],
+        "20170132113c8fda7965236616ca0b65ed17db8c86d0e574e4357eda5228066f",
+    ),
+    "gaps-degenerate": (
+        ["gaps", "--primes", "2", "--alpha", "inf=1;default=0;2=1", "--N", "4"],
+        "eca492c11d12e2c30e9f8532278602e4f0ca63bc5372a88dc5cbd0cacb92fb39",
+    ),
+    "gaps-N-0": (
+        ["gaps", *F1[:4], "--N", "0"],
+        "681fbd5917bffc36315f4035d6012656a39afc8c7e93eb9caaeb977d1547d66e",
+    ),
+}
+
+
+def output_digest(argv, capsys) -> str:
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return hashlib.sha256(f"{code}\0{captured.out}\0{captured.err}".encode()).hexdigest()
+
+
+class TestGoldenOutput:
+    """Every subcommand and format, byte for byte, including the error exits."""
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_output(self, name, capsys):
+        argv, digest = GOLDEN[name]
+        assert output_digest(argv, capsys) == digest
