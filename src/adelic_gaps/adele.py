@@ -286,11 +286,6 @@ def add_diagonal(x: AdelePoint, gamma) -> AdelePoint:
     )
 
 
-def diagonal_point(gamma, primes: PrimeSet) -> AdelePoint:
-    """The diagonal embedding of gamma in Gamma_P as an AdelePoint."""
-    return add_diagonal(zero_point(primes), gamma)
-
-
 #: A rational a/b as the integer pair (a, b) with b > 0, not necessarily in
 #: lowest terms: the distance kernel's coordinates and norms.
 Pair = tuple[int, int]
@@ -357,11 +352,6 @@ def ambient_abs(x: AdelePoint) -> Fraction:
     coords = {p: _pair(v) for p, v in x.overrides.items()}
     num, den = _raw_abs(_pair(x.at_infinity), _pair(x.default_value), coords, x.primes)
     return Fraction(num, den)
-
-
-def ambient_metric(x: AdelePoint, y: AdelePoint) -> Fraction:
-    _require_same_primes(x, y)
-    return ambient_abs(sub(x, y))
 
 
 def _fractional_p_part(v: Fraction, p: int) -> Fraction:

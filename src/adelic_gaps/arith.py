@@ -101,8 +101,3 @@ def padic_abs(r: Fraction | int, p: int) -> Fraction:
     if v is INFINITE_VALUATION:
         return Fraction(0)
     return Fraction(p) ** (-v)
-
-
-def archimedean_abs(r: Fraction | int) -> Fraction:
-    """The usual absolute value at the infinite place."""
-    return abs(Fraction(r))

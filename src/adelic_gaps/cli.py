@@ -10,15 +10,16 @@ Point grammar:   inf=<rat>;default=<rat>;<p>=<rat>;...   with <rat> = a/b or a
 Prime sets:      "2,3,5" (finite), "all", or "all-except:2,3" (cofinite)
 Rationals serialize as "a/b" strings in JSON/CSV, never as floats.
 
-Exit codes: 0 success, 1 usage or parse error, 2 verification failure.
+Exit codes: 0 success, 1 usage or parse error, a degenerate orbit, or stdout
+closed by its reader, 2 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import random
 import shlex
 import sys
@@ -138,25 +139,14 @@ def run_sweep(config: SweepConfig):
         yield i, alpha, N, report
 
 
-def _emit_gap_report(alpha, N, report, fmt: str) -> str:
+def _emit(fmt: str, record: dict, lines: list[str], rows: list[list] | None = None) -> None:
+    """Print one result: `record` as JSON, `rows` (header first) as CSV, else `lines`."""
     if fmt == "json":
-        payload = report.to_dict()
-        payload["alpha"] = str(alpha)
-        payload["primes"] = str(alpha.primes)
-        return json.dumps(payload, indent=2)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "delta"])
-        for n, d in enumerate(report.deltas, start=1):
-            writer.writerow([n, str(d)])
-        return buf.getvalue()
-    lines = [
-        f"alpha = {alpha}   primes = {alpha.primes}   N = {N}",
-        f"distinct gaps ({report.gap_count}): " + ", ".join(str(g) for g in report.distinct_gaps),
-        "witnesses: " + ", ".join(f"delta_{n} = {g}" for g, n in report.witnesses.items()),
-    ]
-    return "\n".join(lines)
+        print(json.dumps(record, indent=2))
+    elif fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+    else:
+        print("\n".join(lines))
 
 
 def cmd_gaps(args) -> int:
@@ -164,13 +154,24 @@ def cmd_gaps(args) -> int:
     alpha = parse_alpha(args.alpha, primes)
     if args.N < 1:
         raise CliError(f"N must be >= 1, got {args.N}")
-    try:
-        report = gap_report(alpha, args.N)
-    except DegenerateOrbitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    end = "" if args.format == "csv" else "\n"  # the csv writer ends every row itself
-    print(_emit_gap_report(alpha, args.N, report, args.format), end=end)
+    report = gap_report(alpha, args.N)
+    deltas = [str(d) for d in report.deltas]
+    record = {
+        "N": report.N,
+        "deltas": deltas,
+        "distinct_gaps": [str(g) for g in report.distinct_gaps],
+        "gap_count": report.gap_count,
+        "witnesses": {str(g): n for g, n in report.witnesses.items()},
+        "alpha": str(alpha),
+        "primes": str(primes),
+    }
+    lines = [
+        f"alpha = {alpha}   primes = {primes}   N = {args.N}",
+        f"distinct gaps ({report.gap_count}): " + ", ".join(record["distinct_gaps"]),
+        "witnesses: " + ", ".join(f"delta_{n} = {g}" for g, n in record["witnesses"].items()),
+    ]
+    rows = [["n", "delta"], *([n, d] for n, d in enumerate(deltas, start=1))]
+    _emit(args.format, record, lines, rows)
     return EXIT_OK
 
 
@@ -189,31 +190,34 @@ def cmd_verify(args) -> int:
             )
             return EXIT_VERIFICATION
         histogram[report.gap_count] += 1
-    summary = {
+    record = {
         "seed": config.seed,
         "samples": config.samples,
         "primes": str(config.primeset_spec),
         "histogram": {str(g): c for g, c in histogram.items()},
         "all_within_three": True,
     }
-    if args.format == "json":
-        print(json.dumps(summary, indent=2))
-    else:
-        print(f"{config.samples} samples over primes {config.primeset_spec} (seed {config.seed})")
-        for g in (1, 2, 3):
-            print(f"  g = {g}: {histogram[g]}")
-        print("all samples satisfy g <= 3")
+    lines = [
+        f"{config.samples} samples over primes {config.primeset_spec} (seed {config.seed})",
+        *(f"  g = {g}: {c}" for g, c in histogram.items()),
+        "all samples satisfy g <= 3",
+    ]
+    _emit(args.format, record, lines)
     return EXIT_OK
 
 
 def cmd_paper(args) -> int:
     table = reproduce_all()
-    if args.format == "json":
-        print(table.to_json())
-    elif args.format == "csv":
-        print(table.to_csv(), end="")
-    else:
-        print(table.to_text())
+    record = {"all_pass": table.all_pass, "rows": [vars(r) for r in table.rows]}
+    failures = sum(not r.ok for r in table.rows)
+    lines = [
+        f"{'label':<16} {'quantity':<10} {'expected':>12} {'computed':>12}  result",
+        *(f"{r.label:<16} {r.quantity:<10} {r.expected:>12} {r.computed:>12}  "
+          + ("PASS" if r.ok else "FAIL") for r in table.rows),
+        f"{failures} FAILURES" if failures else "ALL PASS",
+    ]
+    rows = [list(record["rows"][0]), *(list(row.values()) for row in record["rows"])]
+    _emit(args.format, record, lines, rows)
     return EXIT_OK if table.all_pass else EXIT_VERIFICATION
 
 
@@ -223,11 +227,7 @@ def cmd_lattice_check(args) -> int:
     N = args.N
     if N < 1:
         raise CliError(f"N must be >= 1, got {N}")
-    try:
-        report = gap_report(alpha, N)
-    except DegenerateOrbitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = gap_report(alpha, N)
     mismatches = []
     for n in range(1, N + 1):
         direct = report.deltas[n - 1]
@@ -238,7 +238,7 @@ def cmd_lattice_check(args) -> int:
     g_n_count = G_N_value(spec)
     scan = scan_G(spec)
     chain_ok = report.gap_count == g_n_count <= scan.distinct_count
-    summary = {
+    record = {
         "alpha": str(alpha),
         "primes": str(primes),
         "N": N,
@@ -251,15 +251,14 @@ def cmd_lattice_check(args) -> int:
         "G_scan": scan.distinct_count,
         "chain_ok": chain_ok,
     }
-    if args.format == "json":
-        print(json.dumps(summary, indent=2))
-    else:
-        print(f"alpha = {alpha}   primes = {primes}   N = {N}")
-        print(f"direct vs lattice deltas: {summary['matches']}/{N} match")
-        for n, a, b in mismatches:
-            print(f"  MISMATCH n={n}: direct {a} != lattice {b}")
-        print(f"g_N = {report.gap_count}, G_N = {g_n_count}, G(scan) = {scan.distinct_count}")
-        print(f"chain g_N = G_N <= G: {'holds' if chain_ok else 'VIOLATED'}")
+    lines = [
+        f"alpha = {alpha}   primes = {primes}   N = {N}",
+        f"direct vs lattice deltas: {record['matches']}/{N} match",
+        *(f"  MISMATCH n={n}: direct {a} != lattice {b}" for n, a, b in mismatches),
+        f"g_N = {report.gap_count}, G_N = {g_n_count}, G(scan) = {scan.distinct_count}",
+        f"chain g_N = G_N <= G: {'holds' if chain_ok else 'VIOLATED'}",
+    ]
+    _emit(args.format, record, lines)
     if mismatches or not chain_ok:
         return EXIT_VERIFICATION
     return EXIT_OK
@@ -331,9 +330,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
-    except CliError as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except (CliError, DegenerateOrbitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the
+        # interpreter's last flush of the unwritten rest stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
 
 

@@ -9,9 +9,6 @@ literally (F1, F2, I1-I3) or generated from the closed-form expressions
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -182,37 +179,6 @@ class ReproductionTable:
     @property
     def all_pass(self) -> bool:
         return all(r.ok for r in self.rows)
-
-    def failures(self) -> list[ReproductionRow]:
-        return [r for r in self.rows if not r.ok]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "all_pass": self.all_pass,
-                "rows": [vars(r) for r in self.rows],
-            },
-            indent=2,
-        )
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["label", "quantity", "expected", "computed", "ok"])
-        for r in self.rows:
-            writer.writerow([r.label, r.quantity, r.expected, r.computed, r.ok])
-        return buf.getvalue()
-
-    def to_text(self) -> str:
-        lines = [f"{'label':<16} {'quantity':<10} {'expected':>12} {'computed':>12}  result"]
-        for r in self.rows:
-            status = "PASS" if r.ok else "FAIL"
-            lines.append(
-                f"{r.label:<16} {r.quantity:<10} {r.expected:>12} {r.computed:>12}  {status}"
-            )
-        verdict = "ALL PASS" if self.all_pass else f"{len(self.failures())} FAILURES"
-        lines.append(verdict)
-        return "\n".join(lines)
 
 
 def reproduce_instance(instance: ExampleInstance) -> list[ReproductionRow]:

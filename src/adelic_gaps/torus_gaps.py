@@ -22,15 +22,6 @@ class GapReport:
     gap_count: int
     witnesses: dict[Fraction, int]  # gap value -> one index n attaining it
 
-    def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "deltas": [str(d) for d in self.deltas],
-            "distinct_gaps": [str(g) for g in self.distinct_gaps],
-            "gap_count": self.gap_count,
-            "witnesses": {str(g): n for g, n in self.witnesses.items()},
-        }
-
 
 def orbit(alpha: AdelePoint, N: int) -> list[TorusPoint]:
     """The reduced points n*alpha for 1 <= n <= N.
@@ -86,13 +77,6 @@ def _deltas(alpha: AdelePoint, N: int) -> list[Fraction]:
             low = d
         least.append(low)
     return [least[max(n - 1, N - n) - 1] for n in range(1, N + 1)]
-
-
-def nn_distance(alpha: AdelePoint, N: int, n: int) -> Fraction:
-    """Distance from the n-th orbit point to its nearest distinct neighbor."""
-    if not 1 <= n <= N:
-        raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
-    return _deltas(alpha, N)[n - 1]
 
 
 def gap_report(alpha: AdelePoint, N: int) -> GapReport:

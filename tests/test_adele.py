@@ -10,14 +10,13 @@ from adelic_gaps import (
     TorusPoint,
     add,
     add_diagonal,
-    ambient_metric,
     reduce,
     scale_by_integer,
     sub,
     torus_distance,
     zero_point,
 )
-from adelic_gaps.adele import _prime_factors, ambient_abs, diagonal_point
+from adelic_gaps.adele import _prime_factors, ambient_abs
 
 from conftest import ORACLE_PRIMESETS, random_point, random_primeset, unreduced_point, within_seconds
 from oracles import brute_force_torus_distance, reference_ambient_abs, reference_torus_distance
@@ -148,7 +147,7 @@ class TestAddDiagonal:
     def test_large_prime_denominator_is_bounded(self):
         p = 10**20 + 39
         with within_seconds(2):
-            point = diagonal_point(Fraction(1, p), PrimeSet.all_primes())
+            point = add_diagonal(zero_point(PrimeSet.all_primes()), Fraction(1, p))
         assert point.coordinate(p) == Fraction(1, p)
         assert point.coordinate(2) == Fraction(1, p)
         with within_seconds(2):
@@ -159,11 +158,11 @@ class TestAddDiagonal:
 class TestAmbientMetric:
     def test_f1_reduced_value(self):
         x = AdelePoint(Fraction(1, 100), -179, {2: -128}, P2)
-        assert ambient_metric(x, zero_point(P2)) == Fraction(1, 100)
+        assert ambient_abs(sub(x, zero_point(P2))) == Fraction(1, 100)
 
     def test_distance_to_self_is_zero(self):
         x = AdelePoint(Fraction(1, 9), 0, {3: 1}, PrimeSet.all_except(2))
-        assert ambient_metric(x, x) == 0
+        assert ambient_abs(sub(x, x)) == 0
 
     def test_cofinite_sup_attained_at_smallest_prime(self):
         primes = PrimeSet.all_except(2)
@@ -369,6 +368,6 @@ class TestMetricProperties:
 
 
 def test_diagonal_point_norm():
-    assert ambient_abs(diagonal_point(1, P2)) == 1
-    assert ambient_abs(diagonal_point(Fraction(1, 2), P2)) == 2
-    assert ambient_abs(diagonal_point(Fraction(1, 3), PrimeSet.all_primes())) == 1
+    assert ambient_abs(add_diagonal(zero_point(P2), 1)) == 1
+    assert ambient_abs(add_diagonal(zero_point(P2), Fraction(1, 2))) == 2
+    assert ambient_abs(add_diagonal(zero_point(PrimeSet.all_primes()), Fraction(1, 3))) == 1

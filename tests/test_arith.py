@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from adelic_gaps.arith import (
     PRIMALITY_LIMIT,
-    archimedean_abs,
     is_prime,
     next_prime,
     padic_abs,
@@ -38,12 +37,6 @@ def test_padic_abs_examples():
         assert padic_abs(Fraction(1), p) == 1
     assert padic_abs(Fraction(-128), 2) == Fraction(1, 128)
     assert padic_abs(Fraction(0), 5) == 0
-
-
-def test_archimedean_abs_examples():
-    assert archimedean_abs(Fraction(-3, 4)) == Fraction(3, 4)
-    assert archimedean_abs(Fraction(0)) == 0
-    assert archimedean_abs(Fraction(17901, 100)) == Fraction(17901, 100)
 
 
 def test_is_prime_small():
@@ -102,7 +95,7 @@ def test_strong_triangle_inequality(r, s, p):
 
 @given(rationals.filter(lambda r: r != 0))
 def test_product_formula(r):
-    product = archimedean_abs(r)
+    product = abs(r)
     n = abs(r.numerator) * r.denominator
     d = 2
     while d * d <= n:

@@ -3,12 +3,16 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from adelic_gaps import PrimeSet
+from adelic_gaps import PrimeSet, build_F2, reproduce_all
 from adelic_gaps import cli
 from adelic_gaps.cli import (
     CliError,
@@ -171,6 +175,17 @@ class TestPaperCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "label,quantity,expected,computed,ok"
 
+    def test_json_and_csv_serialization(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "reproduce_all", lambda: reproduce_all([build_F2()]))
+        assert main(["paper", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["all_pass"] is True
+        assert payload["rows"][0]["expected"] == "1/5"
+        assert main(["paper", "--format", "csv"]) == 0
+        csv_text = capsys.readouterr().out
+        assert csv_text.splitlines()[0] == "label,quantity,expected,computed,ok"
+        assert csv_text.endswith("\n") and "\r" not in csv_text
+
 
 class TestLatticeCheckCommand:
     def test_f2(self, capsys):
@@ -189,6 +204,17 @@ class TestLatticeCheckCommand:
         assert code == 0
         assert "52/52 match" in capsys.readouterr().out
 
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the reader closes its end before the program writes, as `| head -0` would
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    with subprocess.Popen([sys.executable, "-m", "adelic_gaps.cli", "paper"], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=30)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err.decode()
 
 Q = 10**30 + 57  # a prime above arith.PRIMALITY_LIMIT
 P = 10**20 + 39  # a prime below it

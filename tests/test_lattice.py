@@ -14,13 +14,12 @@ from adelic_gaps import (
     delta_via_lattice,
     gap_report,
     min_positive_diagonal_distance,
-    nn_distance,
     scale_by_integer,
     scan_G,
     zero_point,
 )
 from adelic_gaps import lattice
-from adelic_gaps.adele import ambient_abs, diagonal_point
+from adelic_gaps.adele import ambient_abs
 from adelic_gaps.cli import main
 
 from conftest import random_point, random_primeset
@@ -54,7 +53,7 @@ class TestMinPositiveDiagonalDistance:
             for gamma in (0, 3, Fraction(1, 2)):
                 if gamma == Fraction(1, 2) and 2 not in primes:
                     continue
-                x = diagonal_point(gamma, primes)
+                x = add_diagonal(zero_point(primes), gamma)
                 searched = min(
                     d for d in (ambient_abs(add_diagonal(x, -g)) for g in gamma_elements(primes, 16))
                     if d > 0
@@ -110,8 +109,9 @@ class TestDeltaViaLattice:
                 assert delta_via_lattice(alpha, N, n) == report.deltas[n - 1]
 
     def test_f2_full_dual_path(self):
+        report = gap_report(F2_ALPHA, 5)
         for n in range(1, 6):
-            assert delta_via_lattice(F2_ALPHA, 5, n) == nn_distance(F2_ALPHA, 5, n)
+            assert delta_via_lattice(F2_ALPHA, 5, n) == report.deltas[n - 1]
 
 
 class TestVMinTable:

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -115,7 +114,6 @@ class TestReproduction:
     def test_full_table_passes(self):
         table = reproduce_all()
         assert table.all_pass
-        assert not table.failures()
 
     def test_includes_both_variants(self):
         labels = {row.label for row in reproduce_all().rows}
@@ -132,16 +130,6 @@ class TestReproduction:
         )
         rows = reproduce_instance(perturbed)
         assert any(not r.ok for r in rows)
-
-    def test_json_and_csv_serialization(self):
-        table = reproduce_all([build_F2()])
-        payload = json.loads(table.to_json())
-        assert payload["all_pass"] is True
-        assert payload["rows"][0]["expected"] == "1/5"
-        csv_text = table.to_csv()
-        lines = csv_text.splitlines()
-        assert lines[0] == "label,quantity,expected,computed,ok"
-        assert csv_text.endswith("\n") and "\r" not in csv_text
 
     def test_closed_form_families_across_prime_sets(self):
         # F3 and I4 expected values are generated from formulas; confirm the

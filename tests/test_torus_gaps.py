@@ -11,7 +11,6 @@ from adelic_gaps import (
     TorusPoint,
     adele,
     gap_report,
-    nn_distance,
     orbit,
     reduce,
     scale_by_integer,
@@ -81,18 +80,14 @@ class TestOrbit:
 
 class TestNnDistance:
     def test_f1_values(self):
-        assert nn_distance(F1_ALPHA, 52, 2) == Fraction(3, 20)
+        assert gap_report(F1_ALPHA, 52).deltas[2 - 1] == Fraction(3, 20)
 
     def test_f2_values(self):
-        assert nn_distance(F2_ALPHA, 5, 3) == Fraction(4, 5)
+        assert gap_report(F2_ALPHA, 5).deltas[3 - 1] == Fraction(4, 5)
 
     def test_single_point_degenerate(self):
         with pytest.raises(DegenerateOrbitError):
-            nn_distance(F1_ALPHA, 1, 1)
-
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            nn_distance(F1_ALPHA, 5, 6)
+            gap_report(F1_ALPHA, 1)
 
 
 class TestGapReport:
