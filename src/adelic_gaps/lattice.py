@@ -12,7 +12,6 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor
 
 from .adele import AdelePoint, scale_by_integer, torus_distance, zero_point
 
@@ -29,8 +28,9 @@ def min_positive_diagonal_distance(x: AdelePoint) -> Fraction:
     return d if d > 0 else Fraction(1)
 
 
-#: alpha -> {|k|: v_min(k)}.  v_min depends on alpha alone, not on N, so every
-#: spec on an equal alpha shares one table; an entry lives as long as its alpha.
+#: alpha -> ({|k|: v_min(k)}, M) with M[K] = min of v_min(k) over 0 <= k <= K,
+#: filled upward in K.  Both depend on alpha alone, not on N, so every spec on
+#: an equal alpha shares one entry; an entry lives as long as its alpha.
 _V_MIN_TABLES = weakref.WeakKeyDictionary()
 
 
@@ -39,18 +39,19 @@ class RotationMatrixSpec:
     """Upper-triangular determinant-1 matrix with diagonal (1/t, t) and shear t*alpha.
 
     The gap identity for the orbit of length N uses t = N + 1/2.  The shortest
-    vectors `v_min(k)` are cached in one table per alpha, which every spec on
-    an equal alpha that is still alive shares.
+    vectors `v_min(k)` and their prefix minima are cached in one table per
+    alpha, which every spec on an equal alpha that is still alive shares.
     """
 
     alpha: AdelePoint
     N: int
     _v_min_cache: dict[int, Fraction] = field(init=False, repr=False, compare=False)
+    _prefix_min: list[Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
-        self._v_min_cache = _V_MIN_TABLES.setdefault(self.alpha, {})
+        self._v_min_cache, self._prefix_min = _V_MIN_TABLES.setdefault(self.alpha, ({}, []))
 
     @property
     def t(self) -> Fraction:
@@ -64,6 +65,14 @@ class RotationMatrixSpec:
                 scale_by_integer(self.alpha, k)
             )
         return self._v_min_cache[k]
+
+    def _min_v_min(self, K: int) -> Fraction:
+        """min of v_min(k) over |k| <= K, from the prefix minima of the table."""
+        prefix = self._prefix_min
+        while len(prefix) <= K:
+            v = self.v_min(len(prefix))
+            prefix.append(min(prefix[-1], v) if prefix else v)
+        return prefix[K]
 
 
 @dataclass(frozen=True)
@@ -80,16 +89,18 @@ def F_value(spec: RotationMatrixSpec, t) -> Fraction:
 
     The p-adic window constraint restricts u-coordinates to k / spec.t with k
     an integer, so the minimum ranges over -t*spec.t < k < (1-t)*spec.t.
-    k = 0 is always admissible, hence the minimum is never over an empty set.
+    The window always contains k = 0 and v_min is symmetric in +-k, so the
+    minimum is the prefix minimum of v_min over |k| <= max(-k_lo, k_hi).
     """
     t = Fraction(t)
     if not 0 < t < 1:
         raise ValueError(f"t must lie in (0,1), got {t}")
-    n_plus = spec.t
-    # strict inequalities: smallest integer > lower bound, largest < upper bound
-    k_lo = floor(-t * n_plus) + 1
-    k_hi = ceil((1 - t) * n_plus) - 1
-    return n_plus * min(spec.v_min(k) for k in range(k_lo, k_hi + 1))
+    a, b, m = t.numerator, t.denominator, 2 * spec.N + 1
+    # strict inequalities, with spec.t = m/2: smallest integer > -a*m/(2b),
+    # largest integer < (b-a)*m/(2b)
+    k_lo = (-a * m) // (2 * b) + 1
+    k_hi = -((-(b - a) * m) // (2 * b)) - 1
+    return spec.t * spec._min_v_min(max(-k_lo, k_hi))
 
 
 def delta_via_lattice(alpha: AdelePoint, N: int, n: int) -> Fraction:
@@ -109,12 +120,13 @@ def scan_G(spec: RotationMatrixSpec) -> ScanResult:
     """Exact piecewise-constant scan of t -> F over (0,1).
 
     The admissible k-set changes only when t crosses k/t0 or 1 - k/t0
-    (t0 = spec.t, 1 <= k <= N), so F is constant on the open subintervals
-    between those breakpoints and one interior sample per subinterval
-    determines it.  Every cut lies in (0,1) because N < t0.
+    (t0 = spec.t = m/2 with m = 2N + 1, 1 <= k <= N), so F is constant on the
+    open subintervals between those breakpoints and one interior sample per
+    subinterval determines it.  The cuts 2k/m and (m - 2k)/m are together
+    every j/m with 0 < j < m, so the breakpoints are those and the midpoints
+    are (2j + 1)/(2m), 0 <= j < m.
     """
-    cuts = {k / spec.t for k in range(1, spec.N + 1)}
-    breakpoints = sorted(cuts | {1 - c for c in cuts})
-    edges = [Fraction(0)] + breakpoints + [Fraction(1)]
-    values = [F_value(spec, (lo + hi) / 2) for lo, hi in zip(edges[:-1], edges[1:])]
+    m = 2 * spec.N + 1
+    breakpoints = [Fraction(j, m) for j in range(1, m)]
+    values = [F_value(spec, Fraction(2 * j + 1, 2 * m)) for j in range(m)]
     return ScanResult(breakpoints, values, len(set(values)))

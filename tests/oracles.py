@@ -5,7 +5,7 @@ package computes faster, by the definition and without its shortcuts.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 from adelic_gaps import (
     AdelePoint,
@@ -114,3 +114,14 @@ def pairwise_deltas(alpha: AdelePoint, N: int) -> list[Fraction]:
             raise DegenerateOrbitError("degenerate orbit: no positive distance in a row")
         deltas.append(min(positive))
     return deltas
+
+
+def windowed_F(spec, t) -> Fraction:
+    """F(t) by the definition: spec.t times the least spec.v_min(k) over every
+    integer k of the window -t * spec.t < k < (1 - t) * spec.t, each scanned."""
+    t = Fraction(t)
+    n_plus = spec.t
+    # strict inequalities: smallest integer > lower bound, largest < upper bound
+    k_lo = floor(-t * n_plus) + 1
+    k_hi = ceil((1 - t) * n_plus) - 1
+    return n_plus * min(spec.v_min(k) for k in range(k_lo, k_hi + 1))

@@ -204,6 +204,13 @@ class TestLatticeCheckCommand:
         assert code == 0
         assert "52/52 match" in capsys.readouterr().out
 
+    def test_f1_at_n_2000_within_5_seconds(self, capsys):
+        # linear in N: each F_value is one prefix-minimum lookup
+        with within_seconds(5):
+            code = main(["lattice-check", "--primes", "2", "--alpha",
+                         "inf=351/100;default=0;2=1", "--N", "2000"])
+        assert code == 0
+        assert "2000/2000 match" in capsys.readouterr().out
 
 
 def test_closed_stdout_pipe_exits_quietly():

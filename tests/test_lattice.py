@@ -22,8 +22,8 @@ from adelic_gaps import lattice
 from adelic_gaps.adele import ambient_abs
 from adelic_gaps.cli import main
 
-from conftest import random_point, random_primeset
-from oracles import gamma_elements
+from conftest import ORACLE_PRIMESETS, random_point, random_primeset, unreduced_point
+from oracles import gamma_elements, windowed_F
 
 P2 = PrimeSet.of(2)
 P3 = PrimeSet.of(3)
@@ -81,6 +81,24 @@ class TestFValue:
         expected = n_plus * min(spec.v_min(k) for k in ks)
         assert F_value(spec, Fraction(1, 2)) == expected
 
+    def test_matches_windowed_oracle(self, rng):
+        # every t = j/(4m) (m = 2N + 1) hits each breakpoint j'/m exactly, where
+        # the strict window inequalities decide, and each midpoint between them
+        compared = 0
+        for primes in ORACLE_PRIMESETS:
+            for draw in range(12):
+                make = random_point if draw % 2 else unreduced_point
+                spec = RotationMatrixSpec(make(rng, primes, 30), rng.randint(1, 25))
+                m = 2 * spec.N + 1
+                ts = [Fraction(j, 4 * m) for j in range(1, 4 * m)]
+                for _ in range(40):
+                    den = rng.randint(2, 10**6)
+                    ts.append(Fraction(rng.randint(1, den - 1), den))
+                for t in ts:
+                    assert F_value(spec, t) == windowed_F(spec, t), (spec, t)
+                compared += len(ts)
+        assert compared > 10_000
+
     def test_rejects_bad_arguments(self):
         spec = RotationMatrixSpec(F2_ALPHA, 5)
         with pytest.raises(ValueError, match=r"t must lie in \(0,1\)"):
@@ -136,6 +154,30 @@ class TestVMinTable:
         assert main(argv) == 0
         assert len(calls) == 2 * first
         assert capsys.readouterr().out.count("52/52 match") == 2
+
+    @pytest.mark.parametrize("instance", ["F1", "cofinite"])
+    def test_lattice_check_makes_at_most_n_plus_1_v_min_calls(self, instance, rng,
+                                                              monkeypatch, capsys):
+        # every F_value reads the prefix minimum of the table, so each |k| <= N
+        # is looked up once, when the table first grows past it
+        if instance == "F1":
+            primes, alpha, N = P2, F1_ALPHA, 52
+        else:
+            primes = PrimeSet.all_except(2, 3, 5, 7)
+            alpha, N = unreduced_point(rng, primes, 30), 200
+        calls = []
+        v_min = RotationMatrixSpec.v_min
+
+        def counting(spec, k):
+            calls.append(k)
+            return v_min(spec, k)
+
+        monkeypatch.setattr(RotationMatrixSpec, "v_min", counting)
+        monkeypatch.setattr(lattice, "_V_MIN_TABLES", weakref.WeakKeyDictionary())
+        argv = ["lattice-check", "--primes", str(primes), "--alpha", str(alpha), "--N", str(N)]
+        assert main(argv) == 0
+        assert f"{N}/{N} match" in capsys.readouterr().out
+        assert 0 < len(calls) <= N + 1
 
 
 class TestScanG:
