@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import floor
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .arith import PRIMALITY_LIMIT, int_valuation, is_prime, next_prime, padic_abs, valuation
 
@@ -57,32 +58,28 @@ class PrimeSet:
             return p in self.listed
         return is_prime(p) and p not in self.listed
 
+    def members(self) -> Iterator[int]:
+        """The set's primes in increasing order: `listed` when finite; when cofinite,
+        a `next_prime` walk past the exclusions that never ends, so take a prefix."""
+        if self.finite:
+            yield from self.listed
+            return
+        p = 2
+        while True:
+            if p not in self.listed:
+                yield p
+            p = next_prime(p)
+
     def smallest(self) -> int:
-        return self.smallest_outside(())
+        return next(self.members())
 
     def smallest_outside(self, avoid) -> int | None:
         """Smallest member not in `avoid`; None if the finite set is exhausted."""
-        if self.finite:
-            for p in self.listed:
-                if p not in avoid:
-                    return p
-            return None
-        p = 2
-        while p in self.listed or p not in self or p in avoid:
-            p = next_prime(p)
-        return p
+        return next((p for p in self.members() if p not in avoid), None)
 
     def first_members(self, k: int) -> list[int]:
         """The k smallest primes of the set (fewer if the set is smaller)."""
-        if self.finite:
-            return list(self.listed[:k])
-        out: list[int] = []
-        p = 2
-        while len(out) < k:
-            if p in self:
-                out.append(p)
-            p = next_prime(p)
-        return out
+        return list(islice(self.members(), k))
 
     def __str__(self) -> str:
         if self.finite:
@@ -387,8 +384,9 @@ def reduce(x: AdelePoint) -> tuple[TorusPoint, Fraction]:
 def torus_distance(x: AdelePoint, y: AdelePoint) -> Fraction:
     """Quotient-metric distance between the cosets of x and y.
 
-    Both points are reduced to the fundamental domain first, after which the
-    minimum over Gamma_P is attained at a diagonal shift in {-1, 0, 1}.
+    Both points are reduced to the fundamental domain first, which is the
+    precondition of `_reduced_distance`: there the minimum over Gamma_P is
+    attained at the shift 0 or sign of the real difference.
     """
     _require_same_primes(x, y)
     xbar, _ = reduce(x)
@@ -401,10 +399,15 @@ def _pair_difference(x: Fraction, y: Fraction) -> Pair:
 
 
 def _reduced_distance(xbar: AdelePoint, ybar: AdelePoint) -> Fraction:
-    """min over g in {0, 1, -1} of |xbar - ybar - g|, for points in the fundamental domain.
+    """min over g in Gamma_P of |xbar - ybar - g|, for points in the fundamental domain.
 
-    The difference and its shifts are integer pairs (see `_raw_abs`), so the
-    one Fraction built is the minimum.
+    The inputs must be reduced.  Then |D_inf| < 1 and every prime term of the
+    difference D is at most 1 (1/2 on a cofinite set), so |D| <= 1 and only
+    g in {-1, 0, 1} can do better.  The shift by -sign(D_inf) has real term
+    1 + |D_inf| >= 1, so it never wins; s = sign(D_inf) has real term
+    1 - |D_inf|, so it is tried only when that is below |D|.  The difference
+    and its shift are integer pairs (see `_raw_abs`), so the one Fraction
+    built is the minimum.
     """
     x_default, y_default = xbar.default_value, ybar.default_value
     inf = _pair_difference(xbar.at_infinity, ybar.at_infinity)
@@ -414,13 +417,13 @@ def _reduced_distance(xbar: AdelePoint, ybar: AdelePoint) -> Fraction:
         for p in {*xbar.overrides, *ybar.overrides}
     }
     best_num, best_den = _raw_abs(inf, default, coords, xbar.primes)
-    for g in (1, -1):
-        if not best_num:
-            break
+    a, b = inf
+    if (b - abs(a)) * best_den < best_num * b:  # never when D_inf = 0 or |D| = 0
+        s = 1 if a > 0 else -1
         num, den = _raw_abs(
-            (inf[0] - g * inf[1], inf[1]),
-            (default[0] - g * default[1], default[1]),
-            {p: (a - g * b, b) for p, (a, b) in coords.items()},
+            (a - s * b, b),
+            (default[0] - s * default[1], default[1]),
+            {p: (c - s * d, d) for p, (c, d) in coords.items()},
             xbar.primes,
         )
         if num * best_den < best_num * den:

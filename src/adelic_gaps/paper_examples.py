@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from math import prod
 
 from .adele import AdelePoint, PrimeSet
-from .arith import next_prime
 from .torus_gaps import gap_report
 
 
@@ -128,10 +128,7 @@ def build_I3(five_in_set: bool = True, primes: PrimeSet | None = None) -> Exampl
 def build_I4(q: int, primes: PrimeSet | None = None) -> ExampleInstance:
     """Smallest prime q >= 5: alpha_inf = (q-1)/(q(q-2)), alpha_q = -1, N = q."""
     if primes is None:
-        below, p = [], 2
-        while p < q:
-            below.append(p)
-            p = next_prime(p)
+        below = takewhile(lambda p: p < q, PrimeSet.all_primes().members())
         primes = PrimeSet.all_except(*below)
     _check_cofinite(primes, "I4")
     if primes.smallest() != q or q < 5:

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -16,10 +17,11 @@ from adelic_gaps import (
     torus_distance,
     zero_point,
 )
+from adelic_gaps import adele
 from adelic_gaps.adele import _prime_factors, ambient_abs
 
 from conftest import ORACLE_PRIMESETS, random_point, random_primeset, unreduced_point, within_seconds
-from oracles import brute_force_torus_distance, reference_ambient_abs, reference_torus_distance
+from oracles import brute_force_torus_distance, prime_factors, reference_ambient_abs, reference_torus_distance
 
 P2 = PrimeSet.of(2)
 P3 = PrimeSet.of(3)
@@ -50,6 +52,33 @@ class TestPrimeSet:
         assert cofinite.smallest() == 3
         assert PrimeSet.all_primes().smallest() == 2
         assert cofinite.first_members(4) == [3, 7, 11, 13]
+
+    COFINITE = (PrimeSet.all_primes(), PrimeSet.all_except(2), PrimeSet.all_except(2, 3, 5, 7))
+
+    @staticmethod
+    def trial_division_members(primes, bound):
+        primes_below = [n for n in range(2, bound) if prime_factors(n) == [n]]
+        return [n for n in primes_below if (n in primes.listed) == primes.finite]
+
+    def test_members_in_increasing_order(self):
+        for primes in self.COFINITE:
+            expected = self.trial_division_members(primes, 300)[:40]
+            assert len(expected) == 40
+            assert list(islice(primes.members(), 40)) == expected == primes.first_members(40)
+        finite = PrimeSet.of(3, 5, 11)
+        assert list(finite.members()) == [3, 5, 11] == finite.first_members(40)
+
+    def test_smallest_outside_matches_brute_force(self):
+        rng = random.Random(20261022)
+        for primes in (*self.COFINITE, PrimeSet.of(2, 5, 7), PrimeSet.of(3, 5, 11, 13)):
+            members = self.trial_division_members(primes, 300)
+            for _ in range(40):
+                avoid = set(rng.sample(members, rng.randint(0, len(members))))
+                if not primes.finite:
+                    avoid = set(sorted(avoid)[: rng.randint(0, 25)])
+                expected = min((p for p in members if p not in avoid), default=None)
+                assert primes.smallest_outside(avoid) == expected, (str(primes), sorted(avoid))
+        assert PrimeSet.of(2, 5, 7).smallest_outside({2, 5, 7, 11}) is None
 
 
 class TestMakePoint:
@@ -244,6 +273,27 @@ class TestIntegerKernel:
             y = unreduced_point(rng, primes, 30)
             assert torus_distance(x, y) == reference_torus_distance(x, y), (str(x), str(y))
             assert ambient_abs(sub(x, y)) == reference_ambient_abs(sub(x, y)), (str(x), str(y))
+
+    def test_distance_takes_at_most_one_shifted_norm(self, monkeypatch):
+        """On reduced points only the shift by sign(D_inf) can beat |D|, and only when
+        1 - |D_inf| < |D|: a distance takes one norm, or two when that shift is tried."""
+        calls = []
+        raw_abs = adele._raw_abs
+        monkeypatch.setattr(adele, "_raw_abs", lambda *args: calls.append(args) or raw_abs(*args))
+        rng = random.Random(20261021)
+        norms_per_distance, shift_wins = Counter(), 0
+        for i in range(210):
+            primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
+            x = unreduced_point(rng, primes, 30)
+            y = unreduced_point(rng, primes, 30)
+            calls.clear()
+            distance = torus_distance(x, y)
+            norms_per_distance[len(calls)] += 1
+            assert distance == reference_torus_distance(x, y), (str(x), str(y))
+            shift_wins += distance < ambient_abs(sub(reduce(x)[0], reduce(y)[0]))
+        assert set(norms_per_distance) == {1, 2}, norms_per_distance
+        assert min(norms_per_distance.values()) >= 20, norms_per_distance
+        assert shift_wins >= 5
 
 
 class TestReduce:
