@@ -155,6 +155,8 @@ class AdelePoint:
         return self.overrides.get(p, self.default_value)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, AdelePoint):
             return NotImplemented
         if self.primes != other.primes or self.at_infinity != other.at_infinity:
@@ -218,8 +220,9 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def zero_point(primes: PrimeSet) -> AdelePoint:
-    return AdelePoint(Fraction(0), Fraction(0), {}, primes)
+def zero_point(primes: PrimeSet) -> TorusPoint:
+    """The zero of A_P, which lies in the fundamental domain: a trusted TorusPoint."""
+    return TorusPoint._trusted(Fraction(0), Fraction(0), {}, primes)
 
 
 def _require_same_primes(x: AdelePoint, y: AdelePoint) -> None:
@@ -384,13 +387,16 @@ def reduce(x: AdelePoint) -> tuple[TorusPoint, Fraction]:
 def torus_distance(x: AdelePoint, y: AdelePoint) -> Fraction:
     """Quotient-metric distance between the cosets of x and y.
 
-    Both points are reduced to the fundamental domain first, which is the
-    precondition of `_reduced_distance`: there the minimum over Gamma_P is
-    attained at the shift 0 or sign of the real difference.
+    A point that is not a `TorusPoint` is reduced to the fundamental domain
+    first, which is the precondition of `_reduced_distance`: there the minimum
+    over Gamma_P is attained at the shift 0 or sign of the real difference.
+    A `TorusPoint` already lies in the domain, validated by its constructor or
+    built there by `reduce`, `orbit`, `zero_point` or the lattice path, so it is
+    used as it is.
     """
     _require_same_primes(x, y)
-    xbar, _ = reduce(x)
-    ybar, _ = reduce(y)
+    xbar = x if isinstance(x, TorusPoint) else reduce(x)[0]
+    ybar = y if isinstance(y, TorusPoint) else reduce(y)[0]
     return _reduced_distance(xbar, ybar)
 
 

@@ -13,7 +13,7 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .adele import AdelePoint, scale_by_integer, torus_distance, zero_point
+from .adele import AdelePoint, TorusPoint, reduce, torus_distance, zero_point
 
 
 def min_positive_diagonal_distance(x: AdelePoint) -> Fraction:
@@ -28,9 +28,10 @@ def min_positive_diagonal_distance(x: AdelePoint) -> Fraction:
     return d if d > 0 else Fraction(1)
 
 
-#: alpha -> ({|k|: v_min(k)}, M) with M[K] = min of v_min(k) over 0 <= k <= K,
-#: filled upward in K.  Both depend on alpha alone, not on N, so every spec on
-#: an equal alpha shares one entry; an entry lives as long as its alpha.
+#: alpha -> ({|k|: v_min(k)}, M, reduced alpha) with M[K] = min of v_min(k)
+#: over 0 <= k <= K, filled upward in K.  All three depend on alpha alone, not
+#: on N, so every spec on an equal alpha shares one entry; an entry lives as
+#: long as its alpha.
 _V_MIN_TABLES = weakref.WeakKeyDictionary()
 
 
@@ -38,33 +39,57 @@ _V_MIN_TABLES = weakref.WeakKeyDictionary()
 class RotationMatrixSpec:
     """Upper-triangular determinant-1 matrix with diagonal (1/t, t) and shear t*alpha.
 
-    The gap identity for the orbit of length N uses t = N + 1/2.  The shortest
-    vectors `v_min(k)` and their prefix minima are cached in one table per
-    alpha, which every spec on an equal alpha that is still alive shares.
+    The gap identity for the orbit of length N uses t = N + 1/2, set once as
+    the attribute `t`.  The shortest vectors `v_min(k)`, their prefix minima
+    and the reduced alpha they are computed from are kept in one table per
+    alpha, which every spec on an equal alpha that is still alive shares;
+    alpha is reduced once, when its table is made.
     """
 
     alpha: AdelePoint
     N: int
+    t: Fraction = field(init=False, repr=False, compare=False)
     _v_min_cache: dict[int, Fraction] = field(init=False, repr=False, compare=False)
     _prefix_min: list[Fraction] = field(init=False, repr=False, compare=False)
+    _alpha_bar: TorusPoint = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
-        self._v_min_cache, self._prefix_min = _V_MIN_TABLES.setdefault(self.alpha, ({}, []))
-
-    @property
-    def t(self) -> Fraction:
-        return Fraction(2 * self.N + 1, 2)
+        self.t = Fraction(2 * self.N + 1, 2)
+        entry = _V_MIN_TABLES.get(self.alpha)
+        if entry is None:
+            entry = _V_MIN_TABLES[self.alpha] = ({}, [], reduce(self.alpha)[0])
+        self._v_min_cache, self._prefix_min, self._alpha_bar = entry
 
     def v_min(self, k: int) -> Fraction:
-        """Minimal positive |k*alpha - gamma| over Gamma_P; symmetric in +-k."""
+        """Minimal positive |k*alpha - gamma| over Gamma_P; symmetric in +-k.
+
+        The distance is taken at the reduced k*alpha, built in closed form
+        from the reduced alpha: each coordinate a/b becomes (k*a - m*b)/b with
+        m = floor(k * a_inf / b_inf) from the real coordinate.  With
+        alpha = reduced alpha + gamma, that is k*alpha less the diagonal
+        element k*gamma + m, and it lies in [0,1) x prod Z_p (k times a
+        p-adic integer is one, and m is in Z), so it is built without
+        re-validation.  It does not use the wrap count `orbit` keeps, so
+        `lattice-check` still compares two independent constructions.
+        """
         k = abs(k)
-        if k not in self._v_min_cache:
-            self._v_min_cache[k] = min_positive_diagonal_distance(
-                scale_by_integer(self.alpha, k)
+        cache = self._v_min_cache
+        if k not in cache:
+            xbar = self._alpha_bar
+            inf = xbar.at_infinity
+            m = k * inf.numerator // inf.denominator
+
+            def multiple(c: Fraction) -> Fraction:
+                return Fraction(k * c.numerator - m * c.denominator, c.denominator)
+
+            point = TorusPoint._trusted(
+                multiple(inf), multiple(xbar.default_value),
+                {p: multiple(v) for p, v in xbar.overrides.items()}, xbar.primes,
             )
-        return self._v_min_cache[k]
+            cache[k] = min_positive_diagonal_distance(point)
+        return cache[k]
 
     def _min_v_min(self, K: int) -> Fraction:
         """min of v_min(k) over |k| <= K, from the prefix minima of the table."""
@@ -108,12 +133,13 @@ def delta_via_lattice(alpha: AdelePoint, N: int, n: int) -> Fraction:
     if not 1 <= n <= N:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
     spec = RotationMatrixSpec(alpha, N)
-    return F_value(spec, n / spec.t) / spec.t
+    return F_value(spec, Fraction(2 * n, 2 * N + 1)) / spec.t
 
 
 def G_N_value(spec: RotationMatrixSpec) -> int:
     """Number of distinct F values at the gap sample parameters n / (N + 1/2)."""
-    return len({F_value(spec, n / spec.t) for n in range(1, spec.N + 1)})
+    m = 2 * spec.N + 1
+    return len({F_value(spec, Fraction(2 * n, m)) for n in range(1, spec.N + 1)})
 
 
 def scan_G(spec: RotationMatrixSpec) -> ScanResult:

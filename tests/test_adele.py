@@ -348,6 +348,36 @@ class TestTorusDistance:
         x = AdelePoint(0, 0, {2: Fraction(1, 2)}, P2)
         assert torus_distance(x, zero_point(P2)) == Fraction(1, 2)
 
+    def test_zero_point_is_a_torus_point(self):
+        for primes in ORACLE_PRIMESETS:
+            zero, plain = zero_point(primes), AdelePoint(0, 0, {}, primes)
+            assert isinstance(zero, TorusPoint)
+            assert zero == plain and plain == zero
+            assert hash(zero) == hash(plain)
+
+    def test_torus_points_are_not_reduced_again(self, monkeypatch):
+        """A TorusPoint already lies in the fundamental domain: torus_distance
+        reduces only its arguments that are not TorusPoints."""
+        rng = random.Random(20261102)
+        cases = []
+        for i in range(140):
+            primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
+            x = unreduced_point(rng, primes, 30)
+            y = unreduced_point(rng, primes, 30)
+            zero = AdelePoint(0, 0, {}, primes)
+            cases.append((x, y, reduce(x)[0], reduce(y)[0], reference_torus_distance(x, y),
+                          reference_torus_distance(x, zero)))
+        calls = []
+        reduce_ = adele.reduce
+        monkeypatch.setattr(adele, "reduce", lambda x: calls.append(x) or reduce_(x))
+        for x, y, xbar, ybar, expected, to_zero in cases:
+            assert torus_distance(xbar, ybar) == expected, (str(x), str(y))
+            assert torus_distance(xbar, zero_point(x.primes)) == to_zero, str(x)
+            assert calls == []
+            assert torus_distance(xbar, y) == expected, (str(x), str(y))
+            assert calls == [y]
+            calls.clear()
+
 
 class TestBruteForceOracle:
     def test_f1_agrees(self):

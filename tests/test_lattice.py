@@ -1,4 +1,6 @@
+import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,16 +16,17 @@ from adelic_gaps import (
     delta_via_lattice,
     gap_report,
     min_positive_diagonal_distance,
+    reduce,
     scale_by_integer,
     scan_G,
     zero_point,
 )
-from adelic_gaps import lattice
+from adelic_gaps import adele, lattice, torus_gaps
 from adelic_gaps.adele import ambient_abs
 from adelic_gaps.cli import main
 
 from conftest import ORACLE_PRIMESETS, random_point, random_primeset, unreduced_point
-from oracles import gamma_elements, windowed_F
+from oracles import gamma_elements, reference_torus_distance, windowed_F
 
 P2 = PrimeSet.of(2)
 P3 = PrimeSet.of(3)
@@ -59,6 +62,31 @@ class TestMinPositiveDiagonalDistance:
                     if d > 0
                 )
                 assert min_positive_diagonal_distance(x) == searched
+
+
+class TestVMin:
+    def test_matches_reference_distance_of_each_multiple(self):
+        """v_min(k), built in closed form from the reduced alpha, against the
+        reduced k*alpha's distance to zero by the reference norm (1 on the lattice)."""
+        rng = random.Random(20261103)
+        seen = Counter()
+        for i in range(35):
+            primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
+            alpha = unreduced_point(rng, primes, 30)
+            if i % 5 == 4:
+                # one per prime set: its prime coordinates with reduced real coordinate 0
+                xbar = reduce(alpha)[0]
+                alpha = add_diagonal(AdelePoint(0, xbar.default_value, xbar.overrides, primes),
+                                     rng.randint(-30, 30))
+                seen["reduced alpha_inf = 0"] += 1
+            spec = RotationMatrixSpec(alpha, 1)
+            zero = zero_point(primes)
+            seen["cofinite, nonzero default"] += not primes.finite and alpha.default_value != 0
+            for k in range(-60, 61):
+                expected = reference_torus_distance(scale_by_integer(alpha, k), zero)
+                seen["k*alpha in Gamma_P, k != 0"] += k != 0 and expected == 0
+                assert spec.v_min(k) == (expected or 1), (str(alpha), k)
+        assert min(seen.values()) >= 7, seen
 
 
 class TestFValue:
@@ -178,6 +206,36 @@ class TestVMinTable:
         assert main(argv) == 0
         assert f"{N}/{N} match" in capsys.readouterr().out
         assert 0 < len(calls) <= N + 1
+
+    def test_lattice_check_reduces_alpha_twice(self, monkeypatch, capsys):
+        """One lattice-check reduces alpha in `orbit` and once for its v_min table,
+        and builds no validated point per v_min(k)."""
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        counted_reduce = counting("reduce", adele.reduce)
+        for module in (adele, torus_gaps, lattice):
+            monkeypatch.setattr(module, "reduce", counted_reduce)
+        monkeypatch.setattr(AdelePoint, "__post_init__",
+                            counting("__post_init__", AdelePoint.__post_init__))
+        monkeypatch.setattr(lattice, "_V_MIN_TABLES", weakref.WeakKeyDictionary())
+        cofinite = AdelePoint(Fraction(-7, 3), 10, {2: Fraction(1, 4), 3: 5}, PrimeSet.all_primes())
+        for alpha in (F1_ALPHA, F2_ALPHA, cofinite):
+            constructions = set()
+            for N in (2, 9, 60):
+                counts.clear()
+                argv = ["lattice-check", "--primes", str(alpha.primes), "--alpha", str(alpha),
+                        "--N", str(N)]
+                assert main(argv) == 0
+                assert f"{N}/{N} match" in capsys.readouterr().out
+                assert counts["reduce"] == 2
+                constructions.add(counts["__post_init__"])
+            assert len(constructions) == 1, (str(alpha), constructions)
 
 
 class TestScanG:
