@@ -167,11 +167,17 @@ class AdelePoint:
         return self.default_value == other.default_value
 
     def __hash__(self) -> int:
-        # an override equal to the default does not change the point (see __eq__)
-        differing = frozenset(
-            (p, v) for p, v in self.overrides.items() if v != self.default_value
-        )
-        return hash((self.primes, self.at_infinity, self.default_value, differing))
+        # the point is immutable, so the hash is computed once; it is kept
+        # outside the dataclass fields, which repr and fields read
+        h = self.__dict__.get("_hash")
+        if h is None:
+            # an override equal to the default does not change the point (see __eq__)
+            differing = frozenset(
+                (p, v) for p, v in self.overrides.items() if v != self.default_value
+            )
+            h = hash((self.primes, self.at_infinity, self.default_value, differing))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __str__(self) -> str:
         parts = [f"inf={self.at_infinity}", f"default={self.default_value}"]

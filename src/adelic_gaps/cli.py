@@ -35,6 +35,7 @@ from .torus_gaps import DegenerateOrbitError, gap_report
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
+ERROR_MESSAGE_CHARS = 200
 
 
 class CliError(Exception):
@@ -264,10 +265,19 @@ def cmd_lattice_check(args) -> int:
     return EXIT_OK
 
 
+def _print_error(message: str) -> None:
+    """Print `error: <message>` to stderr, a message over ERROR_MESSAGE_CHARS
+    characters cut to that prefix and its length: it may echo a whole input,
+    which can be thousands of digits."""
+    if len(message) > ERROR_MESSAGE_CHARS:
+        message = f"{message[:ERROR_MESSAGE_CHARS]}... ({len(message)} characters)"
+    print(f"error: {message}", file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
+        _print_error(message)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -334,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except (CliError, DegenerateOrbitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(str(exc))
         return EXIT_USAGE
     except BrokenPipeError:
         # the reader closed stdout: point it at devnull, so that the

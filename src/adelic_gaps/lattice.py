@@ -28,10 +28,12 @@ def min_positive_diagonal_distance(x: AdelePoint) -> Fraction:
     return d if d > 0 else Fraction(1)
 
 
-#: alpha -> ({|k|: v_min(k)}, M, reduced alpha) with M[K] = min of v_min(k)
-#: over 0 <= k <= K, filled upward in K.  All three depend on alpha alone, not
-#: on N, so every spec on an equal alpha shares one entry; an entry lives as
-#: long as its alpha.
+#: alpha -> ({|k|: v_min(k)}, M, drops, reduced alpha) with M[K] = min of
+#: v_min(k) over 0 <= k <= K and drops[K] the number of K' <= K with
+#: M[K'] < M[K' - 1], both filled upward in K.  M is nonincreasing, so
+#: M[K] = M[K'] exactly when drops[K] = drops[K'].  All four depend on alpha
+#: alone, not on N, so every spec on an equal alpha shares one entry; an entry
+#: lives as long as its alpha.
 _V_MIN_TABLES = weakref.WeakKeyDictionary()
 
 
@@ -40,10 +42,10 @@ class RotationMatrixSpec:
     """Upper-triangular determinant-1 matrix with diagonal (1/t, t) and shear t*alpha.
 
     The gap identity for the orbit of length N uses t = N + 1/2, set once as
-    the attribute `t`.  The shortest vectors `v_min(k)`, their prefix minima
-    and the reduced alpha they are computed from are kept in one table per
-    alpha, which every spec on an equal alpha that is still alive shares;
-    alpha is reduced once, when its table is made.
+    the attribute `t`.  The shortest vectors `v_min(k)`, their prefix minima,
+    the drop counts of those minima and the reduced alpha they are computed
+    from are kept in one table per alpha, which every spec on an equal alpha
+    that is still alive shares; alpha is reduced once, when its table is made.
     """
 
     alpha: AdelePoint
@@ -51,6 +53,7 @@ class RotationMatrixSpec:
     t: Fraction = field(init=False, repr=False, compare=False)
     _v_min_cache: dict[int, Fraction] = field(init=False, repr=False, compare=False)
     _prefix_min: list[Fraction] = field(init=False, repr=False, compare=False)
+    _drops: list[int] = field(init=False, repr=False, compare=False)
     _alpha_bar: TorusPoint = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -59,8 +62,8 @@ class RotationMatrixSpec:
         self.t = Fraction(2 * self.N + 1, 2)
         entry = _V_MIN_TABLES.get(self.alpha)
         if entry is None:
-            entry = _V_MIN_TABLES[self.alpha] = ({}, [], reduce(self.alpha)[0])
-        self._v_min_cache, self._prefix_min, self._alpha_bar = entry
+            entry = _V_MIN_TABLES[self.alpha] = ({}, [], [], reduce(self.alpha)[0])
+        self._v_min_cache, self._prefix_min, self._drops, self._alpha_bar = entry
 
     def v_min(self, k: int) -> Fraction:
         """Minimal positive |k*alpha - gamma| over Gamma_P; symmetric in +-k.
@@ -91,13 +94,20 @@ class RotationMatrixSpec:
             cache[k] = min_positive_diagonal_distance(point)
         return cache[k]
 
-    def _min_v_min(self, K: int) -> Fraction:
-        """min of v_min(k) over |k| <= K, from the prefix minima of the table."""
-        prefix = self._prefix_min
+    def _fill(self, K: int) -> None:
+        """Grow the prefix minima and drop counts of the table through radius K."""
+        prefix, drops = self._prefix_min, self._drops
         while len(prefix) <= K:
             v = self.v_min(len(prefix))
-            prefix.append(min(prefix[-1], v) if prefix else v)
-        return prefix[K]
+            if not prefix:
+                prefix.append(v)
+                drops.append(0)
+            elif v < prefix[-1]:
+                prefix.append(v)
+                drops.append(drops[-1] + 1)
+            else:
+                prefix.append(prefix[-1])
+                drops.append(drops[-1])
 
 
 @dataclass(frozen=True)
@@ -109,37 +119,63 @@ class ScanResult:
     distinct_count: int
 
 
+def _radius(m: int, a: int, b: int) -> int:
+    """K = max(-k_lo, k_hi) for t = a/b (b > 0) and spec.t = m/2, m = 2N + 1.
+
+    k_lo..k_hi are the integers k with -t*m/2 < k < (1-t)*m/2: the smallest
+    integer above -a*m/(2b) and the largest below (b-a)*m/(2b).  Raises
+    ValueError unless 0 < t < 1.
+    """
+    if not 0 < a < b:
+        raise ValueError(f"t must lie in (0,1), got {Fraction(a, b)}")
+    k_lo = (-a * m) // (2 * b) + 1
+    k_hi = -((-(b - a) * m) // (2 * b)) - 1
+    return max(-k_lo, k_hi)
+
+
 def F_value(spec: RotationMatrixSpec, t) -> Fraction:
     """Minimal |v|-norm over lattice vectors whose u-coordinate lies in (-t, 1-t).
 
     The p-adic window constraint restricts u-coordinates to k / spec.t with k
     an integer, so the minimum ranges over -t*spec.t < k < (1-t)*spec.t.
     The window always contains k = 0 and v_min is symmetric in +-k, so the
-    minimum is the prefix minimum of v_min over |k| <= max(-k_lo, k_hi).
+    minimum is spec.t times the prefix minimum of v_min over
+    |k| <= max(-k_lo, k_hi).
     """
     t = Fraction(t)
-    if not 0 < t < 1:
-        raise ValueError(f"t must lie in (0,1), got {t}")
-    a, b, m = t.numerator, t.denominator, 2 * spec.N + 1
-    # strict inequalities, with spec.t = m/2: smallest integer > -a*m/(2b),
-    # largest integer < (b-a)*m/(2b)
-    k_lo = (-a * m) // (2 * b) + 1
-    k_hi = -((-(b - a) * m) // (2 * b)) - 1
-    return spec.t * spec._min_v_min(max(-k_lo, k_hi))
+    K = _radius(2 * spec.N + 1, t.numerator, t.denominator)
+    spec._fill(K)
+    return spec.t * spec._prefix_min[K]
 
 
 def delta_via_lattice(alpha: AdelePoint, N: int, n: int) -> Fraction:
-    """Nearest-neighbor distance computed through the lattice identity."""
+    """Nearest-neighbor distance computed through the lattice identity.
+
+    It is F_value(spec, n / spec.t) / spec.t with spec.t = N + 1/2, that is
+    the prefix minimum of v_min at the window radius max(n - 1, N - n), which
+    is read from the table directly, with no product and no division.
+    """
     if not 1 <= n <= N:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
     spec = RotationMatrixSpec(alpha, N)
-    return F_value(spec, Fraction(2 * n, 2 * N + 1)) / spec.t
+    m = 2 * N + 1
+    K = _radius(m, 2 * n, m)
+    spec._fill(K)
+    return spec._prefix_min[K]
 
 
 def G_N_value(spec: RotationMatrixSpec) -> int:
-    """Number of distinct F values at the gap sample parameters n / (N + 1/2)."""
+    """Number of distinct F values at the gap sample parameters n / (N + 1/2).
+
+    F is spec.t times the prefix minimum M at the sample's window radius, and
+    M is nonincreasing, so the distinct F values are counted as the distinct
+    drop counts of M at those radii; no F value is built.
+    """
     m = 2 * spec.N + 1
-    return len({F_value(spec, Fraction(2 * n, m)) for n in range(1, spec.N + 1)})
+    radii = [_radius(m, 2 * n, m) for n in range(1, spec.N + 1)]
+    spec._fill(max(radii))
+    drops = spec._drops
+    return len({drops[K] for K in radii})
 
 
 def scan_G(spec: RotationMatrixSpec) -> ScanResult:
@@ -150,9 +186,18 @@ def scan_G(spec: RotationMatrixSpec) -> ScanResult:
     open subintervals between those breakpoints and one interior sample per
     subinterval determines it.  The cuts 2k/m and (m - 2k)/m are together
     every j/m with 0 < j < m, so the breakpoints are those and the midpoints
-    are (2j + 1)/(2m), 0 <= j < m.
+    are (2j + 1)/(2m), 0 <= j < m.  Two midpoints have equal F exactly when
+    the prefix minimum has dropped equally often at their window radii, so
+    `distinct_count` counts drop counts, and F_value runs once per distinct
+    drop count, at its first midpoint.
     """
     m = 2 * spec.N + 1
     breakpoints = [Fraction(j, m) for j in range(1, m)]
-    values = [F_value(spec, Fraction(2 * j + 1, 2 * m)) for j in range(m)]
-    return ScanResult(breakpoints, values, len(set(values)))
+    radii = [_radius(m, 2 * j + 1, 2 * m) for j in range(m)]
+    spec._fill(max(radii))
+    counts = [spec._drops[K] for K in radii]
+    value = {}
+    for j, c in enumerate(counts):
+        if c not in value:
+            value[c] = F_value(spec, Fraction(2 * j + 1, 2 * m))
+    return ScanResult(breakpoints, [value[c] for c in counts], len(value))

@@ -20,7 +20,7 @@ class GapReport:
     deltas: list[Fraction]  # deltas[n-1] is the distance for the n-th orbit point
     distinct_gaps: list[Fraction]  # sorted, duplicate-free
     gap_count: int
-    witnesses: dict[Fraction, int]  # gap value -> one index n attaining it
+    witnesses: dict[Fraction, int]  # gap value -> the least index n attaining it, ascending
 
 
 def orbit(alpha: AdelePoint, N: int) -> list[TorusPoint]:
@@ -80,12 +80,21 @@ def _deltas(alpha: AdelePoint, N: int) -> list[Fraction]:
 
 
 def gap_report(alpha: AdelePoint, N: int) -> GapReport:
-    """All nearest-neighbor distances, the distinct values, and their count."""
+    """All nearest-neighbor distances, the distinct values, and their count.
+
+    delta_n is the prefix minimum at radius max(n-1, N-n), which strictly
+    falls for n <= (N+1)//2; every later n repeats one of those radii.  So
+    the first half of the deltas is nondecreasing and holds every value, and
+    one walk over it, comparing each delta_n with the last new value, gives
+    the distinct gaps in ascending order, each with its least witness n.
+    """
     deltas = _deltas(alpha, N)
-    distinct = sorted(set(deltas))
+    distinct = []
     witnesses = {}
-    for idx, d in enumerate(deltas, start=1):
-        if d not in witnesses:
-            witnesses[d] = idx
+    for n in range(1, (N + 1) // 2 + 1):
+        d = deltas[n - 1]
+        if not distinct or d != distinct[-1]:
+            distinct.append(d)
+            witnesses[d] = n
     return GapReport(N, deltas, distinct, len(distinct), witnesses)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -118,11 +119,34 @@ class TestMakePoint:
              AdelePoint(Fraction(1, 3), 0, {3: 1, 2: Fraction(1, 2)}, primes)),
             (AdelePoint(Fraction(1, 3), 2, {3: 2}, primes), AdelePoint(Fraction(1, 3), 2, {}, primes)),
             (TorusPoint(Fraction(1, 3), 0, {3: 1}, primes), AdelePoint(Fraction(1, 3), 0, {3: 1}, primes)),
+            (TorusPoint._trusted(Fraction(2, 3), Fraction(0), {3: Fraction(1)}, primes),
+             AdelePoint(Fraction(2, 3), 0, {3: 1, 2: 0}, primes)),
         ]
         for x, y in pairs:
             assert x == y
             assert hash(x) == hash(y)
+            assert hash(x) == hash(y)  # the second hash of each is its first
         assert len({x for pair in pairs for x in pair}) == len(pairs)
+
+    def test_hash_is_computed_once_and_stays_out_of_the_fields(self):
+        class Counted(Fraction):
+            hashes = 0
+
+            def __hash__(self):
+                Counted.hashes += 1
+                return super().__hash__()
+
+        primes = PrimeSet.all_except(2)
+        point = AdelePoint._trusted(Counted(1, 3), Fraction(5), {3: Fraction(1, 9)}, primes)
+        before = (repr(point), str(point), dataclasses.fields(point))
+        twin = AdelePoint(Fraction(1, 3), 5, {3: Fraction(1, 9)}, primes)
+        first = hash(point)
+        assert Counted.hashes == 1
+        assert hash(point) == first == hash(twin)
+        assert Counted.hashes == 1
+        assert (repr(point), str(point), dataclasses.fields(point)) == before
+        assert point == twin and twin == point
+        assert point != AdelePoint(Fraction(1, 3), 5, {3: Fraction(2, 9)}, primes)
 
     def test_overrides_are_read_only(self):
         overrides = {2: Fraction(1)}

@@ -223,6 +223,39 @@ def test_closed_stdout_pipe_exits_quietly():
     assert proc.returncode == 1
     assert b"Traceback" not in err and b"Exception ignored" not in err, err.decode()
 
+class TestBoundedErrorMessages:
+    """An input echoed in an error message is cut, so stderr stays small."""
+
+    LONG = "1" * 5000
+
+    @pytest.mark.parametrize("primes, alpha, start", [
+        ("2", f"inf={LONG}x", "cannot parse rational"),
+        (f"2,x{LONG}", "inf=0", "cannot parse prime set"),
+        ("2", f"{LONG}x=1", "unknown point key"),
+        ("2", f"inf=1;{LONG}", "cannot parse point component"),
+    ], ids=["rational", "prime-list", "point-key", "point-component"])
+    def test_long_input_is_cut(self, primes, alpha, start, capsys):
+        assert main(["gaps", "--primes", primes, "--alpha", alpha, "--N", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {start} ")
+        assert len(err.encode()) < 400
+        assert err.endswith(" characters)\n")
+
+    def test_argument_error_is_cut(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gaps", "--primes", "2", "--alpha", "inf=0", "--N", self.LONG])
+        assert excinfo.value.code == 1
+        assert len(capsys.readouterr().err.encode()) < 400
+
+    def test_cut_keeps_prefix_and_length(self, capsys):
+        limit = cli.ERROR_MESSAGE_CHARS
+        for message in ("x" * limit, "y" * (limit + 1)):
+            cli._print_error(message)
+        at_limit, over = capsys.readouterr().err.splitlines()
+        assert at_limit == "error: " + "x" * limit
+        assert over == f"error: {'y' * limit}... ({limit + 1} characters)"
+
+
 Q = 10**30 + 57  # a prime above arith.PRIMALITY_LIMIT
 P = 10**20 + 39  # a prime below it
 

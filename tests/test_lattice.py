@@ -1,3 +1,4 @@
+import json
 import random
 import weakref
 from collections import Counter
@@ -236,6 +237,52 @@ class TestVMinTable:
                 assert counts["reduce"] == 2
                 constructions.add(counts["__post_init__"])
             assert len(constructions) == 1, (str(alpha), constructions)
+
+
+class TestDropCounts:
+    """G_N_value, scan_G and delta_via_lattice read the table's drop counts and
+    prefix minima; each must agree with its definition through F_value."""
+
+    COFINITE = AdelePoint(Fraction(-7, 3), 10, {2: Fraction(1, 4), 3: 5}, PrimeSet.all_primes())
+
+    @pytest.mark.parametrize("alpha", [F1_ALPHA, F2_ALPHA, COFINITE], ids=["F1", "F2", "cofinite"])
+    def test_lattice_check_makes_one_F_value_per_distinct_value(self, alpha, monkeypatch, capsys):
+        calls = []
+        F = lattice.F_value
+
+        def counting(spec, t):
+            calls.append(t)
+            return F(spec, t)
+
+        monkeypatch.setattr(lattice, "F_value", counting)
+        for N in (2, 9, 60, 2000):
+            calls.clear()
+            argv = ["lattice-check", "--primes", str(alpha.primes), "--alpha", str(alpha),
+                    "--N", str(N), "--format", "json"]
+            assert main(argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["matches"] == N
+            assert len(calls) <= payload["G_scan"] <= 3, (str(alpha), N, len(calls))
+
+    def test_counts_match_distinct_F_values(self):
+        rng = random.Random(20261118)
+        sizes = Counter()
+        for i in range(70):
+            primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
+            make = random_point if i % 2 else unreduced_point
+            N = 1 if i % 10 == 0 else rng.randint(2, 40)
+            spec = RotationMatrixSpec(make(rng, primes, 30), N)
+            m = 2 * N + 1
+            samples = [F_value(spec, Fraction(2 * n, m)) for n in range(1, N + 1)]
+            midpoints = [F_value(spec, Fraction(2 * j + 1, 2 * m)) for j in range(m)]
+            assert G_N_value(spec) == len(set(samples)), (str(spec.alpha), N)
+            scan = scan_G(spec)
+            assert scan.distinct_count == len(set(midpoints)), (str(spec.alpha), N)
+            assert scan.interval_values == midpoints
+            for n in range(1, N + 1):
+                assert delta_via_lattice(spec.alpha, N, n) == samples[n - 1] / spec.t
+            sizes[N == 1, len(set(midpoints))] += 1
+        assert {g for _, g in sizes} == {1, 2, 3} and any(n1 for n1, _ in sizes), sizes
 
 
 class TestScanG:

@@ -158,6 +158,27 @@ class TestGapReport:
                 constructions.add(counts["__post_init__"])
             assert len(constructions) == 1, (str(alpha), constructions)
 
+    def test_distinct_gaps_and_witnesses_match_full_walk(self):
+        """The one walk over the first half of the deltas against sorting all N
+        of them and taking each value's first index in order over every n."""
+        rng = random.Random(20261119)
+        checked = 0
+        for i in range(140):
+            primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
+            alpha, N = unreduced_point(rng, primes, 30), rng.randint(2, 60)
+            try:
+                report = gap_report(alpha, N)
+            except DegenerateOrbitError:
+                continue
+            first = {}
+            for n, d in enumerate(report.deltas, start=1):
+                first.setdefault(d, n)
+            assert report.distinct_gaps == sorted(set(report.deltas)), (str(alpha), N)
+            assert list(report.witnesses.items()) == list(first.items()), (str(alpha), N)
+            assert report.gap_count == len(first)
+            checked += 1
+        assert checked > 100
+
     def test_invariant_under_reduction(self, rng):
         for _ in range(20):
             primes = random_primeset(rng)
