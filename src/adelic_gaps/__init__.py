@@ -4,11 +4,8 @@ from .adele import (
     AdelePoint,
     PrimeSet,
     TorusPoint,
-    add,
     add_diagonal,
     reduce,
-    scale_by_integer,
-    sub,
     torus_distance,
     zero_point,
 )
@@ -45,7 +42,6 @@ __all__ = [
     "AdelePoint",
     "PrimeSet",
     "TorusPoint",
-    "add",
     "add_diagonal",
     "build_F1",
     "build_F2",
@@ -69,10 +65,8 @@ __all__ = [
     "reduce",
     "reproduce_all",
     "RotationMatrixSpec",
-    "scale_by_integer",
     "scan_G",
     "ScanResult",
-    "sub",
     "torus_distance",
     "valuation",
     "zero_point",

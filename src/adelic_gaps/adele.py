@@ -236,37 +236,6 @@ def _require_same_primes(x: AdelePoint, y: AdelePoint) -> None:
         raise ValueError("points live over different prime sets")
 
 
-def add(x: AdelePoint, y: AdelePoint) -> AdelePoint:
-    """Coordinatewise sum."""
-    _require_same_primes(x, y)
-    keys = set(x.overrides) | set(y.overrides)
-    return AdelePoint(
-        x.at_infinity + y.at_infinity,
-        x.default_value + y.default_value,
-        {p: x.coordinate(p) + y.coordinate(p) for p in keys},
-        x.primes,
-    )
-
-
-def negate(x: AdelePoint) -> AdelePoint:
-    return AdelePoint(
-        -x.at_infinity, -x.default_value, {p: -v for p, v in x.overrides.items()}, x.primes
-    )
-
-
-def sub(x: AdelePoint, y: AdelePoint) -> AdelePoint:
-    return add(x, negate(y))
-
-
-def scale_by_integer(x: AdelePoint, n: int) -> AdelePoint:
-    return AdelePoint(
-        n * x.at_infinity,
-        n * x.default_value,
-        {p: n * v for p, v in x.overrides.items()},
-        x.primes,
-    )
-
-
 def add_diagonal(x: AdelePoint, gamma) -> AdelePoint:
     """Add the diagonal embedding of gamma in Gamma_P to every coordinate.
 

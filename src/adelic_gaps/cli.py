@@ -21,6 +21,7 @@ import csv
 import json
 import os
 import random
+import re
 import shlex
 import sys
 from dataclasses import dataclass
@@ -42,9 +43,18 @@ class CliError(Exception):
     """Bad user input (parse or usage); mapped to exit code 1."""
 
 
+#: The documented rational grammar.  `Fraction` alone would also take exponent
+#: forms such as 1e99999999, whose integer it builds before any bound applies.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        match = _RATIONAL.fullmatch(text.strip())
+        if match is None:
+            raise ValueError("expected a/b or a, with a and b integers")
+        num, den = match.groups()
+        return Fraction(int(num), int(den or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"cannot parse rational {text!r}: {exc}") from None
 
@@ -140,6 +150,16 @@ def run_sweep(config: SweepConfig):
         yield i, alpha, N, report
 
 
+def _text(r: Fraction) -> str:
+    """A computed rational as "a/b": one with a term longer than Python's limit on
+    int-to-string conversion is refused with exit 1, not a ValueError."""
+    try:
+        return str(r)
+    except ValueError:
+        raise CliError("cannot print a result: it has an integer over Python's digit limit "
+                       "for int-to-string conversion") from None
+
+
 def _emit(fmt: str, record: dict, lines: list[str], rows: list[list] | None = None) -> None:
     """Print one result: `record` as JSON, `rows` (header first) as CSV, else `lines`."""
     if fmt == "json":
@@ -156,13 +176,13 @@ def cmd_gaps(args) -> int:
     if args.N < 1:
         raise CliError(f"N must be >= 1, got {args.N}")
     report = gap_report(alpha, args.N)
-    deltas = [str(d) for d in report.deltas]
+    deltas = [_text(d) for d in report.deltas]
     record = {
         "N": report.N,
         "deltas": deltas,
-        "distinct_gaps": [str(g) for g in report.distinct_gaps],
+        "distinct_gaps": [_text(g) for g in report.distinct_gaps],
         "gap_count": report.gap_count,
-        "witnesses": {str(g): n for g, n in report.witnesses.items()},
+        "witnesses": {_text(g): n for g, n in report.witnesses.items()},
         "alpha": str(alpha),
         "primes": str(primes),
     }
@@ -184,7 +204,7 @@ def cmd_verify(args) -> int:
             print(
                 f"VERIFICATION FAILURE at sample {i}: g_N = {report.gap_count} > 3\n"
                 f"  alpha = {alpha}\n  primes = {alpha.primes}\n  N = {N}\n"
-                f"  deltas = {[str(d) for d in report.deltas]}\n"
+                f"  deltas = {[_text(d) for d in report.deltas]}\n"
                 f"adelic-gaps gaps --primes {shlex.quote(str(alpha.primes))} "
                 f"--alpha {shlex.quote(str(alpha))} --N {N}",
                 file=sys.stderr,
@@ -234,7 +254,7 @@ def cmd_lattice_check(args) -> int:
         direct = report.deltas[n - 1]
         via_lattice = delta_via_lattice(alpha, N, n)
         if direct != via_lattice:
-            mismatches.append((n, direct, via_lattice))
+            mismatches.append((n, _text(direct), _text(via_lattice)))
     spec = RotationMatrixSpec(alpha, N)
     g_n_count = G_N_value(spec)
     scan = scan_G(spec)
@@ -245,7 +265,7 @@ def cmd_lattice_check(args) -> int:
         "N": N,
         "matches": N - len(mismatches),
         "mismatches": [
-            {"n": n, "direct": str(a), "lattice": str(b)} for n, a, b in mismatches
+            {"n": n, "direct": a, "lattice": b} for n, a, b in mismatches
         ],
         "g_N": report.gap_count,
         "G_N": g_n_count,

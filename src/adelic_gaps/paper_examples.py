@@ -25,7 +25,6 @@ class ExampleInstance:
     alpha: AdelePoint
     N: int
     expected: tuple[tuple[int, Fraction], ...]  # (orbit index n, expected delta)
-    expected_g: int = 3
 
 
 def build_F1() -> ExampleInstance:
@@ -188,14 +187,9 @@ def reproduce_instance(instance: ExampleInstance) -> list[ReproductionRow]:
                 instance.label, f"delta_{n}", str(expected), str(computed), computed == expected
             )
         )
+    # every published family is sharp: exactly three gaps
     rows.append(
-        ReproductionRow(
-            instance.label,
-            "g_N",
-            str(instance.expected_g),
-            str(report.gap_count),
-            report.gap_count == instance.expected_g,
-        )
+        ReproductionRow(instance.label, "g_N", "3", str(report.gap_count), report.gap_count == 3)
     )
     return rows
 

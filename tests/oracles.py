@@ -1,7 +1,11 @@
 """Independent reference implementations the tests compare the package against.
 
 None of these is used by the package itself: each computes a quantity the
-package computes faster, by the definition and without its shortcuts.
+package computes faster, by the definition and without its shortcuts.  The
+reference norm works on raw `Fraction` coordinates, with its own p-adic
+valuation and trial-division primality, so the norm and distance oracles share
+no point arithmetic with the package: `reduce` is the only package function
+they use, to bring their inputs into the fundamental domain.
 """
 
 from fractions import Fraction
@@ -11,14 +15,10 @@ from adelic_gaps import (
     AdelePoint,
     DegenerateOrbitError,
     PrimeSet,
-    add_diagonal,
     orbit,
     reduce,
-    sub,
     torus_distance,
 )
-from adelic_gaps.adele import ambient_abs
-from adelic_gaps.arith import padic_abs
 
 
 def prime_factors(n: int) -> list[int]:
@@ -37,47 +37,85 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def contains_all_factors(primes: PrimeSet, n: int) -> bool:
-    """True iff every prime factor of the nonzero integer n lies in the set."""
-    return all(p in primes for p in prime_factors(n))
+def _has_prime(primes: PrimeSet, p: int) -> bool:
+    """Membership of a p known to be prime: listed exactly when the set is finite."""
+    return (p in primes.listed) == primes.finite
 
 
-def reference_ambient_abs(x: AdelePoint) -> Fraction:
-    """The ambient norm, with the cofinite tail found by factoring the default.
+def _padic_abs(r: Fraction, p: int) -> Fraction:
+    """|r|_p = p^-v by counting the factors p of numerator and denominator; |0|_p = 0."""
+    if r == 0:
+        return Fraction(0)
+    num, den, v = r.numerator, r.denominator, 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return Fraction(1, p**v) if v >= 0 else Fraction(p**-v)
+
+
+def reference_norm(inf: Fraction, default: Fraction, coords, primes: PrimeSet) -> Fraction:
+    """The ambient max-metric norm of raw coordinates: `inf` at the real place,
+    `coords[p]` at its keys p and `default` at every other prime of the set.
 
     On a cofinite set the term at p is |x_p|_p / p.  The candidates are the
-    override primes and every prime of the set dividing the default's
+    keys of `coords` and every prime of the set dividing the default's
     numerator or denominator; at any other prime the default is a unit, so
     the least such prime q contributes 1/q and bounds all the rest.
     """
-    best = abs(x.at_infinity)
-    default = x.default_value
-    if x.primes.finite:
-        return max([best] + [padic_abs(x.coordinate(p), p) for p in x.primes.listed])
-    candidates = set(x.overrides)
+    best = abs(inf)
+    if primes.finite:
+        return max([best] + [_padic_abs(coords.get(p, default), p) for p in primes.listed])
+    candidates = set(coords)
     if default != 0:
         factors = prime_factors(default.numerator) + prime_factors(default.denominator)
-        candidates |= {p for p in factors if p in x.primes}
-    best = max([best] + [padic_abs(x.coordinate(p), p) / p for p in candidates])
+        candidates |= {p for p in factors if _has_prime(primes, p)}
+    best = max([best] + [_padic_abs(coords.get(p, default), p) / p for p in candidates])
     if default != 0:
         q = 2
-        while q in candidates or q not in x.primes:
+        while q in candidates or prime_factors(q) != [q] or not _has_prime(primes, q):
             q += 1
         best = max(best, Fraction(1, q))
     return best
 
 
+def reference_ambient_abs(x: AdelePoint) -> Fraction:
+    """The ambient norm of a point, by `reference_norm` on its coordinates."""
+    return reference_norm(x.at_infinity, x.default_value, x.overrides, x.primes)
+
+
+def _reduced_difference(x: AdelePoint, y: AdelePoint):
+    """xbar - ybar of the reduced points as raw coordinates (inf, default, coords)."""
+    xbar, ybar = reduce(x)[0], reduce(y)[0]
+    coords = {
+        p: xbar.overrides.get(p, xbar.default_value) - ybar.overrides.get(p, ybar.default_value)
+        for p in {*xbar.overrides, *ybar.overrides}
+    }
+    return xbar.at_infinity - ybar.at_infinity, xbar.default_value - ybar.default_value, coords
+
+
+def _shifted_norm(difference, gamma, primes: PrimeSet) -> Fraction:
+    """The norm of the difference minus the diagonal gamma; the primes of gamma's
+    denominator join the explicit coordinates."""
+    inf, default, coords = difference
+    shifted = {p: v - gamma for p, v in coords.items()}
+    for p in prime_factors(gamma.denominator):
+        shifted.setdefault(p, default - gamma)
+    return reference_norm(inf - gamma, default - gamma, shifted, primes)
+
+
 def reference_torus_distance(x: AdelePoint, y: AdelePoint) -> Fraction:
-    """The quotient distance of reduced points over the shifts {-1, 0, 1}, each
-    norm taken by `reference_ambient_abs`."""
-    diff = sub(reduce(x)[0], reduce(y)[0])
-    return min(reference_ambient_abs(add_diagonal(diff, g)) for g in (0, 1, -1))
+    """The quotient distance of the reduced points over the shifts {-1, 0, 1}."""
+    difference = _reduced_difference(x, y)
+    return min(_shifted_norm(difference, g, x.primes) for g in (-1, 0, 1))
 
 
 def gamma_elements(primes: PrimeSet, height_bound: int):
     """All a/b in Gamma_P with |a| <= bound, 1 <= b <= bound, in lowest terms."""
     for b in range(1, height_bound + 1):
-        if b > 1 and not contains_all_factors(primes, b):
+        if not all(_has_prime(primes, p) for p in prime_factors(b)):
             continue
         for a in range(-height_bound, height_bound + 1):
             if gcd(a, b) == 1:
@@ -90,14 +128,36 @@ def brute_force_torus_distance(x: AdelePoint, y: AdelePoint, height_bound: int) 
     Both points are reduced first: a gamma of bounded height cannot undo an
     arbitrary offset, and on reduced points gamma in {-1, 0, 1}, always
     included even for height_bound 1, already attains the quotient distance.
+    A gamma whose real term |D_inf - gamma| already reaches the best norm is
+    skipped, which is exact: the norm is a max that includes that term.
     """
-    diff = sub(reduce(x)[0], reduce(y)[0])
-    best = min(ambient_abs(add_diagonal(diff, g)) for g in (0, 1, -1))
+    difference = _reduced_difference(x, y)
+    best = min(_shifted_norm(difference, g, x.primes) for g in (-1, 0, 1))
     for g in gamma_elements(x.primes, height_bound):
-        val = ambient_abs(add_diagonal(diff, -g))
-        if val < best:
-            best = val
+        if abs(difference[0] - g) < best:
+            best = min(best, _shifted_norm(difference, g, x.primes))
     return best
+
+
+def multiple(x: AdelePoint, k: int) -> AdelePoint:
+    """The point k * x, through the validated constructor."""
+    return AdelePoint(k * x.at_infinity, k * x.default_value,
+                      {p: k * v for p, v in x.overrides.items()}, x.primes)
+
+
+def point_sum(x: AdelePoint, y: AdelePoint) -> AdelePoint:
+    """The point x + y, coordinate by coordinate, through the validated constructor."""
+    coords = {
+        p: x.overrides.get(p, x.default_value) + y.overrides.get(p, y.default_value)
+        for p in {*x.overrides, *y.overrides}
+    }
+    return AdelePoint(x.at_infinity + y.at_infinity, x.default_value + y.default_value,
+                      coords, x.primes)
+
+
+def point_difference(x: AdelePoint, y: AdelePoint) -> AdelePoint:
+    """The point x - y, through the validated constructor."""
+    return point_sum(x, multiple(y, -1))
 
 
 def pairwise_deltas(alpha: AdelePoint, N: int) -> list[Fraction]:

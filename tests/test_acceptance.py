@@ -14,7 +14,6 @@ from adelic_gaps import (
     PrimeSet,
     RotationMatrixSpec,
     G_N_value,
-    add,
     add_diagonal,
     default_instances,
     delta_via_lattice,
@@ -29,7 +28,7 @@ from adelic_gaps.arith import padic_abs
 from adelic_gaps.cli import random_instance, random_rational
 
 from conftest import ORACLE_PRIMESETS, random_point
-from oracles import brute_force_torus_distance, pairwise_deltas
+from oracles import brute_force_torus_distance, pairwise_deltas, point_sum
 
 SWEEP_PRIMESETS = [
     PrimeSet.of(2),
@@ -185,7 +184,7 @@ def test_criterion_6_metric_properties():
         same_coset = reduce(x)[0] == reduce(y)[0]
         if (dxy == 0) != same_coset:
             violations.append(f"indiscernibles at triple {i}")
-        if torus_distance(add(x, z), add(y, z)) != dxy:
+        if torus_distance(point_sum(x, z), point_sum(y, z)) != dxy:
             violations.append(f"translation at triple {i}")
         bound_ok = dxy <= 1 if primes.finite else dxy < 1
         if not bound_ok:

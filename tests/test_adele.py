@@ -10,11 +10,8 @@ from adelic_gaps import (
     AdelePoint,
     PrimeSet,
     TorusPoint,
-    add,
     add_diagonal,
     reduce,
-    scale_by_integer,
-    sub,
     torus_distance,
     zero_point,
 )
@@ -22,7 +19,15 @@ from adelic_gaps import adele
 from adelic_gaps.adele import _prime_factors, ambient_abs
 
 from conftest import ORACLE_PRIMESETS, random_point, random_primeset, unreduced_point, within_seconds
-from oracles import brute_force_torus_distance, prime_factors, reference_ambient_abs, reference_torus_distance
+from oracles import (
+    brute_force_torus_distance,
+    multiple,
+    point_difference,
+    point_sum,
+    prime_factors,
+    reference_ambient_abs,
+    reference_torus_distance,
+)
 
 P2 = PrimeSet.of(2)
 P3 = PrimeSet.of(3)
@@ -157,26 +162,6 @@ class TestMakePoint:
         assert point.coordinate(2) == 1
 
 
-class TestPointwiseArithmetic:
-    def test_scale_by_integer(self):
-        x = AdelePoint(Fraction(351, 100), 0, {2: 1}, P2)
-        y = scale_by_integer(x, 51)
-        assert y == AdelePoint(Fraction(17901, 100), 0, {2: 51}, P2)
-
-    def test_sub_self_is_zero(self):
-        x = AdelePoint(Fraction(351, 100), 0, {2: 1}, P2)
-        assert sub(x, x) == zero_point(P2)
-
-    def test_add(self):
-        primes = PrimeSet.all_except(2)
-        x = AdelePoint(Fraction(1, 9), 0, {3: 1}, primes)
-        assert add(x, x) == AdelePoint(Fraction(2, 9), 0, {3: 2}, primes)
-
-    def test_mismatched_primesets_rejected(self):
-        with pytest.raises(ValueError, match="different prime sets"):
-            add(zero_point(P2), zero_point(P3))
-
-
 class TestAddDiagonal:
     def test_f1_reduction_step(self):
         x = AdelePoint(Fraction(17901, 100), 0, {2: 51}, P2)
@@ -211,11 +196,11 @@ class TestAddDiagonal:
 class TestAmbientMetric:
     def test_f1_reduced_value(self):
         x = AdelePoint(Fraction(1, 100), -179, {2: -128}, P2)
-        assert ambient_abs(sub(x, zero_point(P2))) == Fraction(1, 100)
+        assert ambient_abs(x) == Fraction(1, 100)
 
     def test_distance_to_self_is_zero(self):
         x = AdelePoint(Fraction(1, 9), 0, {3: 1}, PrimeSet.all_except(2))
-        assert ambient_abs(sub(x, x)) == 0
+        assert ambient_abs(point_difference(x, x)) == 0
 
     def test_cofinite_sup_attained_at_smallest_prime(self):
         primes = PrimeSet.all_except(2)
@@ -261,8 +246,8 @@ class TestAmbientMetric:
                         inf = Fraction(rng.randint(0, 59), 60)
                     pair.append(AdelePoint(inf, rng.choice((-1, 1)) * default, overrides, spec))
                 x, y = pair
-                deep += sub(x, y).default_value.numerator % 2310 == 0
-                for point in (x, sub(x, y)):
+                deep += point_difference(x, y).default_value.numerator % 2310 == 0
+                for point in (x, point_difference(x, y)):
                     if ambient_abs(point) != reference_ambient_abs(point):
                         mismatches.append(("ambient_abs", str(point)))
                 if torus_distance(x, y) != reference_torus_distance(x, y):
@@ -296,7 +281,8 @@ class TestIntegerKernel:
             x = unreduced_point(rng, primes, 30)
             y = unreduced_point(rng, primes, 30)
             assert torus_distance(x, y) == reference_torus_distance(x, y), (str(x), str(y))
-            assert ambient_abs(sub(x, y)) == reference_ambient_abs(sub(x, y)), (str(x), str(y))
+            difference = point_difference(x, y)
+            assert ambient_abs(difference) == reference_ambient_abs(difference), (str(x), str(y))
 
     def test_distance_takes_at_most_one_shifted_norm(self, monkeypatch):
         """On reduced points only the shift by sign(D_inf) can beat |D|, and only when
@@ -314,7 +300,7 @@ class TestIntegerKernel:
             distance = torus_distance(x, y)
             norms_per_distance[len(calls)] += 1
             assert distance == reference_torus_distance(x, y), (str(x), str(y))
-            shift_wins += distance < ambient_abs(sub(reduce(x)[0], reduce(y)[0]))
+            shift_wins += distance < ambient_abs(point_difference(reduce(x)[0], reduce(y)[0]))
         assert set(norms_per_distance) == {1, 2}, norms_per_distance
         assert min(norms_per_distance.values()) >= 20, norms_per_distance
         assert shift_wins >= 5
@@ -356,17 +342,21 @@ class TestReduce:
 class TestTorusDistance:
     def test_f1_first_gap(self):
         alpha = AdelePoint(Fraction(351, 100), 0, {2: 1}, P2)
-        x = scale_by_integer(alpha, 51)
+        x = multiple(alpha, 51)
         assert torus_distance(x, zero_point(P2)) == Fraction(1, 100)
 
     def test_f2_first_gap(self):
         alpha = AdelePoint(Fraction(16, 5), 0, {3: 1}, P3)
-        x = scale_by_integer(alpha, 4)
+        x = multiple(alpha, 4)
         assert torus_distance(x, zero_point(P3)) == Fraction(1, 5)
 
     def test_distance_to_self_is_zero(self):
         x = AdelePoint(Fraction(3, 7), 5, {2: Fraction(1, 3)}, P2)
         assert torus_distance(x, x) == 0
+
+    def test_mismatched_primesets_rejected(self):
+        with pytest.raises(ValueError, match="different prime sets"):
+            torus_distance(zero_point(P2), zero_point(P3))
 
     def test_half_integral_coordinate(self):
         x = AdelePoint(0, 0, {2: Fraction(1, 2)}, P2)
@@ -406,7 +396,7 @@ class TestTorusDistance:
 class TestBruteForceOracle:
     def test_f1_agrees(self):
         alpha = AdelePoint(Fraction(351, 100), 0, {2: 1}, P2)
-        xbar, _ = reduce(scale_by_integer(alpha, 51))
+        xbar, _ = reduce(multiple(alpha, 51))
         z = zero_point(P2)
         assert brute_force_torus_distance(xbar, z, 256) == Fraction(1, 100)
 
@@ -429,6 +419,20 @@ class TestBruteForceOracle:
             x, _ = reduce(random_point(rng, primes, 30))
             y, _ = reduce(random_point(rng, primes, 30))
             assert torus_distance(x, y) == brute_force_torus_distance(x, y, 8)
+
+    def test_matches_quotient_distance_on_nonzero_defaults(self):
+        """The Gamma_P search on unreduced points with nonzero defaults, over finite
+        sets and cofinite ones, `all-except:2,3,5,7` among them."""
+        rng = random.Random(20261104)
+        differing_defaults = 0
+        for i in range(140):
+            primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
+            x = unreduced_point(rng, primes, 30)
+            y = unreduced_point(rng, primes, 30)
+            assert brute_force_torus_distance(x, y, 16) == torus_distance(x, y), (str(x), str(y))
+            differing_defaults += not primes.finite and (
+                reduce(x)[0].default_value != reduce(y)[0].default_value)
+        assert differing_defaults >= 40
 
 
 class TestMetricProperties:
@@ -457,7 +461,7 @@ class TestMetricProperties:
             x = random_point(rng, primes, 30)
             y = random_point(rng, primes, 30)
             t = random_point(rng, primes, 30)
-            assert torus_distance(add(x, t), add(y, t)) == torus_distance(x, y)
+            assert torus_distance(point_sum(x, t), point_sum(y, t)) == torus_distance(x, y)
 
     def test_diameter_bound(self, rng):
         for _ in range(60):

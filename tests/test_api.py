@@ -1,4 +1,39 @@
 import adelic_gaps
+from adelic_gaps import adele
+
+PUBLIC_NAMES = {
+    "AdelePoint",
+    "DegenerateOrbitError",
+    "ExampleInstance",
+    "F_value",
+    "G_N_value",
+    "GapReport",
+    "PrimeSet",
+    "RotationMatrixSpec",
+    "ScanResult",
+    "TorusPoint",
+    "add_diagonal",
+    "build_F1",
+    "build_F2",
+    "build_F3",
+    "build_I1",
+    "build_I2",
+    "build_I3",
+    "build_I4",
+    "default_instances",
+    "delta_via_lattice",
+    "gap_report",
+    "is_prime",
+    "min_positive_diagonal_distance",
+    "orbit",
+    "padic_abs",
+    "reduce",
+    "reproduce_all",
+    "scan_G",
+    "torus_distance",
+    "valuation",
+    "zero_point",
+}
 
 
 def test_all_names_resolve_once():
@@ -6,3 +41,13 @@ def test_all_names_resolve_once():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(adelic_gaps, name), name
+
+
+def test_public_names_are_pinned():
+    assert set(adelic_gaps.__all__) == PUBLIC_NAMES
+
+
+def test_pointwise_arithmetic_lives_with_the_tests():
+    # k * x, x + y and x - y as points are test helpers in `oracles`
+    for name in ("add", "negate", "sub", "scale_by_integer"):
+        assert not hasattr(adele, name), name

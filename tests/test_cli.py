@@ -32,6 +32,7 @@ class TestParsing:
     def test_rationals(self):
         assert parse_rational("351/100") == Fraction(351, 100)
         assert parse_rational("-7") == Fraction(-7)
+        assert parse_rational(" 3 ") == Fraction(3)
         with pytest.raises(CliError):
             parse_rational("x/y")
         with pytest.raises(CliError):
@@ -294,6 +295,35 @@ class TestBoundedWork:
             code = main(["gaps", "--primes", primes, "--alpha", alpha, "--N", "8"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestBoundedText:
+    """Text outside the rational grammar is refused before any integer is built,
+    and a result too long to print exits 1, each with one error line."""
+
+    @staticmethod
+    def assert_one_error_line(capsys, start):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {start}")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["1e5000", "1e99999999", "1.5", "1_000"])
+    def test_exponent_decimal_and_separator_forms_are_refused(self, value, capsys):
+        with within_seconds(1):
+            code = main(["gaps", "--primes", "2", "--alpha", f"inf={value}", "--N", "3"])
+        assert code == 1
+        self.assert_one_error_line(capsys, f"cannot parse rational '{value}'")
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_result_too_long_to_print_exits_1(self, fmt, capsys):
+        # every input integer is under Python's 4300-digit limit on int-to-string
+        # conversion, but the first gap's denominator has about 8500 digits
+        b = 10**4298 + 1
+        code = main(["gaps", "--primes", "2", "--alpha", f"inf=1/{b};2=1/{2**14000}",
+                     "--N", "3", "--format", fmt])
+        assert code == 1
+        self.assert_one_error_line(capsys, "cannot print a result")
 
 
 F1 = ["--primes", "2", "--alpha", "inf=351/100;default=0;2=1", "--N", "52"]

@@ -18,7 +18,6 @@ from adelic_gaps import (
     gap_report,
     min_positive_diagonal_distance,
     reduce,
-    scale_by_integer,
     scan_G,
     zero_point,
 )
@@ -27,7 +26,7 @@ from adelic_gaps.adele import ambient_abs
 from adelic_gaps.cli import main
 
 from conftest import ORACLE_PRIMESETS, random_point, random_primeset, unreduced_point
-from oracles import gamma_elements, reference_torus_distance, windowed_F
+from oracles import gamma_elements, multiple, reference_torus_distance, windowed_F
 
 P2 = PrimeSet.of(2)
 P3 = PrimeSet.of(3)
@@ -38,7 +37,7 @@ F2_ALPHA = AdelePoint(Fraction(16, 5), 0, {3: 1}, P3)
 
 class TestMinPositiveDiagonalDistance:
     def test_off_lattice_equals_torus_distance(self):
-        x = scale_by_integer(F1_ALPHA, 51)
+        x = multiple(F1_ALPHA, 51)
         assert min_positive_diagonal_distance(x) == Fraction(1, 100)
 
     def test_zero_point_finite_sets(self):
@@ -84,7 +83,7 @@ class TestVMin:
             zero = zero_point(primes)
             seen["cofinite, nonzero default"] += not primes.finite and alpha.default_value != 0
             for k in range(-60, 61):
-                expected = reference_torus_distance(scale_by_integer(alpha, k), zero)
+                expected = reference_torus_distance(multiple(alpha, k), zero)
                 seen["k*alpha in Gamma_P, k != 0"] += k != 0 and expected == 0
                 assert spec.v_min(k) == (expected or 1), (str(alpha), k)
         assert min(seen.values()) >= 7, seen

@@ -28,7 +28,8 @@ class TestBuilders:
             2: Fraction(3, 20),
             18: Fraction(4, 25),
         }
-        assert inst.expected_g == 3
+        g_rows = [r for r in reproduce_instance(inst) if r.quantity == "g_N"]
+        assert [(r.expected, r.computed) for r in g_rows] == [("3", "3")]
 
     def test_f2_fields(self):
         inst = build_F2()

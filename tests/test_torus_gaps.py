@@ -13,12 +13,12 @@ from adelic_gaps import (
     gap_report,
     orbit,
     reduce,
-    scale_by_integer,
     torus_distance,
     torus_gaps,
 )
 
 from conftest import ORACLE_PRIMESETS, random_point, random_primeset, unreduced_point
+from oracles import multiple
 
 P2 = PrimeSet.of(2)
 P3 = PrimeSet.of(3)
@@ -61,13 +61,13 @@ class TestOrbit:
             points = orbit(alpha, N)
             assert len(points) == N
             for n, point in enumerate(points, start=1):
-                expected, _ = reduce(scale_by_integer(alpha, n))
+                expected, _ = reduce(multiple(alpha, n))
                 assert type(point) is TorusPoint and point.primes == primes
                 assert point.at_infinity == expected.at_infinity, (str(alpha), n)
                 assert point.default_value == expected.default_value, (str(alpha), n)
                 assert dict(point.overrides) == dict(expected.overrides), (str(alpha), n)
                 assert str(point) == str(expected)
-            seen["torsion"] += reduce(scale_by_integer(alpha, 11 * 7 * 5 * 3 * 2))[0] == reduce(
+            seen["torsion"] += reduce(multiple(alpha, 11 * 7 * 5 * 3 * 2))[0] == reduce(
                 AdelePoint(0, 0, {}, primes))[0]
             seen["inf < 0"] += alpha.at_infinity < 0
             seen["inf >= 1"] += alpha.at_infinity >= 1
