@@ -161,21 +161,31 @@ class AdelePoint:
             return NotImplemented
         if self.primes != other.primes or self.at_infinity != other.at_infinity:
             return False
+        if self.primes.finite:
+            # the default is read only where no override is; there may be no such prime
+            return self._listed_coordinates() == other._listed_coordinates()
         keys = set(self.overrides) | set(other.overrides)
         if any(self.coordinate(p) != other.coordinate(p) for p in keys):
             return False
         return self.default_value == other.default_value
+
+    def _listed_coordinates(self) -> tuple[Fraction, ...]:
+        """The coordinate at each prime of a finite set, in the set's order."""
+        return tuple(self.overrides.get(p, self.default_value) for p in self.primes.listed)
 
     def __hash__(self) -> int:
         # the point is immutable, so the hash is computed once; it is kept
         # outside the dataclass fields, which repr and fields read
         h = self.__dict__.get("_hash")
         if h is None:
-            # an override equal to the default does not change the point (see __eq__)
-            differing = frozenset(
-                (p, v) for p, v in self.overrides.items() if v != self.default_value
-            )
-            h = hash((self.primes, self.at_infinity, self.default_value, differing))
+            if self.primes.finite:
+                coordinates = self._listed_coordinates()
+            else:
+                # an override equal to the default does not change the point (see __eq__)
+                coordinates = (self.default_value, frozenset(
+                    (p, v) for p, v in self.overrides.items() if v != self.default_value
+                ))
+            h = hash((self.primes, self.at_infinity, coordinates))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -389,6 +399,12 @@ def _reduced_distance(xbar: AdelePoint, ybar: AdelePoint) -> Fraction:
     1 - |D_inf|, so it is tried only when that is below |D|.  The difference
     and its shift are integer pairs (see `_raw_abs`), so the one Fraction
     built is the minimum.
+
+    Each of the two candidate norms is a max that includes its real term,
+    |D_inf| or 1 - |D_inf|, so the distance is at least
+    min(|D_inf|, 1 - |D_inf|), the distance from D_inf to the nearest integer.
+    The prefix-minimum walks of `torus_gaps` and `lattice` skip, on this
+    bound, every k whose distance to 0 cannot set a new minimum.
     """
     x_default, y_default = xbar.default_value, ybar.default_value
     inf = _pair_difference(xbar.at_infinity, ybar.at_infinity)

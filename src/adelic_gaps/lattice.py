@@ -95,19 +95,32 @@ class RotationMatrixSpec:
         return cache[k]
 
     def _fill(self, K: int) -> None:
-        """Grow the prefix minima and drop counts of the table through radius K."""
+        """Grow the prefix minima and drop counts of the table through radius K.
+
+        With a/b the real coordinate of the reduced alpha, the reduced k*alpha
+        has real coordinate r/b, r = k*a mod b, so v_min(k) is at least
+        min(r, b - r)/b when k*alpha is off the lattice (see
+        `_reduced_distance`), and 1 when it is on it, which no prefix minimum
+        exceeds, since v_min(0) = 1.  A k whose bound reaches the last minimum
+        cannot lower it, so v_min(k) is not computed for it.
+        """
         prefix, drops = self._prefix_min, self._drops
+        if not prefix:
+            prefix.append(self.v_min(0))
+            drops.append(0)
+        inf = self._alpha_bar.at_infinity
+        a, b = inf.numerator, inf.denominator
         while len(prefix) <= K:
-            v = self.v_min(len(prefix))
-            if not prefix:
-                prefix.append(v)
-                drops.append(0)
-            elif v < prefix[-1]:
-                prefix.append(v)
-                drops.append(drops[-1] + 1)
-            else:
-                prefix.append(prefix[-1])
-                drops.append(drops[-1])
+            k, low = len(prefix), prefix[-1]
+            r = k * a % b
+            if min(r, b - r) * low.denominator < low.numerator * b:
+                v = self.v_min(k)
+                if v < low:
+                    prefix.append(v)
+                    drops.append(drops[-1] + 1)
+                    continue
+            prefix.append(low)
+            drops.append(drops[-1])
 
 
 @dataclass(frozen=True)

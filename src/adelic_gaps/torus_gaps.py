@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .adele import AdelePoint, TorusPoint, _reduced_distance, reduce, zero_point
 
@@ -59,22 +60,29 @@ def _deltas(alpha: AdelePoint, N: int) -> list[Fraction]:
     The quotient metric is translation-invariant, so d(n*alpha, m*alpha) =
     D[|n-m|] with D[k] = d(k*alpha, 0), and delta_n is the least positive
     D[k] over 1 <= k <= max(n-1, N-n): a prefix minimum over N - 1 values.
+    D[k] is at least the real bound min(a, b - a)/b of the reduced k*alpha,
+    whose real coordinate is a/b (see `_reduced_distance`), so a k whose bound
+    reaches the running minimum L cannot lower it: L is kept and D[k] is not
+    computed.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    points = orbit(alpha, N - 1) if N > 1 else []
     zero = zero_point(alpha.primes)
-    diffs = [_reduced_distance(xi, zero) for xi in orbit(alpha, N - 1)] if N > 1 else []
+    low = _reduced_distance(points[0], zero) if points else 0
     # k = 1 lies in every window, so the orbit is degenerate exactly when D[1]
     # is missing (N = 1) or zero (alpha in Gamma_P)
-    if not diffs or diffs[0] == 0:
+    if low == 0:
         raise DegenerateOrbitError(
             "degenerate orbit: all orbit points coincide, no positive distance"
         )
-    least = []  # least[k-1] = least positive D[j] over j <= k
-    low = diffs[0]
-    for d in diffs:
-        if 0 < d < low:
-            low = d
+    least = [low]  # least[k-1] = least positive D[j] over j <= k
+    for x in islice(points, 1, None):
+        a, b = x.at_infinity.numerator, x.at_infinity.denominator
+        if min(a, b - a) * low.denominator < low.numerator * b:
+            d = _reduced_distance(x, zero)
+            if 0 < d < low:
+                low = d
         least.append(low)
     return [least[max(n - 1, N - n) - 1] for n in range(1, N + 1)]
 

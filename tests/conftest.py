@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from adelic_gaps import AdelePoint, PrimeSet, add_diagonal
+from adelic_gaps import AdelePoint, PrimeSet, add_diagonal, reduce
 from adelic_gaps.cli import random_point  # noqa: F401  (the one sampler, re-exported to the tests)
 
 # Prime-set mix used by the seeded sweeps: small finite sets plus the two
@@ -74,6 +74,26 @@ def unreduced_point(rng: random.Random, primes: PrimeSet, height: int) -> AdeleP
             overrides[p] = Fraction(rng.randint(-height, height), p ** rng.randint(0, 3) * rng.randint(1, 4))
     inf = Fraction(rng.randint(-3 * height, 3 * height), rng.randint(1, height))
     return AdelePoint(inf, default, overrides, primes)
+
+
+def real_bound_draws(seed: int, count: int, max_N: int):
+    """Seeded (alpha, N) over `ORACLE_PRIMESETS` for the real-bound skip.
+
+    Mostly `unreduced_point`s; one in four keeps the reduced prime coordinates
+    of such a point and puts c/d with d <= 5 at the real place, shifted by an
+    integer, so the real bound of most multiples is large and few k are skipped.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
+        alpha = unreduced_point(rng, primes, 30)
+        if i % 4 == 3:
+            xbar = reduce(alpha)[0]
+            d = rng.randint(2, 5)
+            real = Fraction(rng.randint(1, d - 1), d)
+            alpha = add_diagonal(AdelePoint(real, xbar.default_value, xbar.overrides, primes),
+                                 rng.randint(-30, 30))
+        yield alpha, rng.randint(2, max_N)
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from adelic_gaps import (
     orbit,
     reduce,
     torus_distance,
+    zero_point,
 )
 
 
@@ -174,6 +175,52 @@ def pairwise_deltas(alpha: AdelePoint, N: int) -> list[Fraction]:
             raise DegenerateOrbitError("degenerate orbit: no positive distance in a row")
         deltas.append(min(positive))
     return deltas
+
+
+def least_positive_prefix(alpha: AdelePoint, K: int) -> list[Fraction]:
+    """least[k-1] = least positive D[j] = d(j*alpha, 0) over 1 <= j <= k, for
+    1 <= k <= K, with every D[j] computed: the walk without the real-bound skip."""
+    zero = zero_point(alpha.primes)
+    diffs = [torus_distance(x, zero) for x in orbit(alpha, K)] if K > 0 else []
+    if not diffs or diffs[0] == 0:
+        raise DegenerateOrbitError(
+            "degenerate orbit: all orbit points coincide, no positive distance"
+        )
+    least = []
+    low = diffs[0]
+    for d in diffs:
+        if 0 < d < low:
+            low = d
+        least.append(low)
+    return least
+
+
+def prefix_min_deltas(alpha: AdelePoint, N: int) -> list[Fraction]:
+    """delta_n as the least positive D[k] over 1 <= k <= max(n-1, N-n), from
+    `least_positive_prefix`."""
+    least = least_positive_prefix(alpha, N - 1)
+    return [least[max(n - 1, N - n) - 1] for n in range(1, N + 1)]
+
+
+def real_bound(alpha: AdelePoint, k: int) -> Fraction:
+    """||k * abar_inf||: the distance from k times the reduced real coordinate
+    to the nearest integer, which d(k*alpha, 0) is at least."""
+    x = k * reduce(alpha)[0].at_infinity
+    frac = x - floor(x)
+    return min(frac, 1 - frac)
+
+
+def prefix_minima_and_drops(values) -> tuple[list, list[int]]:
+    """The prefix minima of `values` and, at each index, how often they fell so far."""
+    minima, drops = [], []
+    for v in values:
+        if minima and v >= minima[-1]:
+            minima.append(minima[-1])
+            drops.append(drops[-1])
+        else:
+            drops.append(drops[-1] + 1 if minima else 0)
+            minima.append(v)
+    return minima, drops
 
 
 def windowed_F(spec, t) -> Fraction:

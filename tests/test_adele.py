@@ -133,6 +133,40 @@ class TestMakePoint:
             assert hash(x) == hash(y)  # the second hash of each is its first
         assert len({x for pair in pairs for x in pair}) == len(pairs)
 
+    def test_finite_set_equality_ignores_a_default_that_applies_at_no_prime(self):
+        for primes, overrides in ((PrimeSet.of(2), {2: 1}),
+                                  (PrimeSet.of(2, 3), {2: 1, 3: Fraction(1, 3)})):
+            x = AdelePoint(Fraction(1, 3), 0, overrides, primes)
+            y = AdelePoint(Fraction(1, 3), 5, overrides, primes)
+            assert torus_distance(x, y) == 0
+            assert x == y and y == x
+            assert hash(x) == hash(y)
+            assert len({x, y}) == 1
+
+    def test_finite_set_equality_is_equality_of_every_coordinate(self):
+        """Seeded pairs over finite sets: equal exactly when the real coordinates
+        and the coordinates at every listed prime agree."""
+        rng = random.Random(20261020)
+        values = (Fraction(0), Fraction(1), Fraction(3), Fraction(1, 11))
+        seen = Counter()
+
+        def draw(primes):
+            overrides = {p: rng.choice(values) for p in primes.listed if rng.random() < 0.6}
+            return AdelePoint(rng.choice((Fraction(1, 3), Fraction(2, 3))),
+                              rng.choice(values), overrides, primes)
+
+        for i in range(600):
+            primes = (PrimeSet.of(2), PrimeSet.of(3, 5), PrimeSet.of(2, 5, 7))[i % 3]
+            x, y = draw(primes), draw(primes)
+            agree = x.at_infinity == y.at_infinity and all(
+                x.coordinate(p) == y.coordinate(p) for p in primes.listed
+            )
+            assert (x == y) == (y == x) == agree, (str(x), str(y))
+            if agree:
+                assert hash(x) == hash(y), (str(x), str(y))
+            seen[agree, x.default_value == y.default_value] += 1
+        assert len(seen) == 4 and min(seen.values()) >= 10, seen
+
     def test_hash_is_computed_once_and_stays_out_of_the_fields(self):
         class Counted(Fraction):
             hashes = 0

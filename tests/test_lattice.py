@@ -25,8 +25,15 @@ from adelic_gaps import adele, lattice, torus_gaps
 from adelic_gaps.adele import ambient_abs
 from adelic_gaps.cli import main
 
-from conftest import ORACLE_PRIMESETS, random_point, random_primeset, unreduced_point
-from oracles import gamma_elements, multiple, reference_torus_distance, windowed_F
+from conftest import ORACLE_PRIMESETS, random_point, random_primeset, real_bound_draws, unreduced_point
+from oracles import (
+    gamma_elements,
+    multiple,
+    prefix_minima_and_drops,
+    real_bound,
+    reference_torus_distance,
+    windowed_F,
+)
 
 P2 = PrimeSet.of(2)
 P3 = PrimeSet.of(3)
@@ -183,13 +190,17 @@ class TestVMinTable:
         assert len(calls) == 2 * first
         assert capsys.readouterr().out.count("52/52 match") == 2
 
-    @pytest.mark.parametrize("instance", ["F1", "cofinite"])
+    @pytest.mark.parametrize("instance", ["F1", "cofinite", "fixed-cofinite"])
     def test_lattice_check_makes_at_most_n_plus_1_v_min_calls(self, instance, rng,
                                                               monkeypatch, capsys):
         # every F_value reads the prefix minimum of the table, so each |k| <= N
         # is looked up once, when the table first grows past it
         if instance == "F1":
             primes, alpha, N = P2, F1_ALPHA, 52
+        elif instance == "fixed-cofinite":
+            # reduced alpha_inf = 5/12: at k = 4, 8, 15, 21 and 27 the real bound
+            # equals the prefix minimum, so a k is skipped when its bound reaches it
+            primes, alpha, N = PrimeSet.all_primes(), TestDropCounts.COFINITE, 60
         else:
             primes = PrimeSet.all_except(2, 3, 5, 7)
             alpha, N = unreduced_point(rng, primes, 30), 200
@@ -206,6 +217,13 @@ class TestVMinTable:
         assert main(argv) == 0
         assert f"{N}/{N} match" in capsys.readouterr().out
         assert 0 < len(calls) <= N + 1
+        # the table is filled through radius N, and v_min(k) is computed at k = 0
+        # and at each k whose real bound is below the prefix minimum M[k - 1]
+        zero = zero_point(primes)
+        minima, _ = prefix_minima_and_drops(
+            reference_torus_distance(multiple(alpha, k), zero) or Fraction(1) for k in range(N + 1)
+        )
+        assert len(calls) == 1 + sum(real_bound(alpha, k) < minima[k - 1] for k in range(1, N + 1))
 
     def test_lattice_check_reduces_alpha_twice(self, monkeypatch, capsys):
         """One lattice-check reduces alpha in `orbit` and once for its v_min table,
@@ -236,6 +254,19 @@ class TestVMinTable:
                 assert counts["reduce"] == 2
                 constructions.add(counts["__post_init__"])
             assert len(constructions) == 1, (str(alpha), constructions)
+
+
+class TestRealBoundSkip:
+    def test_table_matches_prefix_minima_of_every_v_min(self, monkeypatch):
+        """The table's prefix minima and drop counts, filled with the real-bound
+        skip, against those of v_min at every k."""
+        monkeypatch.setattr(lattice, "_V_MIN_TABLES", weakref.WeakKeyDictionary())
+        for alpha, K in real_bound_draws(20261019, 28, 400):
+            spec = RotationMatrixSpec(alpha, K)
+            spec._fill(K)
+            minima, drops = prefix_minima_and_drops(spec.v_min(k) for k in range(K + 1))
+            assert spec._prefix_min == minima, (str(alpha), K)
+            assert spec._drops == drops, (str(alpha), K)
 
 
 class TestDropCounts:

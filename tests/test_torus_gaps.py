@@ -9,16 +9,24 @@ from adelic_gaps import (
     DegenerateOrbitError,
     PrimeSet,
     TorusPoint,
+    add_diagonal,
     adele,
     gap_report,
     orbit,
     reduce,
     torus_distance,
     torus_gaps,
+    zero_point,
 )
 
-from conftest import ORACLE_PRIMESETS, random_point, random_primeset, unreduced_point
-from oracles import multiple
+from conftest import ORACLE_PRIMESETS, random_point, random_primeset, real_bound_draws, unreduced_point
+from oracles import (
+    least_positive_prefix,
+    multiple,
+    prefix_min_deltas,
+    real_bound,
+    reference_torus_distance,
+)
 
 P2 = PrimeSet.of(2)
 P3 = PrimeSet.of(3)
@@ -130,8 +138,18 @@ class TestGapReport:
         assert all(d > 0 for d in report.deltas)
         assert torus_distance(orbit(alpha, 4)[0], orbit(alpha, 4)[3]) == 0
 
-    def test_counts_one_reduce_and_n_minus_1_distances(self, monkeypatch):
-        """gap_report reduces alpha once and builds no validated point per orbit point."""
+    def test_counts_one_reduce_and_the_distances_the_real_bound_lets_through(self, monkeypatch):
+        """gap_report reduces alpha once, builds no validated point per orbit point,
+        and computes D[k] at k = 1 and at each 2 <= k <= N - 1 whose real bound
+        ||k * abar_inf|| is below the least positive D[j], j < k."""
+        cofinite = AdelePoint(Fraction(-7, 3), 10, {2: Fraction(1, 4), 3: 5}, PrimeSet.all_primes())
+        expected = {}
+        for alpha in (F1_ALPHA, F2_ALPHA, cofinite):
+            for N in (2, 9, 60):
+                least = least_positive_prefix(alpha, N - 1)
+                expected[str(alpha), N] = 1 + sum(
+                    real_bound(alpha, k) < least[k - 2] for k in range(2, N)
+                )
         counts = Counter()
 
         def counting(name, fn):
@@ -147,16 +165,16 @@ class TestGapReport:
                             counting("_reduced_distance", torus_gaps._reduced_distance))
         monkeypatch.setattr(AdelePoint, "__post_init__",
                             counting("__post_init__", AdelePoint.__post_init__))
-        cofinite = AdelePoint(Fraction(-7, 3), 10, {2: Fraction(1, 4), 3: 5}, PrimeSet.all_primes())
         for alpha in (F1_ALPHA, F2_ALPHA, cofinite):
             constructions = set()
             for N in (2, 9, 60):
                 counts.clear()
                 gap_report(alpha, N)
                 assert counts["reduce"] == 1
-                assert counts["_reduced_distance"] == N - 1
+                assert counts["_reduced_distance"] == expected[str(alpha), N], (str(alpha), N)
                 constructions.add(counts["__post_init__"])
             assert len(constructions) == 1, (str(alpha), constructions)
+        assert expected[str(F1_ALPHA), 60] < 60 - 1
 
     def test_distinct_gaps_and_witnesses_match_full_walk(self):
         """The one walk over the first half of the deltas against sorting all N
@@ -190,6 +208,46 @@ class TestGapReport:
                 continue
             b = gap_report(reduced, 7)
             assert a.deltas == b.deltas
+
+
+class TestRealBound:
+    """Both prefix-minimum walks skip a k whose real bound ||k * abar_inf||
+    reaches the running minimum; the lemma and the walk against the oracles."""
+
+    def test_distance_to_zero_is_at_least_the_real_bound(self):
+        rng = random.Random(20261018)
+        seen = Counter()
+        for i in range(140):
+            primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
+            alpha = unreduced_point(rng, primes, 30)
+            integral = i % 6 == 5
+            if integral:
+                # the reduced prime coordinates at an integer real coordinate: abar_inf = 0
+                xbar = reduce(alpha)[0]
+                alpha = add_diagonal(AdelePoint(0, xbar.default_value, xbar.overrides, primes),
+                                     rng.randint(-30, 30))
+                seen["integer alpha_inf"] += 1
+            zero = zero_point(primes)
+            for k in range(1, 41):
+                bound = real_bound(alpha, k)
+                distance = reference_torus_distance(multiple(alpha, k), zero)
+                assert distance >= bound, (str(alpha), k)
+                assert bound == 0 or not integral
+                seen["attained"] += distance == bound > 0
+        assert seen["integer alpha_inf"] >= 20 and seen["attained"] > 0, seen
+
+    def test_deltas_match_the_unpruned_walk(self):
+        compared = 0
+        for alpha, N in real_bound_draws(20261019, 28, 400):
+            try:
+                expected = prefix_min_deltas(alpha, N)
+            except DegenerateOrbitError:
+                with pytest.raises(DegenerateOrbitError):
+                    gap_report(alpha, N)
+                continue
+            assert gap_report(alpha, N).deltas == expected, (str(alpha), N)
+            compared += 1
+        assert compared >= 20
 
 
 class TestThreeGapCheck:
