@@ -17,7 +17,7 @@ from math import floor
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .arith import PRIMALITY_LIMIT, int_valuation, is_prime, next_prime, padic_abs, valuation
+from .arith import PRIMALITY_LIMIT, int_valuation, is_prime, next_prime, padic_abs
 
 
 @dataclass(frozen=True)
@@ -154,38 +154,33 @@ class AdelePoint:
             raise ValueError(f"{p} is not in the prime set")
         return self.overrides.get(p, self.default_value)
 
+    def _key(self) -> tuple:
+        """What identifies the point: the prime set, the real coordinate, and on
+        a finite set the coordinate at each listed prime (the default may apply
+        at none), on a cofinite set the default and the overrides that differ
+        from it (an override equal to the default does not change the point)."""
+        if self.primes.finite:
+            coordinates = tuple(self.overrides.get(p, self.default_value)
+                                for p in self.primes.listed)
+        else:
+            coordinates = (self.default_value, tuple(
+                (p, v) for p, v in self.overrides.items() if v != self.default_value
+            ))
+        return self.primes, self.at_infinity, coordinates
+
     def __eq__(self, other) -> bool:
         if self is other:
             return True
         if not isinstance(other, AdelePoint):
             return NotImplemented
-        if self.primes != other.primes or self.at_infinity != other.at_infinity:
-            return False
-        if self.primes.finite:
-            # the default is read only where no override is; there may be no such prime
-            return self._listed_coordinates() == other._listed_coordinates()
-        keys = set(self.overrides) | set(other.overrides)
-        if any(self.coordinate(p) != other.coordinate(p) for p in keys):
-            return False
-        return self.default_value == other.default_value
-
-    def _listed_coordinates(self) -> tuple[Fraction, ...]:
-        """The coordinate at each prime of a finite set, in the set's order."""
-        return tuple(self.overrides.get(p, self.default_value) for p in self.primes.listed)
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
         # the point is immutable, so the hash is computed once; it is kept
         # outside the dataclass fields, which repr and fields read
         h = self.__dict__.get("_hash")
         if h is None:
-            if self.primes.finite:
-                coordinates = self._listed_coordinates()
-            else:
-                # an override equal to the default does not change the point (see __eq__)
-                coordinates = (self.default_value, frozenset(
-                    (p, v) for p, v in self.overrides.items() if v != self.default_value
-                ))
-            h = hash((self.primes, self.at_infinity, coordinates))
+            h = hash(self._key())
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -340,9 +335,13 @@ def ambient_abs(x: AdelePoint) -> Fraction:
 
 
 def _fractional_p_part(v: Fraction, p: int) -> Fraction:
-    """c/p^k with 0 <= c < p^k such that v - c/p^k is p-integral."""
-    k = -valuation(v, p)
-    if k <= 0:
+    """c/p^k with 0 <= c < p^k such that v - c/p^k is p-integral.
+
+    v is in lowest terms, so k, the exponent of p in its denominator, is
+    -v_p(v) when that is positive and 0 otherwise, v = 0 included.
+    """
+    k = int_valuation(v.denominator, p)
+    if k == 0:
         return Fraction(0)
     pk = p**k
     b = v.denominator // pk  # p-free part of the denominator

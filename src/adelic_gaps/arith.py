@@ -1,8 +1,7 @@
 """Exact rational arithmetic helpers: primality, p-adic valuations and absolute values.
 
 All scalar quantities in this package are `fractions.Fraction` instances or
-integers, so every computation is exact.  The one float is `math.inf`, which
-`valuation` returns for v_p(0) = +infinity.
+integers, so every computation is exact.
 
 Primality is decided by Miller-Rabin on a fixed set of bases, which is exact
 below `PRIMALITY_LIMIT`; nothing here factors an integer, so the cost of every
@@ -11,13 +10,8 @@ helper grows with the number of digits of its input, not with its size.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
-
-#: Sentinel for the valuation of zero (v_p(0) = +infinity by convention).
-INFINITE_VALUATION = math.inf
-
 
 #: The first 13 primes: no composite below PRIMALITY_LIMIT is a strong
 #: pseudoprime to all of them (Sorenson & Webster, "Strong pseudoprimes to
@@ -83,21 +77,21 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
-def valuation(r: Fraction | int, p: int) -> int | float:
-    """p-adic valuation v_p(r), with v_p(0) = +infinity.
+def valuation(r: Fraction | int, p: int) -> int:
+    """p-adic valuation v_p(r) of a nonzero r; raises ValueError for r = 0.
 
     Writes r = p^v * (a/b) with p dividing neither a nor b and returns v.
     """
     _check_prime(p)
     r = Fraction(r)
     if r == 0:
-        return INFINITE_VALUATION
+        raise ValueError("the valuation of 0 is not an integer")
     return int_valuation(r.numerator, p) - int_valuation(r.denominator, p)
 
 
 def padic_abs(r: Fraction | int, p: int) -> Fraction:
     """p-adic absolute value |r|_p = p^(-v_p(r)), exactly; |0|_p = 0."""
-    v = valuation(r, p)
-    if v is INFINITE_VALUATION:
+    if r == 0:
+        _check_prime(p)
         return Fraction(0)
-    return Fraction(p) ** (-v)
+    return Fraction(p) ** (-valuation(r, p))

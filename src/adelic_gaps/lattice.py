@@ -28,10 +28,10 @@ def min_positive_diagonal_distance(x: AdelePoint) -> Fraction:
     return d if d > 0 else Fraction(1)
 
 
-#: alpha -> ({|k|: v_min(k)}, M, drops, reduced alpha) with M[K] = min of
-#: v_min(k) over 0 <= k <= K and drops[K] the number of K' <= K with
-#: M[K'] < M[K' - 1], both filled upward in K.  M is nonincreasing, so
-#: M[K] = M[K'] exactly when drops[K] = drops[K'].  All four depend on alpha
+#: alpha -> (M, drops, reduced alpha) with M[K] = min of v_min(k) over
+#: 0 <= k <= K and drops[K] the number of K' <= K with M[K'] < M[K' - 1], both
+#: filled upward in K from M[0] = v_min(0) = 1.  M is nonincreasing, so
+#: M[K] = M[K'] exactly when drops[K] = drops[K'].  All three depend on alpha
 #: alone, not on N, so every spec on an equal alpha shares one entry; an entry
 #: lives as long as its alpha.
 _V_MIN_TABLES = weakref.WeakKeyDictionary()
@@ -42,7 +42,7 @@ class RotationMatrixSpec:
     """Upper-triangular determinant-1 matrix with diagonal (1/t, t) and shear t*alpha.
 
     The gap identity for the orbit of length N uses t = N + 1/2, set once as
-    the attribute `t`.  The shortest vectors `v_min(k)`, their prefix minima,
+    the attribute `t`.  The prefix minima of the shortest vectors `v_min(k)`,
     the drop counts of those minima and the reduced alpha they are computed
     from are kept in one table per alpha, which every spec on an equal alpha
     that is still alive shares; alpha is reduced once, when its table is made.
@@ -51,7 +51,6 @@ class RotationMatrixSpec:
     alpha: AdelePoint
     N: int
     t: Fraction = field(init=False, repr=False, compare=False)
-    _v_min_cache: dict[int, Fraction] = field(init=False, repr=False, compare=False)
     _prefix_min: list[Fraction] = field(init=False, repr=False, compare=False)
     _drops: list[int] = field(init=False, repr=False, compare=False)
     _alpha_bar: TorusPoint = field(init=False, repr=False, compare=False)
@@ -62,8 +61,9 @@ class RotationMatrixSpec:
         self.t = Fraction(2 * self.N + 1, 2)
         entry = _V_MIN_TABLES.get(self.alpha)
         if entry is None:
-            entry = _V_MIN_TABLES[self.alpha] = ({}, [], [], reduce(self.alpha)[0])
-        self._v_min_cache, self._prefix_min, self._drops, self._alpha_bar = entry
+            # v_min(0) = 1, the norm of the shortest nonzero element of Gamma_P
+            entry = _V_MIN_TABLES[self.alpha] = ([Fraction(1)], [0], reduce(self.alpha)[0])
+        self._prefix_min, self._drops, self._alpha_bar = entry
 
     def v_min(self, k: int) -> Fraction:
         """Minimal positive |k*alpha - gamma| over Gamma_P; symmetric in +-k.
@@ -75,24 +75,22 @@ class RotationMatrixSpec:
         element k*gamma + m, and it lies in [0,1) x prod Z_p (k times a
         p-adic integer is one, and m is in Z), so it is built without
         re-validation.  It does not use the wrap count `orbit` keeps, so
-        `lattice-check` still compares two independent constructions.
+        `lattice-check` still compares two independent constructions.  The
+        value is computed on every call; the table keeps only its prefix minima.
         """
         k = abs(k)
-        cache = self._v_min_cache
-        if k not in cache:
-            xbar = self._alpha_bar
-            inf = xbar.at_infinity
-            m = k * inf.numerator // inf.denominator
+        xbar = self._alpha_bar
+        inf = xbar.at_infinity
+        m = k * inf.numerator // inf.denominator
 
-            def multiple(c: Fraction) -> Fraction:
-                return Fraction(k * c.numerator - m * c.denominator, c.denominator)
+        def multiple(c: Fraction) -> Fraction:
+            return Fraction(k * c.numerator - m * c.denominator, c.denominator)
 
-            point = TorusPoint._trusted(
-                multiple(inf), multiple(xbar.default_value),
-                {p: multiple(v) for p, v in xbar.overrides.items()}, xbar.primes,
-            )
-            cache[k] = min_positive_diagonal_distance(point)
-        return cache[k]
+        point = TorusPoint._trusted(
+            multiple(inf), multiple(xbar.default_value),
+            {p: multiple(v) for p, v in xbar.overrides.items()}, xbar.primes,
+        )
+        return min_positive_diagonal_distance(point)
 
     def _fill(self, K: int) -> None:
         """Grow the prefix minima and drop counts of the table through radius K.
@@ -105,9 +103,6 @@ class RotationMatrixSpec:
         cannot lower it, so v_min(k) is not computed for it.
         """
         prefix, drops = self._prefix_min, self._drops
-        if not prefix:
-            prefix.append(self.v_min(0))
-            drops.append(0)
         inf = self._alpha_bar.at_infinity
         a, b = inf.numerator, inf.denominator
         while len(prefix) <= K:
@@ -127,7 +122,6 @@ class RotationMatrixSpec:
 class ScanResult:
     """Piecewise-constant profile of t -> F over (0,1)."""
 
-    breakpoints: list[Fraction]
     interval_values: list[Fraction]
     distinct_count: int
 
@@ -205,7 +199,6 @@ def scan_G(spec: RotationMatrixSpec) -> ScanResult:
     drop count, at its first midpoint.
     """
     m = 2 * spec.N + 1
-    breakpoints = [Fraction(j, m) for j in range(1, m)]
     radii = [_radius(m, 2 * j + 1, 2 * m) for j in range(m)]
     spec._fill(max(radii))
     counts = [spec._drops[K] for K in radii]
@@ -213,4 +206,4 @@ def scan_G(spec: RotationMatrixSpec) -> ScanResult:
     for j, c in enumerate(counts):
         if c not in value:
             value[c] = F_value(spec, Fraction(2 * j + 1, 2 * m))
-    return ScanResult(breakpoints, [value[c] for c in counts], len(value))
+    return ScanResult([value[c] for c in counts], len(value))

@@ -10,7 +10,8 @@ from .adele import AdelePoint, TorusPoint, _reduced_distance, reduce, zero_point
 
 
 class DegenerateOrbitError(ValueError):
-    """Raised when every pairwise orbit distance is zero, so no gap is defined."""
+    """Raised when no orbit point has a nearest neighbor at positive distance, so
+    no gap is defined: every pairwise distance is zero, or N = 1."""
 
 
 @dataclass(frozen=True)
@@ -67,11 +68,13 @@ def _deltas(alpha: AdelePoint, N: int) -> list[Fraction]:
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    points = orbit(alpha, N - 1) if N > 1 else []
+    if N == 1:
+        raise DegenerateOrbitError("N = 1: a single orbit point has no nearest neighbor")
+    points = orbit(alpha, N - 1)
     zero = zero_point(alpha.primes)
-    low = _reduced_distance(points[0], zero) if points else 0
+    low = _reduced_distance(points[0], zero)
     # k = 1 lies in every window, so the orbit is degenerate exactly when D[1]
-    # is missing (N = 1) or zero (alpha in Gamma_P)
+    # is zero (alpha in Gamma_P)
     if low == 0:
         raise DegenerateOrbitError(
             "degenerate orbit: all orbit points coincide, no positive distance"

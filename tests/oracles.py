@@ -223,12 +223,14 @@ def prefix_minima_and_drops(values) -> tuple[list, list[int]]:
     return minima, drops
 
 
-def windowed_F(spec, t) -> Fraction:
-    """F(t) by the definition: spec.t times the least spec.v_min(k) over every
-    integer k of the window -t * spec.t < k < (1 - t) * spec.t, each scanned."""
+def windowed_F(spec, t, v_min) -> Fraction:
+    """F(t) by the definition: spec.t times the least v_min(k) over every integer
+    k of the window -t * spec.t < k < (1 - t) * spec.t, each scanned.  `v_min`
+    holds spec.v_min(k) at 0 <= k <= spec.N, computed once per spec by the
+    caller; v_min(k) = v_min(-k), and the window lies in |k| <= spec.N."""
     t = Fraction(t)
     n_plus = spec.t
     # strict inequalities: smallest integer > lower bound, largest < upper bound
     k_lo = floor(-t * n_plus) + 1
     k_hi = ceil((1 - t) * n_plus) - 1
-    return n_plus * min(spec.v_min(k) for k in range(k_lo, k_hi + 1))
+    return n_plus * min(v_min[abs(k)] for k in range(k_lo, k_hi + 1))

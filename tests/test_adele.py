@@ -167,6 +167,41 @@ class TestMakePoint:
             seen[agree, x.default_value == y.default_value] += 1
         assert len(seen) == 4 and min(seen.values()) >= 10, seen
 
+    def test_cofinite_equality_is_equality_of_every_coordinate(self):
+        """Seeded pairs over cofinite sets: equal exactly when the real coordinates,
+        the defaults and the coordinates at every override key of either point
+        agree; the default applies at every other prime of the set."""
+        rng = random.Random(20261021)
+        defaults = (Fraction(0), Fraction(1))
+        values = defaults + (Fraction(1, 11),)
+        seen = Counter()
+
+        def draw(primes, keys):
+            overrides = {p: rng.choice(values) for p in keys if rng.random() < 0.5}
+            return AdelePoint(rng.choice((Fraction(1, 3), Fraction(2, 3))),
+                              rng.choice(defaults), overrides, primes)
+
+        for i in range(600):
+            primes = (PrimeSet.all_primes(), PrimeSet.all_except(2),
+                      PrimeSet.all_except(2, 3, 5, 7))[i % 3]
+            keys = primes.first_members(3)
+            x, y = draw(primes, keys), draw(primes, keys)
+            keys_agree = x.at_infinity == y.at_infinity and all(
+                x.coordinate(p) == y.coordinate(p) for p in {*x.overrides, *y.overrides}
+            )
+            same_default = x.default_value == y.default_value
+            assert (x == y) == (y == x) == (keys_agree and same_default), (str(x), str(y))
+            if x == y:
+                assert hash(x) == hash(y), (str(x), str(y))
+            seen[keys_agree, same_default] += 1
+        assert len(seen) == 4 and min(seen.values()) >= 10, seen
+        primes = PrimeSet.all_except(2, 3, 5, 7)
+        torus = TorusPoint(Fraction(1, 3), 1, {11: 1, 13: 0}, primes)
+        adele_point = AdelePoint(Fraction(1, 3), 1, {13: 0}, primes)
+        assert torus == adele_point and adele_point == torus
+        assert hash(torus) == hash(adele_point)
+        assert torus != AdelePoint(Fraction(1, 3), 0, {11: 1, 13: 0}, primes)
+
     def test_hash_is_computed_once_and_stays_out_of_the_fields(self):
         class Counted(Fraction):
             hashes = 0

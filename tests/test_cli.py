@@ -111,6 +111,15 @@ class TestGapsCommand:
         assert main(["gaps", "--primes", "2", "--alpha", "inf=3;default=3", "--N", "4"]) == 1
         assert "degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gaps", "lattice-check"])
+    def test_single_orbit_point_is_an_error(self, command, capsys):
+        # F1's alpha is not a diagonal element: at N = 1 its one point has no neighbor
+        argv = [command, "--primes", "2", "--alpha", "inf=351/100;default=0;2=1", "--N", "1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: N = 1: a single orbit point has no nearest neighbor\n"
+
 
 class TestVerifyCommand:
     def test_sweep_histogram_totals(self, capsys):

@@ -124,13 +124,14 @@ class TestFValue:
             for draw in range(12):
                 make = random_point if draw % 2 else unreduced_point
                 spec = RotationMatrixSpec(make(rng, primes, 30), rng.randint(1, 25))
+                v_min = [spec.v_min(k) for k in range(spec.N + 1)]
                 m = 2 * spec.N + 1
                 ts = [Fraction(j, 4 * m) for j in range(1, 4 * m)]
                 for _ in range(40):
                     den = rng.randint(2, 10**6)
                     ts.append(Fraction(rng.randint(1, den - 1), den))
                 for t in ts:
-                    assert F_value(spec, t) == windowed_F(spec, t), (spec, t)
+                    assert F_value(spec, t) == windowed_F(spec, t, v_min), (spec, t)
                 compared += len(ts)
         assert compared > 10_000
 
@@ -194,7 +195,8 @@ class TestVMinTable:
     def test_lattice_check_makes_at_most_n_plus_1_v_min_calls(self, instance, rng,
                                                               monkeypatch, capsys):
         # every F_value reads the prefix minimum of the table, so each |k| <= N
-        # is looked up once, when the table first grows past it
+        # is computed at most once, when the table first grows past it; the
+        # table starts from M[0] = v_min(0) = 1, so k = 0 is never computed
         if instance == "F1":
             primes, alpha, N = P2, F1_ALPHA, 52
         elif instance == "fixed-cofinite":
@@ -216,14 +218,14 @@ class TestVMinTable:
         argv = ["lattice-check", "--primes", str(primes), "--alpha", str(alpha), "--N", str(N)]
         assert main(argv) == 0
         assert f"{N}/{N} match" in capsys.readouterr().out
-        assert 0 < len(calls) <= N + 1
-        # the table is filled through radius N, and v_min(k) is computed at k = 0
-        # and at each k whose real bound is below the prefix minimum M[k - 1]
+        assert 0 < len(calls) <= N
+        # the table is filled through radius N, and v_min(k) is computed at each
+        # k whose real bound is below the prefix minimum M[k - 1]
         zero = zero_point(primes)
         minima, _ = prefix_minima_and_drops(
             reference_torus_distance(multiple(alpha, k), zero) or Fraction(1) for k in range(N + 1)
         )
-        assert len(calls) == 1 + sum(real_bound(alpha, k) < minima[k - 1] for k in range(1, N + 1))
+        assert len(calls) == sum(real_bound(alpha, k) < minima[k - 1] for k in range(1, N + 1))
 
     def test_lattice_check_reduces_alpha_twice(self, monkeypatch, capsys):
         """One lattice-check reduces alpha in `orbit` and once for its v_min table,
@@ -318,16 +320,12 @@ class TestDropCounts:
 class TestScanG:
     def test_f2_scan(self):
         result = scan_G(RotationMatrixSpec(F2_ALPHA, 5))
-        # the cuts k/t and 1 - k/t (t = 11/2, 1 <= k <= 5) are the ten j/11
-        assert result.breakpoints == [Fraction(j, 11) for j in range(1, 11)]
         low, mid, high = Fraction(11, 10), Fraction(33, 10), Fraction(22, 5)
         assert result.interval_values == [low] * 3 + [mid] * 2 + [high] + [mid] * 2 + [low] * 3
         assert result.distinct_count == 3
 
     def test_f1_scan(self):
         result = scan_G(RotationMatrixSpec(F1_ALPHA, 52))
-        # t = 105/2, so the cuts are the 104 fractions j/105
-        assert result.breakpoints == [Fraction(j, 105) for j in range(1, 105)]
         assert len(result.interval_values) == 105
         assert set(result.interval_values) == {Fraction(21, 40), Fraction(42, 5), Fraction(63, 8)}
         assert result.distinct_count == 3
@@ -343,7 +341,8 @@ class TestScanG:
     def test_piecewise_constancy(self):
         spec = RotationMatrixSpec(F2_ALPHA, 5)
         result = scan_G(spec)
-        edges = [Fraction(0)] + result.breakpoints + [Fraction(1)]
+        # the cuts k/t and 1 - k/t (t = 11/2, 1 <= k <= 5) are the ten j/11
+        edges = [Fraction(j, 11) for j in range(12)]
         for (lo, hi), value in zip(zip(edges[:-1], edges[1:]), result.interval_values):
             for frac in (Fraction(1, 3), Fraction(3, 4)):
                 t = lo + (hi - lo) * frac

@@ -152,3 +152,23 @@ class TestReproduction:
             report = gap_report(inst.alpha, inst.N)
             for n, expected in inst.expected:
                 assert report.deltas[n - 1] == expected, inst.label
+
+
+@pytest.mark.parametrize("build, kwargs, excluded", [
+    (build_I1, {"five_in_set": True}, (2, 11)),
+    (build_I1, {"five_in_set": False}, (2, 5, 7, 11)),
+    (build_I2, {}, (5, 7)),
+    (build_I3, {"five_in_set": True}, (3, 7)),
+    (build_I3, {"five_in_set": False}, (3, 5, 11)),
+    (build_I4, {"q": 5}, (2, 3, 7)),
+    (build_I4, {"q": 7}, (2, 3, 5, 11)),
+    (build_I4, {"q": 11}, None),
+])
+def test_cofinite_families_on_other_prime_sets(build, kwargs, excluded):
+    """Each cofinite family is sharp on prime sets beyond those of
+    `default_instances`: every pinned delta_n reproduces, and g_N = 3."""
+    primes = None if excluded is None else PrimeSet.all_except(*excluded)
+    inst = build(primes=primes, **kwargs)
+    rows = reproduce_instance(inst)
+    assert all(r.ok for r in rows), [r for r in rows if not r.ok]
+    assert [r.computed for r in rows if r.quantity == "g_N"] == ["3"]
