@@ -202,6 +202,25 @@ class TorusPoint(AdelePoint):
                 raise ValueError(f"coordinate {v} at prime {p} is not p-integral")
         # non-overridden primes are covered by the base-class default check
 
+    def _multiple(self, k: int) -> "TorusPoint":
+        """The reduced k*x of this reduced x, for an integer k, in closed form.
+
+        Each coordinate a/b becomes (k*a - m*b)/b with m = floor(k * x_inf),
+        from the real coordinate.  That is k*x less the diagonal element m,
+        and it lies in [0,1) x prod Z_p (k times a p-adic integer is one, and
+        m is in Z), so it is built without re-validation.
+        """
+        inf = self.at_infinity
+        m = k * inf.numerator // inf.denominator
+
+        def multiple(c: Fraction) -> Fraction:
+            return Fraction(k * c.numerator - m * c.denominator, c.denominator)
+
+        return TorusPoint._trusted(
+            multiple(inf), multiple(self.default_value),
+            {p: multiple(v) for p, v in self.overrides.items()}, self.primes,
+        )
+
 
 def _is_prime_cofactor(n: int) -> bool:
     return n < PRIMALITY_LIMIT and is_prime(n)
@@ -375,8 +394,8 @@ def torus_distance(x: AdelePoint, y: AdelePoint) -> Fraction:
     first, which is the precondition of `_reduced_distance`: there the minimum
     over Gamma_P is attained at the shift 0 or sign of the real difference.
     A `TorusPoint` already lies in the domain, validated by its constructor or
-    built there by `reduce`, `orbit`, `zero_point` or the lattice path, so it is
-    used as it is.
+    built there by `reduce`, `zero_point` or `TorusPoint._multiple` (the orbit
+    points and the lattice path), so it is used as it is.
     """
     _require_same_primes(x, y)
     xbar = x if isinstance(x, TorusPoint) else reduce(x)[0]

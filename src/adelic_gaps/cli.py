@@ -24,9 +24,11 @@ import random
 import re
 import shlex
 import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .adele import AdelePoint, PrimeSet
 from .lattice import RotationMatrixSpec, G_N_value, delta_via_lattice, scan_G
@@ -160,8 +162,9 @@ def _text(r: Fraction) -> str:
                        "for int-to-string conversion") from None
 
 
-def _emit(fmt: str, record: dict, lines: list[str], rows: list[list] | None = None) -> None:
-    """Print one result: `record` as JSON, `rows` (header first) as CSV, else `lines`."""
+def _emit(fmt: str, record: dict, lines: list[str], rows: Iterable[Sequence] = ()) -> None:
+    """Print one result: `record` as JSON, `rows` (header first, read only for
+    CSV) as CSV, else `lines`."""
     if fmt == "json":
         print(json.dumps(record, indent=2))
     elif fmt == "csv":
@@ -176,13 +179,16 @@ def cmd_gaps(args) -> int:
     if args.N < 1:
         raise CliError(f"N must be >= 1, got {args.N}")
     report = gap_report(alpha, args.N)
-    deltas = [_text(d) for d in report.deltas]
+    # every delta is one of the distinct gap objects, so each string is made
+    # once and found by identity: hashing a Fraction costs more than printing it
+    text = {id(g): _text(g) for g in report.distinct_gaps}
+    deltas = [text[id(d)] for d in report.deltas]
     record = {
         "N": report.N,
         "deltas": deltas,
-        "distinct_gaps": [_text(g) for g in report.distinct_gaps],
+        "distinct_gaps": list(text.values()),
         "gap_count": report.gap_count,
-        "witnesses": {_text(g): n for g, n in report.witnesses.items()},
+        "witnesses": {text[id(g)]: n for g, n in report.witnesses.items()},
         "alpha": str(alpha),
         "primes": str(primes),
     }
@@ -191,8 +197,7 @@ def cmd_gaps(args) -> int:
         f"distinct gaps ({report.gap_count}): " + ", ".join(record["distinct_gaps"]),
         "witnesses: " + ", ".join(f"delta_{n} = {g}" for g, n in record["witnesses"].items()),
     ]
-    rows = [["n", "delta"], *([n, d] for n, d in enumerate(deltas, start=1))]
-    _emit(args.format, record, lines, rows)
+    _emit(args.format, record, lines, chain([("n", "delta")], enumerate(deltas, start=1)))
     return EXIT_OK
 
 

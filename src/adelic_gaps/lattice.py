@@ -68,29 +68,12 @@ class RotationMatrixSpec:
     def v_min(self, k: int) -> Fraction:
         """Minimal positive |k*alpha - gamma| over Gamma_P; symmetric in +-k.
 
-        The distance is taken at the reduced k*alpha, built in closed form
-        from the reduced alpha: each coordinate a/b becomes (k*a - m*b)/b with
-        m = floor(k * a_inf / b_inf) from the real coordinate.  With
-        alpha = reduced alpha + gamma, that is k*alpha less the diagonal
-        element k*gamma + m, and it lies in [0,1) x prod Z_p (k times a
-        p-adic integer is one, and m is in Z), so it is built without
-        re-validation.  It does not use the wrap count `orbit` keeps, so
-        `lattice-check` still compares two independent constructions.  The
-        value is computed on every call; the table keeps only its prefix minima.
+        The distance is taken at the reduced k*alpha, which the reduced alpha
+        builds in closed form (`TorusPoint._multiple`), the construction
+        `orbit` uses too.  The value is computed on every call; the table
+        keeps only its prefix minima.
         """
-        k = abs(k)
-        xbar = self._alpha_bar
-        inf = xbar.at_infinity
-        m = k * inf.numerator // inf.denominator
-
-        def multiple(c: Fraction) -> Fraction:
-            return Fraction(k * c.numerator - m * c.denominator, c.denominator)
-
-        point = TorusPoint._trusted(
-            multiple(inf), multiple(xbar.default_value),
-            {p: multiple(v) for p, v in xbar.overrides.items()}, xbar.primes,
-        )
-        return min_positive_diagonal_distance(point)
+        return min_positive_diagonal_distance(self._alpha_bar._multiple(abs(k)))
 
     def _fill(self, K: int) -> None:
         """Grow the prefix minima and drop counts of the table through radius K.

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .adele import AdelePoint, TorusPoint, _reduced_distance, reduce, zero_point
 
@@ -20,39 +21,47 @@ class GapReport:
 
     N: int
     deltas: list[Fraction]  # deltas[n-1] is the distance for the n-th orbit point
-    distinct_gaps: list[Fraction]  # sorted, duplicate-free
+    distinct_gaps: list[Fraction]  # sorted, duplicate-free; the objects deltas holds
     gap_count: int
     witnesses: dict[Fraction, int]  # gap value -> the least index n attaining it, ascending
 
 
-def orbit(alpha: AdelePoint, N: int) -> list[TorusPoint]:
-    """The reduced points n*alpha for 1 <= n <= N.
+class _Orbit(Sequence):
+    """The reduced points n*alpha, 1 <= n <= N, each built when it is read.
+
+    Item i is the point n = i + 1, in closed form from the reduced alpha
+    (`TorusPoint._multiple`); indices and slices behave as on a list.
+    """
+
+    def __init__(self, first: TorusPoint, N: int):
+        self._first = first
+        self._N = N
+
+    def __len__(self) -> int:
+        return self._N
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._N))]
+        i = operator.index(i)
+        if i < 0:
+            i += self._N
+        if not 0 <= i < self._N:
+            raise IndexError("orbit index out of range")
+        return self._first._multiple(i + 1)
+
+
+def orbit(alpha: AdelePoint, N: int) -> Sequence[TorusPoint]:
+    """The reduced points n*alpha for 1 <= n <= N, as a lazy sequence.
 
     Only alpha itself goes through `reduce`.  The fundamental domain
-    [0,1) x prod Z_p holds one point of each coset, so the reduced (n+1)*alpha
-    is the reduced n*alpha plus the reduced alpha, less 1 in every coordinate
-    once the coordinate at infinity reaches 1.  Each coordinate of the n-th
-    point is therefore (n*a - m*b)/b, where a/b is that coordinate of the
-    reduced alpha and m counts the wraps so far; the steps are integer sums,
-    and each point is built without re-validation, since a sum of two points
-    of the domain, shifted back into [0,1) at infinity, lies in the domain.
+    [0,1) x prod Z_p holds one point of each coset, so the reduced n*alpha is
+    n times the reduced alpha less the floor of its real coordinate, in every
+    coordinate; a point is built only when it is read.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    first, _ = reduce(alpha)
-    keys = list(first.overrides)
-    steps = [(c.numerator, c.denominator)
-             for c in (first.at_infinity, first.default_value, *first.overrides.values())]
-    inf_den = steps[0][1]
-    nums = [a for a, _ in steps]
-    points = [first]
-    for _ in range(N - 1):
-        nums = [n + a for n, (a, _) in zip(nums, steps)]
-        if nums[0] >= inf_den:
-            nums = [n - b for n, (_, b) in zip(nums, steps)]
-        inf, default, *values = [Fraction(n, b) for n, (_, b) in zip(nums, steps)]
-        points.append(TorusPoint._trusted(inf, default, dict(zip(keys, values)), alpha.primes))
-    return points
+    return _Orbit(reduce(alpha)[0], N)
 
 
 def _deltas(alpha: AdelePoint, N: int) -> list[Fraction]:
@@ -61,10 +70,11 @@ def _deltas(alpha: AdelePoint, N: int) -> list[Fraction]:
     The quotient metric is translation-invariant, so d(n*alpha, m*alpha) =
     D[|n-m|] with D[k] = d(k*alpha, 0), and delta_n is the least positive
     D[k] over 1 <= k <= max(n-1, N-n): a prefix minimum over N - 1 values.
-    D[k] is at least the real bound min(a, b - a)/b of the reduced k*alpha,
-    whose real coordinate is a/b (see `_reduced_distance`), so a k whose bound
-    reaches the running minimum L cannot lower it: L is kept and D[k] is not
-    computed.
+    With a/b the real coordinate of the reduced alpha, the reduced k*alpha
+    has real coordinate r/b, r = k*a mod b, and D[k] is at least
+    min(r, b - r)/b (see `_reduced_distance`), so a k whose bound reaches the
+    running minimum L cannot lower it: L is kept, and neither the point k*alpha
+    nor D[k] is computed.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -72,20 +82,24 @@ def _deltas(alpha: AdelePoint, N: int) -> list[Fraction]:
         raise DegenerateOrbitError("N = 1: a single orbit point has no nearest neighbor")
     points = orbit(alpha, N - 1)
     zero = zero_point(alpha.primes)
-    low = _reduced_distance(points[0], zero)
+    first = points[0]
+    low = _reduced_distance(first, zero)
     # k = 1 lies in every window, so the orbit is degenerate exactly when D[1]
     # is zero (alpha in Gamma_P)
     if low == 0:
         raise DegenerateOrbitError(
             "degenerate orbit: all orbit points coincide, no positive distance"
         )
+    a, b = first.at_infinity.numerator, first.at_infinity.denominator
+    low_num, low_den = low.numerator, low.denominator
     least = [low]  # least[k-1] = least positive D[j] over j <= k
-    for x in islice(points, 1, None):
-        a, b = x.at_infinity.numerator, x.at_infinity.denominator
-        if min(a, b - a) * low.denominator < low.numerator * b:
-            d = _reduced_distance(x, zero)
+    for k in range(2, N):
+        r = k * a % b
+        if min(r, b - r) * low_den < low_num * b:
+            d = _reduced_distance(points[k - 1], zero)
             if 0 < d < low:
                 low = d
+                low_num, low_den = low.numerator, low.denominator
         least.append(low)
     return [least[max(n - 1, N - n) - 1] for n in range(1, N + 1)]
 
@@ -104,7 +118,9 @@ def gap_report(alpha: AdelePoint, N: int) -> GapReport:
     witnesses = {}
     for n in range(1, (N + 1) // 2 + 1):
         d = deltas[n - 1]
-        if not distinct or d != distinct[-1]:
+        # a repeat is the same object as the last new value on every path of
+        # `_deltas`, and `is` costs far less than comparing two Fractions
+        if not distinct or d is not distinct[-1] and d != distinct[-1]:
             distinct.append(d)
             witnesses[d] = n
     return GapReport(N, deltas, distinct, len(distinct), witnesses)

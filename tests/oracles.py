@@ -15,7 +15,6 @@ from adelic_gaps import (
     AdelePoint,
     DegenerateOrbitError,
     PrimeSet,
-    orbit,
     reduce,
     torus_distance,
     zero_point,
@@ -161,9 +160,14 @@ def point_difference(x: AdelePoint, y: AdelePoint) -> AdelePoint:
     return point_sum(x, multiple(y, -1))
 
 
+def reduced_multiples(alpha: AdelePoint, K: int) -> list[AdelePoint]:
+    """The reduced k * alpha for 1 <= k <= K, each reduced on its own."""
+    return [reduce(multiple(alpha, k))[0] for k in range(1, K + 1)]
+
+
 def pairwise_deltas(alpha: AdelePoint, N: int) -> list[Fraction]:
     """delta_n as the least positive entry of row n of the N x N distance matrix."""
-    points = orbit(alpha, N)
+    points = reduced_multiples(alpha, N)
     matrix = [[Fraction(0)] * N for _ in range(N)]
     for i in range(N):
         for j in range(i + 1, N):
@@ -181,7 +185,7 @@ def least_positive_prefix(alpha: AdelePoint, K: int) -> list[Fraction]:
     """least[k-1] = least positive D[j] = d(j*alpha, 0) over 1 <= j <= k, for
     1 <= k <= K, with every D[j] computed: the walk without the real-bound skip."""
     zero = zero_point(alpha.primes)
-    diffs = [torus_distance(x, zero) for x in orbit(alpha, K)] if K > 0 else []
+    diffs = [torus_distance(x, zero) for x in reduced_multiples(alpha, K)]
     if not diffs or diffs[0] == 0:
         raise DegenerateOrbitError(
             "degenerate orbit: all orbit points coincide, no positive distance"

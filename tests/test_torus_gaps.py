@@ -33,6 +33,15 @@ P3 = PrimeSet.of(3)
 
 F1_ALPHA = AdelePoint(Fraction(351, 100), 0, {2: 1}, P2)
 F2_ALPHA = AdelePoint(Fraction(16, 5), 0, {3: 1}, P3)
+COFINITE_ALPHA = AdelePoint(Fraction(-7, 3), 10, {2: Fraction(1, 4), 3: 5}, PrimeSet.all_primes())
+
+
+def counting(counts: Counter, name: str, fn):
+    """`fn`, counting its calls in counts[name]."""
+    def wrapper(*args):
+        counts[name] += 1
+        return fn(*args)
+    return wrapper
 
 
 class TestOrbit:
@@ -59,7 +68,7 @@ class TestOrbit:
             orbit(F1_ALPHA, 0)
 
     def test_steps_match_per_point_reduction(self):
-        """The stepped orbit against reducing each n*alpha on its own, field by field."""
+        """The closed-form orbit against reducing each n*alpha on its own, field by field."""
         rng = random.Random(20261018)
         seen = Counter()
         for i in range(280):
@@ -84,6 +93,34 @@ class TestOrbit:
                 v.denominator % p == 0 for p, v in alpha.overrides.items())
             seen["N >= 50"] += N >= 50
         assert min(seen.values()) >= 10, seen
+
+    def test_lazy_view_behaves_as_a_list(self):
+        """Length, indices, slices and iteration against the list of the points
+        reduced one by one."""
+        rng = random.Random(20261020)
+        for i in range(70):
+            primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
+            alpha = unreduced_point(rng, primes, 30)
+            N = rng.randint(1, 40)
+            points = orbit(alpha, N)
+            expected = [reduce(multiple(alpha, n))[0] for n in range(1, N + 1)]
+            assert len(points) == N
+            assert list(points) == expected, (str(alpha), N)
+            assert points[0] == expected[0] and points[-1] == expected[-1]
+            for outside in (N, -N - 1):
+                with pytest.raises(IndexError):
+                    points[outside]
+            cut = slice(rng.randint(-N - 2, N + 2), rng.randint(-N - 2, N + 2),
+                        rng.choice((1, 2, -1, -3)))
+            assert type(points[cut]) is list
+            assert points[cut] == expected[cut], (str(alpha), N, cut)
+
+    def test_far_point_is_built_alone(self):
+        """Point 10**18 is built in closed form, without the points before it."""
+        for alpha in (F1_ALPHA, F2_ALPHA, COFINITE_ALPHA):
+            far = orbit(alpha, 10**18)[-1]
+            expected = reduce(multiple(alpha, 10**18))[0]
+            assert far == expected and str(far) == str(expected)
 
 
 class TestNnDistance:
@@ -124,6 +161,15 @@ class TestGapReport:
         assert set(report.deltas) == set(report.distinct_gaps)
         assert all(d > 0 for d in report.deltas)
         assert all(report.deltas[n - 1] == g for g, n in report.witnesses.items())
+
+    def test_deltas_hold_the_distinct_gap_objects(self):
+        """The CLI prints each distinct gap once and finds each delta's string by
+        the object's identity."""
+        for alpha, N in ((F1_ALPHA, 52), (F2_ALPHA, 5), (COFINITE_ALPHA, 60)):
+            report = gap_report(alpha, N)
+            ids = {id(g) for g in report.distinct_gaps}
+            assert {id(d) for d in report.deltas} == ids
+            assert {id(g) for g in report.witnesses} == ids
 
     def test_degenerate_orbit_propagates(self):
         diagonal = AdelePoint(Fraction(3), 3, {}, P2)  # the coset of 3 in Gamma_P
@@ -175,6 +221,26 @@ class TestGapReport:
                 constructions.add(counts["__post_init__"])
             assert len(constructions) == 1, (str(alpha), constructions)
         assert expected[str(F1_ALPHA), 60] < 60 - 1
+
+    def test_builds_one_orbit_point_per_distance(self, monkeypatch):
+        """Besides the reduced alpha, gap_report builds an orbit point only where
+        it computes that point's distance: one closed-form `_multiple` per
+        `_reduced_distance` call, not N - 1 points."""
+        counts = Counter()
+        counted_reduce = counting(counts, "reduce", adele.reduce)
+        for module in (adele, torus_gaps):
+            monkeypatch.setattr(module, "reduce", counted_reduce)
+        monkeypatch.setattr(torus_gaps, "_reduced_distance",
+                            counting(counts, "_reduced_distance", torus_gaps._reduced_distance))
+        monkeypatch.setattr(TorusPoint, "_multiple",
+                            counting(counts, "_multiple", TorusPoint._multiple))
+        for alpha in (F1_ALPHA, F2_ALPHA, COFINITE_ALPHA):
+            for N in (2, 9, 60, 400):
+                counts.clear()
+                gap_report(alpha, N)
+                assert counts["reduce"] == 1
+                assert counts["_multiple"] == counts["_reduced_distance"], (str(alpha), N, counts)
+            assert counts["_reduced_distance"] < 400 - 1, (str(alpha), counts)
 
     def test_distinct_gaps_and_witnesses_match_full_walk(self):
         """The one walk over the first half of the deltas against sorting all N
