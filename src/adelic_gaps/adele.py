@@ -4,7 +4,7 @@ A point is stored with finite data: the coordinate at infinity, a default
 coordinate shared by every prime of the prime set that is not explicitly
 overridden, and a finite override map.  The prime set is either a finite
 explicit list or cofinite ("all primes except ...") , which keeps the
-sup in the ambient metric exactly computable.
+sup in the metric exactly computable.
 """
 
 from __future__ import annotations
@@ -263,9 +263,11 @@ def _require_same_primes(x: AdelePoint, y: AdelePoint) -> None:
 def add_diagonal(x: AdelePoint, gamma) -> AdelePoint:
     """Add the diagonal embedding of gamma in Gamma_P to every coordinate.
 
-    Only the part of gamma's denominator prime to x's override keys is
-    factored; for the shifts `reduce` builds that part is 1, however large the
-    override primes are.
+    The one check is that gamma lies in Gamma_P.  Only the part of gamma's
+    denominator prime to x's override keys is factored; for the shifts
+    `reduce` builds that part is 1, however large the override primes are.
+    The sum is built without re-validation: x is valid, and every prime of
+    gamma's denominator becomes an override key.
     """
     gamma = Fraction(gamma)
     den = gamma.denominator
@@ -277,10 +279,10 @@ def add_diagonal(x: AdelePoint, gamma) -> AdelePoint:
         if p not in x.primes:
             raise ValueError(f"{gamma} is not in Gamma_P: denominator prime {p} outside the set")
         keys.add(p)
-    return AdelePoint(
+    return AdelePoint._trusted(
         x.at_infinity + gamma,
         x.default_value + gamma,
-        {p: x.coordinate(p) + gamma for p in keys},
+        {p: x.overrides.get(p, x.default_value) + gamma for p in sorted(keys)},
         x.primes,
     )
 
@@ -290,67 +292,44 @@ def add_diagonal(x: AdelePoint, gamma) -> AdelePoint:
 Pair = tuple[int, int]
 
 
-def _pair(r: Fraction) -> Pair:
-    return r.numerator, r.denominator
-
-
-def _padic_pair(num: int, den: int, p: int) -> Pair:
-    """|num/den|_p as a pair, from the valuations of num != 0 and den."""
-    e = int_valuation(num, p) - int_valuation(den, p)
-    return (1, p**e) if e >= 0 else (p**-e, 1)
-
-
 def _raw_abs(inf: Pair, default: Pair, coords: Mapping[int, Pair], primes: PrimeSet) -> Pair:
     """Max-metric norm from raw coordinate pairs, itself returned as a pair.
 
     `inf` is the coordinate at the real place, `coords` the explicit prime
-    coordinates and `default` the coordinate at every other prime of the set;
-    a coordinate need not be p-integral.  The term of a/b at p is
-    |a/b|_p = p^-(v_p(a) - v_p(b)), from `int_valuation`, and terms are
-    compared by cross-multiplication, so no Fraction is built here: the
-    caller makes one from the pair it keeps.
+    coordinates and `default` the coordinate at every other prime of the set.
+    Precondition: the input is the difference of two reduced points, or that
+    difference shifted by +-1, as `_reduced_distance` builds it, so every
+    denominator is prime to each place p where it is read.  The term of a/b
+    at p is then the unit fraction |a|_p = 1/p^v_p(a), from the numerator
+    alone, and it beats the best term so far when best_den > best_num * p^v;
+    no Fraction is built here: the caller makes one from the pair it keeps.
 
-    On a cofinite set the term at p is |x_p|_p / p.  A prime outside `coords`
-    carries the default d = a/b, and validity already puts every prime of the
-    set that divides b among the keys of `coords`, so there b is prime to p
-    and |d|_p <= 1.  Walking the set's primes outside `coords` upward, each p
-    that divides a adds |d|_p / p, and the first p that does not adds 1/p and
-    ends the walk: every later term is at most 1/p' < 1/p.  The walk visits at
-    most one prime more than a has prime factors.
+    On a cofinite set the term at p is |x_p|_p / p = 1/p^(v_p(a) + 1).
+    Walking the set's primes outside `coords` upward, each p that divides the
+    default's numerator adds its term, and the first p that does not adds 1/p
+    and ends the walk: every later term is at most 1/p' < 1/p.  The walk
+    visits at most one prime more than the numerator has prime factors.
     """
     best_num, best_den = abs(inf[0]), inf[1]
-    if primes.finite:
-        for p in primes.listed:
-            num, den = coords.get(p, default)
-            if num:
-                term_num, term_den = _padic_pair(num, den, p)
-                if term_num * best_den > best_num * term_den:
-                    best_num, best_den = term_num, term_den
-        return best_num, best_den
-    for p, (num, den) in coords.items():
+    weight = 0 if primes.finite else 1  # the 1/p of a cofinite set, as a power of p
+    for p in primes.listed if primes.finite else coords:
+        num = coords.get(p, default)[0]
         if num:
-            term_num, term_den = _padic_pair(num, den, p)
-            if term_num * best_den > best_num * term_den * p:
-                best_num, best_den = term_num, term_den * p
-    num, den = default
-    if num:
-        avoid = set(coords)
-        while True:
-            p = primes.smallest_outside(avoid)
-            if num % p:
-                return (1, p) if best_den > best_num * p else (best_num, best_den)
-            term_den = p ** (int_valuation(num, p) + 1)  # |d|_p / p, as b is prime to p
+            term_den = p ** (int_valuation(num, p) + weight)
             if best_den > best_num * term_den:
                 best_num, best_den = 1, term_den
-            avoid.add(p)
-    return best_num, best_den
-
-
-def ambient_abs(x: AdelePoint) -> Fraction:
-    """Distance to zero under the max metric (with weight 1/p when the set is infinite)."""
-    coords = {p: _pair(v) for p, v in x.overrides.items()}
-    num, den = _raw_abs(_pair(x.at_infinity), _pair(x.default_value), coords, x.primes)
-    return Fraction(num, den)
+    num = default[0]
+    if primes.finite or not num:
+        return best_num, best_den
+    avoid = set(coords)
+    while True:
+        p = primes.smallest_outside(avoid)
+        if num % p:
+            return (1, p) if best_den > best_num * p else (best_num, best_den)
+        term_den = p ** (int_valuation(num, p) + 1)
+        if best_den > best_num * term_den:
+            best_num, best_den = 1, term_den
+        avoid.add(p)
 
 
 def _fractional_p_part(v: Fraction, p: int) -> Fraction:
@@ -375,6 +354,9 @@ def reduce(x: AdelePoint) -> tuple[TorusPoint, Fraction]:
     subtract its fractional p-part diagonally (this leaves every other prime
     coordinate's integrality untouched, by the strong triangle inequality);
     finish by subtracting the floor of the coordinate at infinity.
+
+    The result is validated once, by the `TorusPoint` constructor;
+    `add_diagonal` checks only that gamma lies in Gamma_P.
     """
     gamma = Fraction(0)
     for p, v in x.overrides.items():
@@ -410,9 +392,12 @@ def _pair_difference(x: Fraction, y: Fraction) -> Pair:
 def _reduced_distance(xbar: AdelePoint, ybar: AdelePoint) -> Fraction:
     """min over g in Gamma_P of |xbar - ybar - g|, for points in the fundamental domain.
 
-    The inputs must be reduced.  Then |D_inf| < 1 and every prime term of the
-    difference D is at most 1 (1/2 on a cofinite set), so |D| <= 1 and only
-    g in {-1, 0, 1} can do better.  The shift by -sign(D_inf) has real term
+    The inputs must be reduced, and nothing here checks it: `torus_distance`
+    reduces whatever is not a `TorusPoint`, and every `TorusPoint` is valid.
+    Then each denominator of the difference D and of its shifts is prime to
+    every p where `_raw_abs` reads it, the kernel's precondition.  Also
+    |D_inf| < 1 and every prime term of D is at most 1 (1/2 on a cofinite
+    set), so |D| <= 1 and only g in {-1, 0, 1} can do better.  The shift by -sign(D_inf) has real term
     1 + |D_inf| >= 1, so it never wins; s = sign(D_inf) has real term
     1 - |D_inf|, so it is tried only when that is below |D|.  The difference
     and its shift are integer pairs (see `_raw_abs`), so the one Fraction

@@ -25,7 +25,6 @@ import re
 import shlex
 import sys
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -100,23 +99,6 @@ def parse_alpha(text: str, primes: PrimeSet) -> AdelePoint:
         raise CliError(f"invalid point: {exc}") from None
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    seed: int
-    samples: int
-    max_N: int
-    max_height: int
-    primeset_spec: PrimeSet
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise CliError("samples must be >= 1")
-        if self.max_N < 2:
-            raise CliError("max-N must be >= 2")
-        if self.max_height < 2:
-            raise CliError("max-height must be >= 2")
-
-
 def random_rational(rng: random.Random, max_height: int) -> Fraction:
     return Fraction(rng.randint(-max_height, max_height), rng.randint(1, max_height))
 
@@ -136,20 +118,6 @@ def random_instance(
     """One sampled (alpha, N): a random_point, then N uniform in [2, max_N]."""
     alpha = random_point(rng, primes, max_height)
     return alpha, rng.randint(2, max_N)
-
-
-def run_sweep(config: SweepConfig):
-    """Yield (index, alpha, N, report) for each sample; degenerate draws are redrawn."""
-    rng = random.Random(config.seed)
-    for i in range(config.samples):
-        while True:
-            alpha, N = random_instance(rng, config.primeset_spec, config.max_N, config.max_height)
-            try:
-                report = gap_report(alpha, N)
-            except DegenerateOrbitError:
-                continue
-            break
-        yield i, alpha, N, report
 
 
 def _text(r: Fraction) -> str:
@@ -202,29 +170,43 @@ def cmd_gaps(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = SweepConfig(args.seed, args.samples, args.max_N, args.max_height, parse_primes(args.primes))
+    primes = parse_primes(args.primes)
+    if args.samples < 1:
+        raise CliError("samples must be >= 1")
+    if args.max_N < 2:
+        raise CliError("max-N must be >= 2")
+    if args.max_height < 2:
+        raise CliError("max-height must be >= 2")
+    rng = random.Random(args.seed)
     histogram = {1: 0, 2: 0, 3: 0}
-    for i, alpha, N, report in run_sweep(config):
+    for i in range(args.samples):
+        while True:  # a degenerate draw is redrawn
+            alpha, N = random_instance(rng, primes, args.max_N, args.max_height)
+            try:
+                report = gap_report(alpha, N)
+            except DegenerateOrbitError:
+                continue
+            break
         if report.gap_count > 3:
             print(
                 f"VERIFICATION FAILURE at sample {i}: g_N = {report.gap_count} > 3\n"
-                f"  alpha = {alpha}\n  primes = {alpha.primes}\n  N = {N}\n"
+                f"  alpha = {alpha}\n  primes = {primes}\n  N = {N}\n"
                 f"  deltas = {[_text(d) for d in report.deltas]}\n"
-                f"adelic-gaps gaps --primes {shlex.quote(str(alpha.primes))} "
+                f"adelic-gaps gaps --primes {shlex.quote(str(primes))} "
                 f"--alpha {shlex.quote(str(alpha))} --N {N}",
                 file=sys.stderr,
             )
             return EXIT_VERIFICATION
         histogram[report.gap_count] += 1
     record = {
-        "seed": config.seed,
-        "samples": config.samples,
-        "primes": str(config.primeset_spec),
+        "seed": args.seed,
+        "samples": args.samples,
+        "primes": str(primes),
         "histogram": {str(g): c for g, c in histogram.items()},
         "all_within_three": True,
     }
     lines = [
-        f"{config.samples} samples over primes {config.primeset_spec} (seed {config.seed})",
+        f"{args.samples} samples over primes {primes} (seed {args.seed})",
         *(f"  g = {g}: {c}" for g, c in histogram.items()),
         "all samples satisfy g <= 3",
     ]

@@ -96,6 +96,14 @@ def real_bound_draws(seed: int, count: int, max_N: int):
         yield alpha, rng.randint(2, max_N)
 
 
+def counting(counts, name: str, fn):
+    """`fn`, counting its calls in counts[name]: a spy to monkeypatch in."""
+    def wrapper(*args):
+        counts[name] += 1
+        return fn(*args)
+    return wrapper
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260823)

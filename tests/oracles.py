@@ -2,6 +2,8 @@
 
 None of these is used by the package itself: each computes a quantity the
 package computes faster, by the definition and without its shortcuts.  The
+ambient norm of an arbitrary point, reduced or not, lives only here: the
+package's kernel takes only differences of reduced points.  The
 reference norm works on raw `Fraction` coordinates, with its own p-adic
 valuation and trial-division primality, so the norm and distance oracles share
 no point arithmetic with the package: `reduce` is the only package function

@@ -8,17 +8,27 @@ import pytest
 
 from adelic_gaps import (
     AdelePoint,
+    DegenerateOrbitError,
     PrimeSet,
     TorusPoint,
     add_diagonal,
+    gap_report,
     reduce,
     torus_distance,
     zero_point,
 )
 from adelic_gaps import adele
-from adelic_gaps.adele import _prime_factors, ambient_abs
+from adelic_gaps.adele import _prime_factors
+from adelic_gaps.cli import main
 
-from conftest import ORACLE_PRIMESETS, random_point, random_primeset, unreduced_point, within_seconds
+from conftest import (
+    ORACLE_PRIMESETS,
+    counting,
+    random_point,
+    random_primeset,
+    unreduced_point,
+    within_seconds,
+)
 from oracles import (
     brute_force_torus_distance,
     multiple,
@@ -251,6 +261,21 @@ class TestAddDiagonal:
         assert y.coordinate(2) == Fraction(1, 2)
         assert 2 in y.overrides
 
+    def test_sum_passes_the_full_validation(self):
+        """The sum is built without re-validation: rebuilt through the constructor,
+        each seeded sum is accepted and equal, with its overrides sorted."""
+        rng = random.Random(20261106)
+        for i in range(140):
+            primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
+            x = unreduced_point(rng, primes, 30)
+            den = 1
+            for p in primes.first_members(3):
+                den *= p ** rng.randint(0, 2)
+            total = add_diagonal(x, Fraction(rng.randint(-30, 30), den))
+            assert list(total.overrides) == sorted(total.overrides), str(total)
+            rebuilt = AdelePoint(total.at_infinity, total.default_value, total.overrides, primes)
+            assert rebuilt == total, str(total)
+
     def test_large_prime_denominator_is_bounded(self):
         p = 10**20 + 39
         with within_seconds(2):
@@ -263,27 +288,32 @@ class TestAddDiagonal:
 
 
 class TestAmbientMetric:
+    """The max metric at reduced points x, read as torus_distance(x, zero):
+    there no shift beats the unshifted norm |x|."""
+
     def test_f1_reduced_value(self):
         x = AdelePoint(Fraction(1, 100), -179, {2: -128}, P2)
-        assert ambient_abs(x) == Fraction(1, 100)
+        assert torus_distance(x, zero_point(P2)) == Fraction(1, 100)
 
     def test_distance_to_self_is_zero(self):
         x = AdelePoint(Fraction(1, 9), 0, {3: 1}, PrimeSet.all_except(2))
-        assert ambient_abs(point_difference(x, x)) == 0
+        assert torus_distance(point_difference(x, x), zero_point(x.primes)) == 0
 
     def test_cofinite_sup_attained_at_smallest_prime(self):
         primes = PrimeSet.all_except(2)
         delta = AdelePoint(0, -1, {}, primes)
-        assert ambient_abs(delta) == Fraction(1, 3)
+        assert torus_distance(delta, zero_point(primes)) == Fraction(1, 3)
 
     def test_cofinite_override_prime_can_dominate(self):
         primes = PrimeSet.all_primes()
-        x = AdelePoint(0, 0, {2: Fraction(1, 4)}, primes)
-        # |1/4|_2 / 2 = 2
-        assert ambient_abs(x) == 2
+        zero = zero_point(primes)
+        # the default 2 alone: max(|2|_2 / 2, 1/3) = 1/3, at the tail prime 3
+        assert torus_distance(AdelePoint(0, 2, {}, primes), zero) == Fraction(1, 3)
+        # the override 1 at 2 has term |1|_2 / 2 = 1/2, above that tail
+        assert torus_distance(AdelePoint(0, 2, {2: 1}, primes), zero) == Fraction(1, 2)
 
     def test_cofinite_tail_walk_matches_factoring_oracle(self):
-        """The norm's walk over the primes dividing the default, against full factoring.
+        """The distance's walk over the primes dividing the default, against full factoring.
 
         Defaults have 7-10 digits; a third are multiples of 2*3*5*7*11 and a
         third of 2*3*...*23, so the walk passes many primes before the first
@@ -316,32 +346,58 @@ class TestAmbientMetric:
                     pair.append(AdelePoint(inf, rng.choice((-1, 1)) * default, overrides, spec))
                 x, y = pair
                 deep += point_difference(x, y).default_value.numerator % 2310 == 0
-                for point in (x, point_difference(x, y)):
-                    if ambient_abs(point) != reference_ambient_abs(point):
-                        mismatches.append(("ambient_abs", str(point)))
                 if torus_distance(x, y) != reference_torus_distance(x, y):
-                    mismatches.append(("torus_distance", str(x), str(y)))
+                    mismatches.append((str(x), str(y)))
         assert mismatches == []
         assert deep >= 40
 
 
 class TestIntegerKernel:
-    """The integer-pair norm and distance against the padic_abs / trial-division oracles."""
+    """The integer-pair distance against the padic_abs / trial-division oracles."""
 
-    def test_ambient_abs_on_unreduced_points(self):
+    def test_kernel_reads_only_denominators_prime_to_the_place(self, monkeypatch, capsys):
+        """`_raw_abs` takes the difference of two reduced points, or that difference
+        shifted by +-1, so at every place it reads the denominator is prime to p:
+        the listed primes of a finite set, the keys of `coords`, and on a cofinite
+        set the tail primes up to the walk's stop.  Seeded unreduced draws run
+        through `torus_distance`, `gap_report` and `lattice-check`."""
+        reads = Counter()
+        raw_abs = adele._raw_abs
+
+        def spy(inf, default, coords, primes):
+            if primes.finite:
+                places = [("listed", p, coords.get(p, default)) for p in primes.listed]
+            else:
+                places = [("coords key", p, pair) for p, pair in coords.items()]
+                avoid = set(coords)
+                while default[0]:
+                    p = primes.smallest_outside(avoid)
+                    places.append(("tail", p, default))
+                    if default[0] % p:
+                        break
+                    avoid.add(p)
+            for kind, p, (_, den) in places:
+                assert den % p, (kind, p, inf, default, coords, str(primes))
+                reads[kind, den > 1] += 1
+            return raw_abs(inf, default, coords, primes)
+
+        monkeypatch.setattr(adele, "_raw_abs", spy)
         rng = random.Random(20261019)
-        seen = Counter()
-        for i in range(700):
+        for i in range(210):
             primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
             x = unreduced_point(rng, primes, 30)
-            assert ambient_abs(x) == reference_ambient_abs(x), str(x)
-            values = list(x.overrides.values())
-            seen["finite, a coordinate not p-integral"] += primes.finite and any(
-                v.denominator % p == 0 for p, v in x.overrides.items())
-            seen["override 0"] += Fraction(0) in values
-            seen["override = default"] += x.default_value in values
-            seen["cofinite, nonzero default"] += not primes.finite and x.default_value != 0
-        assert min(seen.values()) >= 20, seen
+            y = unreduced_point(rng, primes, 30)
+            torus_distance(x, y)
+            N = rng.randint(2, 20)
+            try:
+                gap_report(x, N)
+            except DegenerateOrbitError:
+                pass
+            if i % 3 == 0:
+                argv = ["lattice-check", "--primes", str(primes), "--alpha", str(y), "--N", str(N)]
+                assert main(argv) in (0, 1), str(y)  # 1: a degenerate orbit of y
+        capsys.readouterr()
+        assert len(reads) == 6 and min(reads.values()) >= 20, reads
 
     def test_torus_distance_on_unreduced_pairs(self):
         rng = random.Random(20261020)
@@ -350,8 +406,6 @@ class TestIntegerKernel:
             x = unreduced_point(rng, primes, 30)
             y = unreduced_point(rng, primes, 30)
             assert torus_distance(x, y) == reference_torus_distance(x, y), (str(x), str(y))
-            difference = point_difference(x, y)
-            assert ambient_abs(difference) == reference_ambient_abs(difference), (str(x), str(y))
 
     def test_distance_takes_at_most_one_shifted_norm(self, monkeypatch):
         """On reduced points only the shift by sign(D_inf) can beat |D|, and only when
@@ -369,7 +423,7 @@ class TestIntegerKernel:
             distance = torus_distance(x, y)
             norms_per_distance[len(calls)] += 1
             assert distance == reference_torus_distance(x, y), (str(x), str(y))
-            shift_wins += distance < ambient_abs(point_difference(reduce(x)[0], reduce(y)[0]))
+            shift_wins += distance < reference_ambient_abs(point_difference(reduce(x)[0], reduce(y)[0]))
         assert set(norms_per_distance) == {1, 2}, norms_per_distance
         assert min(norms_per_distance.values()) >= 20, norms_per_distance
         assert shift_wins >= 5
@@ -398,6 +452,20 @@ class TestReduce:
         assert point.default_value == Fraction(1, 2)
         # xbar = x - gamma exactly, coordinate by coordinate
         assert point == add_diagonal(x, -gamma)
+
+    def test_validates_its_result_once(self, monkeypatch):
+        """`add_diagonal` checks only gamma, so one reduce runs the point
+        validation once: in the constructor of the TorusPoint it returns."""
+        rng = random.Random(20261107)
+        points = [unreduced_point(rng, ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)], 30)
+                  for i in range(70)]
+        counts = Counter()
+        monkeypatch.setattr(AdelePoint, "__post_init__",
+                            counting(counts, "__post_init__", AdelePoint.__post_init__))
+        for x in points:
+            counts.clear()
+            reduce(x)
+            assert counts["__post_init__"] == 1, str(x)
 
     def test_reduction_is_exact_translate(self, rng):
         for _ in range(50):
@@ -545,6 +613,8 @@ class TestMetricProperties:
 
 
 def test_diagonal_point_norm():
-    assert ambient_abs(add_diagonal(zero_point(P2), 1)) == 1
-    assert ambient_abs(add_diagonal(zero_point(P2), Fraction(1, 2))) == 2
-    assert ambient_abs(add_diagonal(zero_point(PrimeSet.all_primes()), Fraction(1, 3))) == 1
+    """add_diagonal puts gamma at every coordinate, with the primes of its
+    denominator among the overrides, where the reference norm reads them."""
+    assert reference_ambient_abs(add_diagonal(zero_point(P2), 1)) == 1
+    assert reference_ambient_abs(add_diagonal(zero_point(P2), Fraction(1, 2))) == 2
+    assert reference_ambient_abs(add_diagonal(zero_point(PrimeSet.all_primes()), Fraction(1, 3))) == 1

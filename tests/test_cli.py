@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -12,17 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from adelic_gaps import PrimeSet, build_F2, reproduce_all
+from adelic_gaps import PrimeSet, build_F2, gap_report, reproduce_all
 from adelic_gaps import cli
 from adelic_gaps.cli import (
     CliError,
-    SweepConfig,
     build_parser,
     main,
     parse_alpha,
     parse_primes,
     parse_rational,
-    run_sweep,
+    random_instance,
 )
 
 from conftest import within_seconds
@@ -140,8 +140,10 @@ class TestVerifyCommand:
         assert first == second
 
     def test_failure_ends_with_replay_line(self, capsys, monkeypatch):
-        config = SweepConfig(7, 1, 20, 30, parse_primes("all-except:2"))
-        _, alpha, N, _ = next(run_sweep(config))
+        # sample 0 is the first draw of seed 7 at the defaults --max-N 20 and
+        # --max-height 30; gap_report raises here if that draw were degenerate
+        alpha, N = random_instance(random.Random(7), parse_primes("all-except:2"), 20, 30)
+        gap_report(alpha, N)
         real_gap_report = cli.gap_report
         monkeypatch.setattr(
             cli, "gap_report", lambda a, n: dataclasses.replace(real_gap_report(a, n), gap_count=4)
@@ -156,18 +158,19 @@ class TestVerifyCommand:
         assert args.N == N
         assert parse_alpha(args.alpha, parse_primes(args.primes)) == alpha
 
-    def test_config_validation(self):
-        with pytest.raises(CliError):
-            SweepConfig(0, 0, 10, 10, PrimeSet.of(2))
-        with pytest.raises(CliError):
-            SweepConfig(0, 10, 1, 10, PrimeSet.of(2))
-        with pytest.raises(CliError):
-            SweepConfig(0, 10, 10, 1, PrimeSet.of(2))
-
-    def test_run_sweep_reports_in_sample_order(self):
-        config = SweepConfig(3, 10, 8, 15, PrimeSet.of(2, 3))
-        indices = [i for i, *_ in run_sweep(config)]
-        assert indices == list(range(10))
+    def test_config_validation(self, capsys):
+        """Each bad sweep size exits 1 with its message and nothing on stdout;
+        the prime set is parsed first."""
+        for flags, message in (
+            (["--primes", "2", "--samples", "0"], "samples must be >= 1"),
+            (["--primes", "2", "--max-N", "1"], "max-N must be >= 2"),
+            (["--primes", "2", "--max-height", "1"], "max-height must be >= 2"),
+            (["--primes", "4", "--samples", "0"], "cannot parse prime set '4'"),
+        ):
+            assert main(["verify", *flags]) == 1, flags
+            out, err = capsys.readouterr()
+            assert out == "", flags
+            assert err.startswith(f"error: {message}"), (flags, err)
 
 
 class TestPaperCommand:

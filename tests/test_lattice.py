@@ -22,15 +22,22 @@ from adelic_gaps import (
     zero_point,
 )
 from adelic_gaps import adele, lattice, torus_gaps
-from adelic_gaps.adele import ambient_abs
 from adelic_gaps.cli import main
 
-from conftest import ORACLE_PRIMESETS, random_point, random_primeset, real_bound_draws, unreduced_point
+from conftest import (
+    ORACLE_PRIMESETS,
+    counting,
+    random_point,
+    random_primeset,
+    real_bound_draws,
+    unreduced_point,
+)
 from oracles import (
     gamma_elements,
     multiple,
     prefix_minima_and_drops,
     real_bound,
+    reference_ambient_abs,
     reference_torus_distance,
     windowed_F,
 )
@@ -64,10 +71,8 @@ class TestMinPositiveDiagonalDistance:
                 if gamma == Fraction(1, 2) and 2 not in primes:
                     continue
                 x = add_diagonal(zero_point(primes), gamma)
-                searched = min(
-                    d for d in (ambient_abs(add_diagonal(x, -g)) for g in gamma_elements(primes, 16))
-                    if d > 0
-                )
+                norms = (reference_ambient_abs(add_diagonal(x, -g)) for g in gamma_elements(primes, 16))
+                searched = min(d for d in norms if d > 0)
                 assert min_positive_diagonal_distance(x) == searched
 
 
@@ -172,11 +177,11 @@ class TestVMinTable:
     def test_lattice_check_computes_each_v_min_once(self, monkeypatch, capsys):
         calls = []
 
-        def counting(x):
+        def recording(x):
             calls.append(x)
             return min_positive_diagonal_distance(x)
 
-        monkeypatch.setattr(lattice, "min_positive_diagonal_distance", counting)
+        monkeypatch.setattr(lattice, "min_positive_diagonal_distance", recording)
         # start empty: this module's F1_ALPHA is alive and its table is warm
         tables = weakref.WeakKeyDictionary()
         monkeypatch.setattr(lattice, "_V_MIN_TABLES", tables)
@@ -192,8 +197,7 @@ class TestVMinTable:
         assert capsys.readouterr().out.count("52/52 match") == 2
 
     @pytest.mark.parametrize("instance", ["F1", "cofinite", "fixed-cofinite"])
-    def test_lattice_check_makes_at_most_n_plus_1_v_min_calls(self, instance, rng,
-                                                              monkeypatch, capsys):
+    def test_lattice_check_v_min_calls_match_real_bound(self, instance, rng, monkeypatch, capsys):
         # every F_value reads the prefix minimum of the table, so each |k| <= N
         # is computed at most once, when the table first grows past it; the
         # table starts from M[0] = v_min(0) = 1, so k = 0 is never computed
@@ -209,11 +213,11 @@ class TestVMinTable:
         calls = []
         v_min = RotationMatrixSpec.v_min
 
-        def counting(spec, k):
+        def recording(spec, k):
             calls.append(k)
             return v_min(spec, k)
 
-        monkeypatch.setattr(RotationMatrixSpec, "v_min", counting)
+        monkeypatch.setattr(RotationMatrixSpec, "v_min", recording)
         monkeypatch.setattr(lattice, "_V_MIN_TABLES", weakref.WeakKeyDictionary())
         argv = ["lattice-check", "--primes", str(primes), "--alpha", str(alpha), "--N", str(N)]
         assert main(argv) == 0
@@ -231,18 +235,11 @@ class TestVMinTable:
         """One lattice-check reduces alpha in `orbit` and once for its v_min table,
         and builds no validated point per v_min(k)."""
         counts = Counter()
-
-        def counting(name, fn):
-            def wrapper(*args):
-                counts[name] += 1
-                return fn(*args)
-            return wrapper
-
-        counted_reduce = counting("reduce", adele.reduce)
+        counted_reduce = counting(counts, "reduce", adele.reduce)
         for module in (adele, torus_gaps, lattice):
             monkeypatch.setattr(module, "reduce", counted_reduce)
         monkeypatch.setattr(AdelePoint, "__post_init__",
-                            counting("__post_init__", AdelePoint.__post_init__))
+                            counting(counts, "__post_init__", AdelePoint.__post_init__))
         monkeypatch.setattr(lattice, "_V_MIN_TABLES", weakref.WeakKeyDictionary())
         cofinite = AdelePoint(Fraction(-7, 3), 10, {2: Fraction(1, 4), 3: 5}, PrimeSet.all_primes())
         for alpha in (F1_ALPHA, F2_ALPHA, cofinite):
@@ -282,11 +279,11 @@ class TestDropCounts:
         calls = []
         F = lattice.F_value
 
-        def counting(spec, t):
+        def recording(spec, t):
             calls.append(t)
             return F(spec, t)
 
-        monkeypatch.setattr(lattice, "F_value", counting)
+        monkeypatch.setattr(lattice, "F_value", recording)
         for N in (2, 9, 60, 2000):
             calls.clear()
             argv = ["lattice-check", "--primes", str(alpha.primes), "--alpha", str(alpha),

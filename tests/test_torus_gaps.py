@@ -19,7 +19,14 @@ from adelic_gaps import (
     zero_point,
 )
 
-from conftest import ORACLE_PRIMESETS, random_point, random_primeset, real_bound_draws, unreduced_point
+from conftest import (
+    ORACLE_PRIMESETS,
+    counting,
+    random_point,
+    random_primeset,
+    real_bound_draws,
+    unreduced_point,
+)
 from oracles import (
     least_positive_prefix,
     multiple,
@@ -34,14 +41,6 @@ P3 = PrimeSet.of(3)
 F1_ALPHA = AdelePoint(Fraction(351, 100), 0, {2: 1}, P2)
 F2_ALPHA = AdelePoint(Fraction(16, 5), 0, {3: 1}, P3)
 COFINITE_ALPHA = AdelePoint(Fraction(-7, 3), 10, {2: Fraction(1, 4), 3: 5}, PrimeSet.all_primes())
-
-
-def counting(counts: Counter, name: str, fn):
-    """`fn`, counting its calls in counts[name]."""
-    def wrapper(*args):
-        counts[name] += 1
-        return fn(*args)
-    return wrapper
 
 
 class TestOrbit:
@@ -197,20 +196,13 @@ class TestGapReport:
                     real_bound(alpha, k) < least[k - 2] for k in range(2, N)
                 )
         counts = Counter()
-
-        def counting(name, fn):
-            def wrapper(*args):
-                counts[name] += 1
-                return fn(*args)
-            return wrapper
-
-        counted_reduce = counting("reduce", adele.reduce)
+        counted_reduce = counting(counts, "reduce", adele.reduce)
         for module in (adele, torus_gaps):
             monkeypatch.setattr(module, "reduce", counted_reduce)
         monkeypatch.setattr(torus_gaps, "_reduced_distance",
-                            counting("_reduced_distance", torus_gaps._reduced_distance))
+                            counting(counts, "_reduced_distance", torus_gaps._reduced_distance))
         monkeypatch.setattr(AdelePoint, "__post_init__",
-                            counting("__post_init__", AdelePoint.__post_init__))
+                            counting(counts, "__post_init__", AdelePoint.__post_init__))
         for alpha in (F1_ALPHA, F2_ALPHA, cofinite):
             constructions = set()
             for N in (2, 9, 60):
