@@ -21,15 +21,9 @@ from .lattice import (
 )
 from .paper_examples import (
     ExampleInstance,
-    build_F1,
-    build_F2,
-    build_F3,
-    build_I1,
-    build_I2,
-    build_I3,
-    build_I4,
     default_instances,
     reproduce_all,
+    sharp_instance,
 )
 from .torus_gaps import (
     DegenerateOrbitError,
@@ -43,13 +37,6 @@ __all__ = [
     "PrimeSet",
     "TorusPoint",
     "add_diagonal",
-    "build_F1",
-    "build_F2",
-    "build_F3",
-    "build_I1",
-    "build_I2",
-    "build_I3",
-    "build_I4",
     "default_instances",
     "delta_via_lattice",
     "DegenerateOrbitError",
@@ -67,6 +54,7 @@ __all__ = [
     "RotationMatrixSpec",
     "scan_G",
     "ScanResult",
+    "sharp_instance",
     "torus_distance",
     "valuation",
     "zero_point",

@@ -263,7 +263,9 @@ def _require_same_primes(x: AdelePoint, y: AdelePoint) -> None:
 def add_diagonal(x: AdelePoint, gamma) -> AdelePoint:
     """Add the diagonal embedding of gamma in Gamma_P to every coordinate.
 
-    The one check is that gamma lies in Gamma_P.  Only the part of gamma's
+    The one check is that gamma lies in Gamma_P.  On a finite set it divides
+    the listed primes out of gamma's denominator, and anything left rejects
+    gamma; nothing is factored.  On a cofinite set only the part of the
     denominator prime to x's override keys is factored; for the shifts
     `reduce` builds that part is 1, however large the override primes are.
     The sum is built without re-validation: x is valid, and every prime of
@@ -271,14 +273,20 @@ def add_diagonal(x: AdelePoint, gamma) -> AdelePoint:
     """
     gamma = Fraction(gamma)
     den = gamma.denominator
-    for p in x.overrides:
-        while den % p == 0:
-            den //= p
     keys = set(x.overrides)
-    for p in _prime_factors(den):
-        if p not in x.primes:
-            raise ValueError(f"{gamma} is not in Gamma_P: denominator prime {p} outside the set")
-        keys.add(p)
+    for p in x.primes.listed if x.primes.finite else x.overrides:
+        if den % p == 0:
+            keys.add(p)
+            while den % p == 0:
+                den //= p
+    if x.primes.finite:
+        if den != 1:
+            raise ValueError(f"{gamma} is not in Gamma_P: a denominator prime is outside the set")
+    else:
+        for p in _prime_factors(den):
+            if p not in x.primes:
+                raise ValueError(f"{gamma} is not in Gamma_P: denominator prime {p} outside the set")
+            keys.add(p)
     return AdelePoint._trusted(
         x.at_infinity + gamma,
         x.default_value + gamma,

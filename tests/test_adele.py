@@ -286,6 +286,16 @@ class TestAddDiagonal:
             assert _prime_factors(8 * p) == (2, p)
         assert _prime_factors(10**30) == (2, 5)
 
+    def test_finite_set_rejects_a_large_denominator_without_factoring(self):
+        # the denominator is a product of two 12-digit primes, which trial
+        # division would take minutes to split; dividing out P = {2} leaves it whole
+        gamma = Fraction(1, (10**11 + 3) * (10**11 + 19))
+        with within_seconds(2), pytest.raises(ValueError, match="not in Gamma_P"):
+            add_diagonal(AdelePoint(Fraction(1, 3), 0, {}, P2), gamma)
+        with within_seconds(2):
+            point = add_diagonal(zero_point(P2), Fraction(1, 2**200))
+        assert point.coordinate(2) == Fraction(1, 2**200)
+
 
 class TestAmbientMetric:
     """The max metric at reduced points x, read as torus_distance(x, zero):

@@ -13,13 +13,6 @@ PUBLIC_NAMES = {
     "ScanResult",
     "TorusPoint",
     "add_diagonal",
-    "build_F1",
-    "build_F2",
-    "build_F3",
-    "build_I1",
-    "build_I2",
-    "build_I3",
-    "build_I4",
     "default_instances",
     "delta_via_lattice",
     "gap_report",
@@ -30,6 +23,7 @@ PUBLIC_NAMES = {
     "reduce",
     "reproduce_all",
     "scan_G",
+    "sharp_instance",
     "torus_distance",
     "valuation",
     "zero_point",
@@ -45,6 +39,8 @@ def test_all_names_resolve_once():
 
 def test_public_names_are_pinned():
     assert set(adelic_gaps.__all__) == PUBLIC_NAMES
+    # sharp_instance(P) picks the family from P; no per-family builder is left
+    assert not [name for name in dir(adelic_gaps) if name.startswith("build_")]
 
 
 def test_pointwise_arithmetic_lives_with_the_tests():

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from adelic_gaps import PrimeSet, build_F2, gap_report, reproduce_all
-from adelic_gaps import cli
+from adelic_gaps import PrimeSet, gap_report, sharp_instance
+from adelic_gaps import cli, paper_examples
 from adelic_gaps.cli import (
     CliError,
     build_parser,
@@ -189,7 +189,8 @@ class TestPaperCommand:
         assert out.splitlines()[0] == "label,quantity,expected,computed,ok"
 
     def test_json_and_csv_serialization(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "reproduce_all", lambda: reproduce_all([build_F2()]))
+        monkeypatch.setattr(paper_examples, "default_instances",
+                            lambda: [sharp_instance(PrimeSet.of(3))])
         assert main(["paper", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_pass"] is True

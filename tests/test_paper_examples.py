@@ -1,27 +1,26 @@
+import dataclasses
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from adelic_gaps import (
     AdelePoint,
     PrimeSet,
-    build_F1,
-    build_F2,
-    build_F3,
-    build_I1,
-    build_I2,
-    build_I3,
-    build_I4,
     default_instances,
     gap_report,
     reproduce_all,
+    sharp_instance,
 )
 from adelic_gaps.paper_examples import reproduce_instance
+
+from oracles import pairwise_deltas
 
 
 class TestBuilders:
     def test_f1_fields(self):
-        inst = build_F1()
+        inst = sharp_instance(PrimeSet.of(2))
+        assert inst.label == "F1"
         assert inst.N == 52
         assert dict(inst.expected) == {
             1: Fraction(1, 100),
@@ -32,17 +31,20 @@ class TestBuilders:
         assert [(r.expected, r.computed) for r in g_rows] == [("3", "3")]
 
     def test_f2_fields(self):
-        inst = build_F2()
+        inst = sharp_instance(PrimeSet.of(3))
+        assert inst.label == "F2"
         assert dict(inst.expected) == {1: Fraction(1, 5), 2: Fraction(3, 5), 3: Fraction(4, 5)}
 
     def test_f3_single_prime(self):
-        inst = build_F3(PrimeSet.of(5))
+        inst = sharp_instance(PrimeSet.of(5))
+        assert inst.label == "F3[5]"
         assert inst.N == 6
         assert inst.alpha.at_infinity == Fraction(1, 20)
         assert dict(inst.expected) == {1: Fraction(1, 4), 2: Fraction(4, 5), 3: Fraction(1)}
 
     def test_f3_two_primes(self):
-        inst = build_F3(PrimeSet.of(2, 3))
+        inst = sharp_instance(PrimeSet.of(2, 3))
+        assert inst.label == "F3[2,3]"
         assert inst.N == 7
         assert dict(inst.expected) == {
             1: Fraction(1, 2),
@@ -50,61 +52,35 @@ class TestBuilders:
             3: Fraction(1),
         }
 
-    def test_f3_rejects_small_product(self):
-        with pytest.raises(ValueError, match=">= 5"):
-            build_F3(PrimeSet.of(2))
-        with pytest.raises(ValueError, match=">= 5"):
-            build_F3(PrimeSet.of(3))
-
-    def test_f3_rejects_cofinite(self):
-        with pytest.raises(ValueError, match="finite"):
-            build_F3(PrimeSet.all_primes())
-
     def test_i1_variants(self):
-        with_five = build_I1(five_in_set=True)
-        without_five = build_I1(five_in_set=False)
-        assert dict(with_five.expected)[1] == Fraction(1, 5)
-        assert dict(without_five.expected)[1] == Fraction(1, 9)
-        assert 7 not in without_five.primes
-
-    def test_i1_rejects_wrong_smallest_prime(self):
-        with pytest.raises(ValueError, match="smallest prime 3"):
-            build_I1(primes=PrimeSet.all_primes())
-
-    def test_i1_rejects_variant_mismatch(self):
-        with pytest.raises(ValueError, match="5-membership"):
-            build_I1(five_in_set=False, primes=PrimeSet.all_except(2))
-        with pytest.raises(ValueError, match="7 outside"):
-            build_I1(five_in_set=False, primes=PrimeSet.all_except(2, 5))
-
-    def test_i2_requires_two_and_three(self):
-        with pytest.raises(ValueError, match="2 and 3"):
-            build_I2(primes=PrimeSet.all_except(2))
+        # delta_1 = max(1/9, 1/r), r the smallest prime of P other than 3
+        for excluded, label, delta1 in (
+            ((2,), "I1[5 in P]", Fraction(1, 5)),
+            ((2, 5, 7), "I1[5 not in P]", Fraction(1, 9)),
+            ((2, 5), "I1[5 not in P]", Fraction(1, 7)),
+        ):
+            inst = sharp_instance(PrimeSet.all_except(*excluded))
+            assert inst.label == label
+            assert dict(inst.expected)[1] == delta1, label
 
     def test_i3_hypotheses(self):
-        with pytest.raises(ValueError, match="3 outside"):
-            build_I3(primes=PrimeSet.all_primes())
-        with pytest.raises(ValueError, match="2 in"):
-            build_I3(primes=PrimeSet.all_except(2, 3))
-        inst = build_I3(five_in_set=True)
-        assert inst.alpha.coordinate(5) == 3
-        inst = build_I3(five_in_set=False)
-        assert 5 not in inst.alpha.overrides
+        with_five = sharp_instance(PrimeSet.all_except(3))
+        without_five = sharp_instance(PrimeSet.all_except(3, 5))
+        assert (with_five.label, without_five.label) == ("I3[5 in P]", "I3[5 not in P]")
+        assert with_five.alpha.coordinate(5) == 3
+        assert 5 not in without_five.alpha.overrides
+        deltas = ((1, Fraction(1, 7)), (2, Fraction(1, 4)), (4, Fraction(16, 49)))
+        assert with_five.expected == without_five.expected == deltas
 
     def test_i4_q5(self):
-        inst = build_I4(5)
+        inst = sharp_instance(PrimeSet.all_except(2, 3))
+        assert inst.label == "I4[q=5]"
         assert inst.N == 5
         assert dict(inst.expected) == {
             1: Fraction(1, 7),
             2: Fraction(1, 5),
             3: Fraction(4, 15),
         }
-
-    def test_i4_rejects_small_q(self):
-        with pytest.raises(ValueError, match="q >= 5"):
-            build_I4(3)
-        with pytest.raises(ValueError, match="q >= 5"):
-            build_I4(7, primes=PrimeSet.all_except(2, 3))  # smallest is 5, not 7
 
     def test_all_instances_achieve_three_gaps(self):
         for inst in default_instances():
@@ -121,13 +97,9 @@ class TestReproduction:
         assert {"I1[5 in P]", "I1[5 not in P]", "I3[5 in P]", "I3[5 not in P]"} <= labels
 
     def test_perturbed_alpha_fails_loudly(self):
-        inst = build_F2()
-        perturbed = inst.__class__(
-            inst.label,
-            inst.primes,
-            AdelePoint(Fraction(17, 5), 0, {3: 1}, inst.primes),
-            inst.N,
-            inst.expected,
+        inst = sharp_instance(PrimeSet.of(3))
+        perturbed = dataclasses.replace(
+            inst, alpha=AdelePoint(Fraction(17, 5), 0, {3: 1}, inst.alpha.primes)
         )
         rows = reproduce_instance(perturbed)
         assert any(not r.ok for r in rows)
@@ -135,40 +107,36 @@ class TestReproduction:
     def test_closed_form_families_across_prime_sets(self):
         # F3 and I4 expected values are generated from formulas; confirm the
         # engine agrees on several instantiations of each
-        f3_sets = [PrimeSet.of(*listed) for listed in ((5,), (7,), (2, 3), (2, 5), (3, 5))]
-        for primes in f3_sets:
-            inst = build_F3(primes)
-            report = gap_report(inst.alpha, inst.N)
-            for n, expected in inst.expected:
-                assert report.deltas[n - 1] == expected, inst.label
-        for q, primes in (
-            (5, None),
-            (7, None),
-            (11, None),
-            (5, PrimeSet.all_except(2, 3, 7)),
-            (7, PrimeSet.all_except(2, 3, 5, 13)),
+        for primes in (
+            *(PrimeSet.of(*listed) for listed in ((5,), (7,), (2, 3), (2, 5), (3, 5))),
+            PrimeSet.all_except(2, 3),
+            PrimeSet.all_except(2, 3, 5),
+            PrimeSet.all_except(2, 3, 5, 7),
+            PrimeSet.all_except(2, 3, 7),
+            PrimeSet.all_except(2, 3, 5, 13),
         ):
-            inst = build_I4(q, primes=primes)
+            inst = sharp_instance(primes)
             report = gap_report(inst.alpha, inst.N)
             for n, expected in inst.expected:
                 assert report.deltas[n - 1] == expected, inst.label
 
 
-@pytest.mark.parametrize("build, kwargs, excluded", [
-    (build_I1, {"five_in_set": True}, (2, 11)),
-    (build_I1, {"five_in_set": False}, (2, 5, 7, 11)),
-    (build_I2, {}, (5, 7)),
-    (build_I3, {"five_in_set": True}, (3, 7)),
-    (build_I3, {"five_in_set": False}, (3, 5, 11)),
-    (build_I4, {"q": 5}, (2, 3, 7)),
-    (build_I4, {"q": 7}, (2, 3, 5, 11)),
-    (build_I4, {"q": 11}, None),
-])
-def test_cofinite_families_on_other_prime_sets(build, kwargs, excluded):
-    """Each cofinite family is sharp on prime sets beyond those of
-    `default_instances`: every pinned delta_n reproduces, and g_N = 3."""
-    primes = None if excluded is None else PrimeSet.all_except(*excluded)
-    inst = build(primes=primes, **kwargs)
+SMALL_SETS = [
+    *(PrimeSet.of(*listed) for k in range(1, 6) for listed in combinations((2, 3, 5, 7, 11), k)),
+    *(PrimeSet.all_except(*excluded)
+      for k in range(7) for excluded in combinations((2, 3, 5, 7, 11, 13), k)),
+]
+
+
+@pytest.mark.parametrize("primes", SMALL_SETS, ids=str)
+def test_sharp_instance_on_small_prime_sets(primes):
+    """Every finite P within {2, 3, 5, 7, 11} and every cofinite P whose
+    exclusions lie within {2, 3, 5, 7, 11, 13} has a sharp instance: every
+    pinned delta_n reproduces, g_N = 3, and where N <= 60 every delta_n
+    matches the pairwise distance matrix."""
+    inst = sharp_instance(primes)
     rows = reproduce_instance(inst)
     assert all(r.ok for r in rows), [r for r in rows if not r.ok]
     assert [r.computed for r in rows if r.quantity == "g_N"] == ["3"]
+    if inst.N <= 60:
+        assert gap_report(inst.alpha, inst.N).deltas == pairwise_deltas(inst.alpha, inst.N)
