@@ -305,12 +305,14 @@ def _raw_abs(inf: Pair, default: Pair, coords: Mapping[int, Pair], primes: Prime
 
     `inf` is the coordinate at the real place, `coords` the explicit prime
     coordinates and `default` the coordinate at every other prime of the set.
-    Precondition: the input is the difference of two reduced points, or that
-    difference shifted by +-1, as `_reduced_distance` builds it, so every
-    denominator is prime to each place p where it is read.  The term of a/b
-    at p is then the unit fraction |a|_p = 1/p^v_p(a), from the numerator
-    alone, and it beats the best term so far when best_den > best_num * p^v;
-    no Fraction is built here: the caller makes one from the pair it keeps.
+    Precondition: the input is the difference of two reduced points, as
+    `_reduced_distance` builds it, or a reduced multiple k*xbar less 0, as
+    `_multiple_distance` builds it unnormalised, or either shifted by +-1 in
+    `_shifted_min`, so every denominator is prime to each place p where it is
+    read.  The term of a/b at p is then the unit fraction |a|_p = 1/p^v_p(a),
+    from the numerator alone, and it beats the best term so far when
+    best_den > best_num * p^v; no Fraction is built here: the caller makes
+    one from the pair it keeps, if it needs one.
 
     On a cofinite set the term at p is |x_p|_p / p = 1/p^(v_p(a) + 1).
     Walking the set's primes outside `coords` upward, each p that divides the
@@ -384,8 +386,10 @@ def torus_distance(x: AdelePoint, y: AdelePoint) -> Fraction:
     first, which is the precondition of `_reduced_distance`: there the minimum
     over Gamma_P is attained at the shift 0 or sign of the real difference.
     A `TorusPoint` already lies in the domain, validated by its constructor or
-    built there by `reduce`, `zero_point` or `TorusPoint._multiple` (the orbit
-    points and the lattice path), so it is used as it is.
+    built there by `reduce`, `zero_point` or `TorusPoint._multiple` (the points
+    `orbit` returns and the lattice path), so it is used as it is.  The
+    `gap_report` walk does not come here: it takes D[k] = d(k*xbar, 0) from
+    xbar's integers, by `_multiple_distance`.
     """
     _require_same_primes(x, y)
     xbar = x if isinstance(x, TorusPoint) else reduce(x)[0]
@@ -397,19 +401,41 @@ def _pair_difference(x: Fraction, y: Fraction) -> Pair:
     return x.numerator * y.denominator - y.numerator * x.denominator, x.denominator * y.denominator
 
 
+def _shifted_min(inf: Pair, default: Pair, coords: dict[int, Pair], primes: PrimeSet) -> Pair:
+    """min over g in Gamma_P of |D - g|, as a pair, for the difference D of two
+    reduced points given as raw pairs, as `_raw_abs` takes them.
+
+    |D_inf| < 1 and every prime term of D is at most 1 (1/2 on a cofinite
+    set), so |D| <= 1 and only g in {-1, 0, 1} can do better.  The shift by
+    -sign(D_inf) has real term 1 + |D_inf| >= 1, so it never wins;
+    s = sign(D_inf) has real term 1 - |D_inf|, so it is tried only when that
+    is below |D|.  D shifted by s keeps every denominator, so it still meets
+    the precondition of `_raw_abs`.
+    """
+    best_num, best_den = _raw_abs(inf, default, coords, primes)
+    a, b = inf
+    if (b - abs(a)) * best_den < best_num * b:  # never when D_inf = 0 or |D| = 0
+        s = 1 if a > 0 else -1
+        num, den = _raw_abs(
+            (a - s * b, b),
+            (default[0] - s * default[1], default[1]),
+            {p: (c - s * d, d) for p, (c, d) in coords.items()},
+            primes,
+        )
+        if num * best_den < best_num * den:
+            return num, den
+    return best_num, best_den
+
+
 def _reduced_distance(xbar: AdelePoint, ybar: AdelePoint) -> Fraction:
     """min over g in Gamma_P of |xbar - ybar - g|, for points in the fundamental domain.
 
     The inputs must be reduced, and nothing here checks it: `torus_distance`
     reduces whatever is not a `TorusPoint`, and every `TorusPoint` is valid.
-    Then each denominator of the difference D and of its shifts is prime to
-    every p where `_raw_abs` reads it, the kernel's precondition.  Also
-    |D_inf| < 1 and every prime term of D is at most 1 (1/2 on a cofinite
-    set), so |D| <= 1 and only g in {-1, 0, 1} can do better.  The shift by -sign(D_inf) has real term
-    1 + |D_inf| >= 1, so it never wins; s = sign(D_inf) has real term
-    1 - |D_inf|, so it is tried only when that is below |D|.  The difference
-    and its shift are integer pairs (see `_raw_abs`), so the one Fraction
-    built is the minimum.
+    Then each denominator of the difference D and of its shift is prime to
+    every p where `_raw_abs` reads it, the kernel's precondition.  D is built
+    as integer pairs, `_shifted_min` takes the minimum over the candidate
+    shifts, and the one Fraction built is that minimum.
 
     Each of the two candidate norms is a max that includes its real term,
     |D_inf| or 1 - |D_inf|, so the distance is at least
@@ -418,22 +444,33 @@ def _reduced_distance(xbar: AdelePoint, ybar: AdelePoint) -> Fraction:
     bound, every k whose distance to 0 cannot set a new minimum.
     """
     x_default, y_default = xbar.default_value, ybar.default_value
-    inf = _pair_difference(xbar.at_infinity, ybar.at_infinity)
-    default = _pair_difference(x_default, y_default)
     coords = {
         p: _pair_difference(xbar.overrides.get(p, x_default), ybar.overrides.get(p, y_default))
         for p in {*xbar.overrides, *ybar.overrides}
     }
-    best_num, best_den = _raw_abs(inf, default, coords, xbar.primes)
-    a, b = inf
-    if (b - abs(a)) * best_den < best_num * b:  # never when D_inf = 0 or |D| = 0
-        s = 1 if a > 0 else -1
-        num, den = _raw_abs(
-            (a - s * b, b),
-            (default[0] - s * default[1], default[1]),
-            {p: (c - s * d, d) for p, (c, d) in coords.items()},
-            xbar.primes,
-        )
-        if num * best_den < best_num * den:
-            best_num, best_den = num, den
-    return Fraction(best_num, best_den)
+    return Fraction(*_shifted_min(
+        _pair_difference(xbar.at_infinity, ybar.at_infinity),
+        _pair_difference(x_default, y_default), coords, xbar.primes,
+    ))
+
+
+def _multiple_distance(xbar: TorusPoint, k: int) -> Pair:
+    """D[k] = d(k*xbar, 0) for a reduced xbar and an integer k >= 0, as a pair.
+
+    Each coordinate c/d of xbar becomes the pair (k*c - m*d, d) with
+    m = floor(k * xbar_inf): the reduced k*xbar of `TorusPoint._multiple`,
+    unnormalised, which is also its difference with 0.  Its denominators are
+    xbar's, so `_shifted_min` runs on it as it is; no point and no Fraction
+    is built.
+    """
+    inf = xbar.at_infinity
+    a, b = inf.numerator, inf.denominator
+    m = k * a // b
+    default = xbar.default_value
+    return _shifted_min(
+        (k * a - m * b, b),
+        (k * default.numerator - m * default.denominator, default.denominator),
+        {p: (k * v.numerator - m * v.denominator, v.denominator)
+         for p, v in xbar.overrides.items()},
+        xbar.primes,
+    )

@@ -7,7 +7,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adele import AdelePoint, TorusPoint, _reduced_distance, reduce, zero_point
+from .adele import AdelePoint, TorusPoint, _multiple_distance, _reduced_distance, reduce, zero_point
 
 
 class DegenerateOrbitError(ValueError):
@@ -73,17 +73,17 @@ def _deltas(alpha: AdelePoint, N: int) -> list[Fraction]:
     With a/b the real coordinate of the reduced alpha, the reduced k*alpha
     has real coordinate r/b, r = k*a mod b, and D[k] is at least
     min(r, b - r)/b (see `_reduced_distance`), so a k whose bound reaches the
-    running minimum L cannot lower it: L is kept, and neither the point k*alpha
-    nor D[k] is computed.
+    running minimum L cannot lower it: L is kept, and D[k] is not computed.
+    A D[k] that is computed, k >= 2, comes from the reduced alpha's integers
+    as a pair (`_multiple_distance`) and is compared with L by
+    cross-multiplication; a Fraction is built only when L drops.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if N == 1:
         raise DegenerateOrbitError("N = 1: a single orbit point has no nearest neighbor")
-    points = orbit(alpha, N - 1)
-    zero = zero_point(alpha.primes)
-    first = points[0]
-    low = _reduced_distance(first, zero)
+    first = orbit(alpha, N - 1)[0]
+    low = _reduced_distance(first, zero_point(alpha.primes))
     # k = 1 lies in every window, so the orbit is degenerate exactly when D[1]
     # is zero (alpha in Gamma_P)
     if low == 0:
@@ -96,12 +96,14 @@ def _deltas(alpha: AdelePoint, N: int) -> list[Fraction]:
     for k in range(2, N):
         r = k * a % b
         if min(r, b - r) * low_den < low_num * b:
-            d = _reduced_distance(points[k - 1], zero)
-            if 0 < d < low:
-                low = d
-                low_num, low_den = low.numerator, low.denominator
+            num, den = _multiple_distance(first, k)
+            if num and num * low_den < low_num * den:
+                low_num, low_den = num, den
+                low = Fraction(num, den)
         least.append(low)
-    return [least[max(n - 1, N - n) - 1] for n in range(1, N + 1)]
+    # delta_n = least[max(n-1, N-n) - 1]: radius N - n for n <= h, n - 1 after
+    h = (N + 1) // 2
+    return least[::-1][:h] + least[h - 1:]
 
 
 def gap_report(alpha: AdelePoint, N: int) -> GapReport:

@@ -76,28 +76,56 @@ class TestMinPositiveDiagonalDistance:
                 assert min_positive_diagonal_distance(x) == searched
 
 
+def v_min_draws():
+    """The seeded draws of the v_min and D[k] kernel model tests: 35
+    `unreduced_point`s over `ORACLE_PRIMESETS`, one per set moved to its prime
+    coordinates with reduced real coordinate 0."""
+    rng = random.Random(20261103)
+    for i in range(35):
+        primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
+        alpha = unreduced_point(rng, primes, 30)
+        if i % 5 == 4:
+            xbar = reduce(alpha)[0]
+            alpha = add_diagonal(AdelePoint(0, xbar.default_value, xbar.overrides, primes),
+                                 rng.randint(-30, 30))
+        yield alpha
+
+
+def count_draw(seen: Counter, alpha: AdelePoint) -> None:
+    seen["reduced alpha_inf = 0"] += reduce(alpha)[0].at_infinity == 0
+    seen["cofinite, nonzero default"] += not alpha.primes.finite and alpha.default_value != 0
+
+
 class TestVMin:
     def test_matches_reference_distance_of_each_multiple(self):
         """v_min(k), built in closed form from the reduced alpha, against the
         reduced k*alpha's distance to zero by the reference norm (1 on the lattice)."""
-        rng = random.Random(20261103)
         seen = Counter()
-        for i in range(35):
-            primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
-            alpha = unreduced_point(rng, primes, 30)
-            if i % 5 == 4:
-                # one per prime set: its prime coordinates with reduced real coordinate 0
-                xbar = reduce(alpha)[0]
-                alpha = add_diagonal(AdelePoint(0, xbar.default_value, xbar.overrides, primes),
-                                     rng.randint(-30, 30))
-                seen["reduced alpha_inf = 0"] += 1
+        for alpha in v_min_draws():
+            count_draw(seen, alpha)
             spec = RotationMatrixSpec(alpha, 1)
-            zero = zero_point(primes)
-            seen["cofinite, nonzero default"] += not primes.finite and alpha.default_value != 0
+            zero = zero_point(alpha.primes)
             for k in range(-60, 61):
                 expected = reference_torus_distance(multiple(alpha, k), zero)
                 seen["k*alpha in Gamma_P, k != 0"] += k != 0 and expected == 0
                 assert spec.v_min(k) == (expected or 1), (str(alpha), k)
+        assert min(seen.values()) >= 7, seen
+
+    def test_pair_kernel_matches_reference_distance_of_each_multiple(self):
+        """D[k] as the pair `_multiple_distance` builds from the reduced alpha's
+        integers, against the reduced k*alpha's distance to zero by the
+        reference norm, and at k = 1 against `_reduced_distance`."""
+        seen = Counter()
+        for alpha in v_min_draws():
+            count_draw(seen, alpha)
+            xbar, zero = reduce(alpha)[0], zero_point(alpha.primes)
+            assert Fraction(*adele._multiple_distance(xbar, 1)) == adele._reduced_distance(xbar, zero)
+            for k in range(61):
+                num, den = adele._multiple_distance(xbar, k)
+                expected = reference_torus_distance(multiple(alpha, k), zero)
+                assert den > 0 and Fraction(num, den) == expected, (str(alpha), k)
+                assert (num == 0) == (expected == 0), (str(alpha), k)
+                seen["k*alpha in Gamma_P, k != 0"] += k != 0 and expected == 0
         assert min(seen.values()) >= 7, seen
 
 

@@ -185,54 +185,86 @@ class TestGapReport:
 
     def test_counts_one_reduce_and_the_distances_the_real_bound_lets_through(self, monkeypatch):
         """gap_report reduces alpha once, builds no validated point per orbit point,
-        and computes D[k] at k = 1 and at each 2 <= k <= N - 1 whose real bound
-        ||k * abar_inf|| is below the least positive D[j], j < k."""
+        and computes D[k] at k = 1 (`_reduced_distance`) and, by the pair kernel,
+        at each 2 <= k <= N - 1 whose real bound ||k * abar_inf|| is below the
+        least positive D[j], j < k."""
         cofinite = AdelePoint(Fraction(-7, 3), 10, {2: Fraction(1, 4), 3: 5}, PrimeSet.all_primes())
         expected = {}
         for alpha in (F1_ALPHA, F2_ALPHA, cofinite):
             for N in (2, 9, 60):
                 least = least_positive_prefix(alpha, N - 1)
-                expected[str(alpha), N] = 1 + sum(
-                    real_bound(alpha, k) < least[k - 2] for k in range(2, N)
-                )
+                expected[str(alpha), N] = [1] + [
+                    k for k in range(2, N) if real_bound(alpha, k) < least[k - 2]
+                ]
         counts = Counter()
+        kernel_ks = []
         counted_reduce = counting(counts, "reduce", adele.reduce)
         for module in (adele, torus_gaps):
             monkeypatch.setattr(module, "reduce", counted_reduce)
         monkeypatch.setattr(torus_gaps, "_reduced_distance",
                             counting(counts, "_reduced_distance", torus_gaps._reduced_distance))
+        kernel = torus_gaps._multiple_distance
+
+        def recording(xbar, k):
+            kernel_ks.append(k)
+            return kernel(xbar, k)
+
+        monkeypatch.setattr(torus_gaps, "_multiple_distance", recording)
+        monkeypatch.setattr(TorusPoint, "_multiple",
+                            counting(counts, "_multiple", TorusPoint._multiple))
         monkeypatch.setattr(AdelePoint, "__post_init__",
                             counting(counts, "__post_init__", AdelePoint.__post_init__))
         for alpha in (F1_ALPHA, F2_ALPHA, cofinite):
             constructions = set()
             for N in (2, 9, 60):
                 counts.clear()
+                kernel_ks.clear()
                 gap_report(alpha, N)
                 assert counts["reduce"] == 1
-                assert counts["_reduced_distance"] == expected[str(alpha), N], (str(alpha), N)
+                assert counts["_reduced_distance"] == 1  # D[1]
+                assert [1] + kernel_ks == expected[str(alpha), N], (str(alpha), N)
+                assert counts["_multiple"] == 1  # the reduced alpha
                 constructions.add(counts["__post_init__"])
             assert len(constructions) == 1, (str(alpha), constructions)
-        assert expected[str(F1_ALPHA), 60] < 60 - 1
+        assert len(expected[str(F1_ALPHA), 60]) < 60 - 1
 
-    def test_builds_one_orbit_point_per_distance(self, monkeypatch):
-        """Besides the reduced alpha, gap_report builds an orbit point only where
-        it computes that point's distance: one closed-form `_multiple` per
-        `_reduced_distance` call, not N - 1 points."""
+    def test_builds_no_orbit_point_per_distance(self, monkeypatch):
+        """Besides the reduced alpha and zero, gap_report builds no point: a D[k]
+        with k >= 2 comes from alpha's integers as a pair, and a Fraction is
+        built only where the running minimum drops."""
+        drops = {}
+        for alpha in (F1_ALPHA, F2_ALPHA, COFINITE_ALPHA):
+            for N in (2, 9, 60, 400):
+                drops[str(alpha), N] = len(set(least_positive_prefix(alpha, N - 1))) - 1
         counts = Counter()
         counted_reduce = counting(counts, "reduce", adele.reduce)
         for module in (adele, torus_gaps):
             monkeypatch.setattr(module, "reduce", counted_reduce)
-        monkeypatch.setattr(torus_gaps, "_reduced_distance",
-                            counting(counts, "_reduced_distance", torus_gaps._reduced_distance))
+        monkeypatch.setattr(torus_gaps, "_multiple_distance",
+                            counting(counts, "kernel", torus_gaps._multiple_distance))
         monkeypatch.setattr(TorusPoint, "_multiple",
                             counting(counts, "_multiple", TorusPoint._multiple))
+        trusted = AdelePoint.__dict__["_trusted"].__func__
+        monkeypatch.setattr(AdelePoint, "_trusted",
+                            classmethod(counting(counts, "_trusted", trusted)))
+        new = Fraction.__new__
+
+        def counted_new(cls, *args, **kwargs):
+            counts["Fraction"] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
         for alpha in (F1_ALPHA, F2_ALPHA, COFINITE_ALPHA):
+            fixed = set()
             for N in (2, 9, 60, 400):
                 counts.clear()
                 gap_report(alpha, N)
                 assert counts["reduce"] == 1
-                assert counts["_multiple"] == counts["_reduced_distance"], (str(alpha), N, counts)
-            assert counts["_reduced_distance"] < 400 - 1, (str(alpha), counts)
+                assert counts["_multiple"] == 1, (str(alpha), N, counts)
+                fixed.add((counts["_trusted"], counts["Fraction"] - drops[str(alpha), N]))
+            assert len(fixed) == 1, (str(alpha), fixed)
+            assert 0 < counts["kernel"] < 400 - 1, (str(alpha), counts)
+            assert drops[str(alpha), 400] < counts["kernel"], (str(alpha), counts)
 
     def test_distinct_gaps_and_witnesses_match_full_walk(self):
         """The one walk over the first half of the deltas against sorting all N
