@@ -387,8 +387,8 @@ def torus_distance(x: AdelePoint, y: AdelePoint) -> Fraction:
     over Gamma_P is attained at the shift 0 or sign of the real difference.
     A `TorusPoint` already lies in the domain, validated by its constructor or
     built there by `reduce`, `zero_point` or `TorusPoint._multiple` (the points
-    `orbit` returns and the lattice path), so it is used as it is.  The
-    `gap_report` walk does not come here: it takes D[k] = d(k*xbar, 0) from
+    `orbit` yields and the lattice path), so it is used as it is.  The record
+    walk of `gap_report` does not come here: it takes D[k] = d(k*xbar, 0) from
     xbar's integers, by `_multiple_distance`.
     """
     _require_same_primes(x, y)

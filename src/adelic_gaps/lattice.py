@@ -28,12 +28,13 @@ def min_positive_diagonal_distance(x: AdelePoint) -> Fraction:
     return d if d > 0 else Fraction(1)
 
 
-#: alpha -> (M, drops, reduced alpha) with M[K] = min of v_min(k) over
-#: 0 <= k <= K and drops[K] the number of K' <= K with M[K'] < M[K' - 1], both
-#: filled upward in K from M[0] = v_min(0) = 1.  M is nonincreasing, so
-#: M[K] = M[K'] exactly when drops[K] = drops[K'].  All three depend on alpha
-#: alone, not on N, so every spec on an equal alpha shares one entry; an entry
-#: lives as long as its alpha.
+#: alpha -> (drops, values, reduced alpha): values holds the prefix minimum
+#: M[K] = min of v_min(k) over 0 <= k <= K once per drop, starting from
+#: M[0] = v_min(0) = 1, and drops[K] is the number of K' <= K with
+#: M[K'] < M[K' - 1], so M[K] = values[drops[K]], filled upward in K.  M is
+#: nonincreasing, so M[K] = M[K'] exactly when drops[K] = drops[K'].  All
+#: three depend on alpha alone, not on N, so every spec on an equal alpha
+#: shares one entry; an entry lives as long as its alpha.
 _V_MIN_TABLES = weakref.WeakKeyDictionary()
 
 
@@ -42,17 +43,18 @@ class RotationMatrixSpec:
     """Upper-triangular determinant-1 matrix with diagonal (1/t, t) and shear t*alpha.
 
     The gap identity for the orbit of length N uses t = N + 1/2, set once as
-    the attribute `t`.  The prefix minima of the shortest vectors `v_min(k)`,
-    the drop counts of those minima and the reduced alpha they are computed
-    from are kept in one table per alpha, which every spec on an equal alpha
-    that is still alive shares; alpha is reduced once, when its table is made.
+    the attribute `t`.  The prefix minima M of the shortest vectors
+    `v_min(k)`, as one drop index per radius into the values M takes, and the
+    reduced alpha they are computed from are kept in one table per alpha,
+    which every spec on an equal alpha that is still alive shares; alpha is
+    reduced once, when its table is made.
     """
 
     alpha: AdelePoint
     N: int
     t: Fraction = field(init=False, repr=False, compare=False)
-    _prefix_min: list[Fraction] = field(init=False, repr=False, compare=False)
     _drops: list[int] = field(init=False, repr=False, compare=False)
+    _values: list[Fraction] = field(init=False, repr=False, compare=False)
     _alpha_bar: TorusPoint = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -62,8 +64,8 @@ class RotationMatrixSpec:
         entry = _V_MIN_TABLES.get(self.alpha)
         if entry is None:
             # v_min(0) = 1, the norm of the shortest nonzero element of Gamma_P
-            entry = _V_MIN_TABLES[self.alpha] = ([Fraction(1)], [0], reduce(self.alpha)[0])
-        self._prefix_min, self._drops, self._alpha_bar = entry
+            entry = _V_MIN_TABLES[self.alpha] = ([0], [Fraction(1)], reduce(self.alpha)[0])
+        self._drops, self._values, self._alpha_bar = entry
 
     def v_min(self, k: int) -> Fraction:
         """Minimal positive |k*alpha - gamma| over Gamma_P; symmetric in +-k.
@@ -71,12 +73,12 @@ class RotationMatrixSpec:
         The distance is taken at the reduced k*alpha, which the reduced alpha
         builds in closed form (`TorusPoint._multiple`), the construction
         `orbit` uses too.  The value is computed on every call; the table
-        keeps only its prefix minima.
+        keeps only the values at which its prefix minimum drops.
         """
         return min_positive_diagonal_distance(self._alpha_bar._multiple(abs(k)))
 
     def _fill(self, K: int) -> None:
-        """Grow the prefix minima and drop counts of the table through radius K.
+        """Grow the table's drop indices through radius K, adding a value at each drop.
 
         With a/b the real coordinate of the reduced alpha, the reduced k*alpha
         has real coordinate r/b, r = k*a mod b, so v_min(k) is at least
@@ -85,20 +87,17 @@ class RotationMatrixSpec:
         exceeds, since v_min(0) = 1.  A k whose bound reaches the last minimum
         cannot lower it, so v_min(k) is not computed for it.
         """
-        prefix, drops = self._prefix_min, self._drops
+        drops, values = self._drops, self._values
         inf = self._alpha_bar.at_infinity
         a, b = inf.numerator, inf.denominator
-        while len(prefix) <= K:
-            k, low = len(prefix), prefix[-1]
+        while len(drops) <= K:
+            k, low = len(drops), values[-1]
             r = k * a % b
             if min(r, b - r) * low.denominator < low.numerator * b:
                 v = self.v_min(k)
                 if v < low:
-                    prefix.append(v)
-                    drops.append(drops[-1] + 1)
-                    continue
-            prefix.append(low)
-            drops.append(drops[-1])
+                    values.append(v)
+            drops.append(len(values) - 1)
 
 
 @dataclass(frozen=True)
@@ -129,21 +128,21 @@ def F_value(spec: RotationMatrixSpec, t) -> Fraction:
     The p-adic window constraint restricts u-coordinates to k / spec.t with k
     an integer, so the minimum ranges over -t*spec.t < k < (1-t)*spec.t.
     The window always contains k = 0 and v_min is symmetric in +-k, so the
-    minimum is spec.t times the prefix minimum of v_min over
-    |k| <= max(-k_lo, k_hi).
+    minimum is spec.t times the prefix minimum M[K] = values[drops[K]] of
+    v_min over |k| <= K = max(-k_lo, k_hi).
     """
     t = Fraction(t)
     K = _radius(2 * spec.N + 1, t.numerator, t.denominator)
     spec._fill(K)
-    return spec.t * spec._prefix_min[K]
+    return spec.t * spec._values[spec._drops[K]]
 
 
 def delta_via_lattice(alpha: AdelePoint, N: int, n: int) -> Fraction:
     """Nearest-neighbor distance computed through the lattice identity.
 
     It is F_value(spec, n / spec.t) / spec.t with spec.t = N + 1/2, that is
-    the prefix minimum of v_min at the window radius max(n - 1, N - n), which
-    is read from the table directly, with no product and no division.
+    the prefix minimum M[K] = values[drops[K]] of v_min at the window radius
+    K = max(n - 1, N - n), read from the table with no product and no division.
     """
     if not 1 <= n <= N:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
@@ -151,7 +150,7 @@ def delta_via_lattice(alpha: AdelePoint, N: int, n: int) -> Fraction:
     m = 2 * N + 1
     K = _radius(m, 2 * n, m)
     spec._fill(K)
-    return spec._prefix_min[K]
+    return spec._values[spec._drops[K]]
 
 
 def G_N_value(spec: RotationMatrixSpec) -> int:

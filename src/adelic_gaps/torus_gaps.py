@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,109 +20,91 @@ class GapReport:
 
     N: int
     deltas: list[Fraction]  # deltas[n-1] is the distance for the n-th orbit point
-    distinct_gaps: list[Fraction]  # sorted, duplicate-free; the objects deltas holds
-    gap_count: int
-    witnesses: dict[Fraction, int]  # gap value -> the least index n attaining it, ascending
+    # gap value -> the least index n attaining it, ascending; the objects deltas holds
+    witnesses: dict[Fraction, int]
+
+    @property
+    def distinct_gaps(self) -> list[Fraction]:
+        """The distinct gaps, ascending."""
+        return list(self.witnesses)
+
+    @property
+    def gap_count(self) -> int:
+        """g_N, the number of distinct gaps."""
+        return len(self.witnesses)
 
 
-class _Orbit(Sequence):
-    """The reduced points n*alpha, 1 <= n <= N, each built when it is read.
+def orbit(alpha: AdelePoint, N: int) -> Iterator[TorusPoint]:
+    """The reduced points n*alpha for 1 <= n <= N, in order, each built when reached.
 
-    Item i is the point n = i + 1, in closed form from the reduced alpha
-    (`TorusPoint._multiple`); indices and slices behave as on a list.
-    """
-
-    def __init__(self, first: TorusPoint, N: int):
-        self._first = first
-        self._N = N
-
-    def __len__(self) -> int:
-        return self._N
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(self._N))]
-        i = operator.index(i)
-        if i < 0:
-            i += self._N
-        if not 0 <= i < self._N:
-            raise IndexError("orbit index out of range")
-        return self._first._multiple(i + 1)
-
-
-def orbit(alpha: AdelePoint, N: int) -> Sequence[TorusPoint]:
-    """The reduced points n*alpha for 1 <= n <= N, as a lazy sequence.
-
-    Only alpha itself goes through `reduce`.  The fundamental domain
-    [0,1) x prod Z_p holds one point of each coset, so the reduced n*alpha is
-    n times the reduced alpha less the floor of its real coordinate, in every
-    coordinate; a point is built only when it is read.
+    N is checked and alpha reduced when this is called; only alpha goes
+    through `reduce`.  The fundamental domain [0,1) x prod Z_p holds one point
+    of each coset, so the reduced n*alpha is n times the reduced alpha less
+    the floor of its real coordinate, in every coordinate
+    (`TorusPoint._multiple`).
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    return _Orbit(reduce(alpha)[0], N)
+    first = reduce(alpha)[0]
+    return (first._multiple(n) for n in range(1, N + 1))
 
 
-def _deltas(alpha: AdelePoint, N: int) -> list[Fraction]:
-    """deltas[n-1] = least positive d(n*alpha, m*alpha) over 1 <= m <= N.
+def _records(alpha: AdelePoint, K: int) -> tuple[list[int], list[Fraction]]:
+    """The records of D[k] = d(k*alpha, 0) over 1 <= k <= K, as (ks, values).
 
-    The quotient metric is translation-invariant, so d(n*alpha, m*alpha) =
-    D[|n-m|] with D[k] = d(k*alpha, 0), and delta_n is the least positive
-    D[k] over 1 <= k <= max(n-1, N-n): a prefix minimum over N - 1 values.
+    ks = [1, k_2, ...] are the k at which the least positive D[j], j <= k,
+    strictly falls, and values[i] = D[ks[i]] is that least value.
     With a/b the real coordinate of the reduced alpha, the reduced k*alpha
     has real coordinate r/b, r = k*a mod b, and D[k] is at least
     min(r, b - r)/b (see `_reduced_distance`), so a k whose bound reaches the
-    running minimum L cannot lower it: L is kept, and D[k] is not computed.
-    A D[k] that is computed, k >= 2, comes from the reduced alpha's integers
-    as a pair (`_multiple_distance`) and is compared with L by
-    cross-multiplication; a Fraction is built only when L drops.
+    running minimum cannot set a record, and D[k] is not computed.  A D[k]
+    that is computed, k >= 2, comes from the reduced alpha's integers as a
+    pair (`_multiple_distance`) and is compared by cross-multiplication; a
+    Fraction is built only at a record.  Raises DegenerateOrbitError when
+    D[1] = 0: alpha is then in Gamma_P, and all orbit points coincide.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if N == 1:
-        raise DegenerateOrbitError("N = 1: a single orbit point has no nearest neighbor")
-    first = orbit(alpha, N - 1)[0]
+    first = next(orbit(alpha, K))
     low = _reduced_distance(first, zero_point(alpha.primes))
-    # k = 1 lies in every window, so the orbit is degenerate exactly when D[1]
-    # is zero (alpha in Gamma_P)
     if low == 0:
         raise DegenerateOrbitError(
             "degenerate orbit: all orbit points coincide, no positive distance"
         )
     a, b = first.at_infinity.numerator, first.at_infinity.denominator
     low_num, low_den = low.numerator, low.denominator
-    least = [low]  # least[k-1] = least positive D[j] over j <= k
-    for k in range(2, N):
+    ks, values = [1], [low]
+    for k in range(2, K + 1):
         r = k * a % b
         if min(r, b - r) * low_den < low_num * b:
             num, den = _multiple_distance(first, k)
             if num and num * low_den < low_num * den:
                 low_num, low_den = num, den
-                low = Fraction(num, den)
-        least.append(low)
-    # delta_n = least[max(n-1, N-n) - 1]: radius N - n for n <= h, n - 1 after
-    h = (N + 1) // 2
-    return least[::-1][:h] + least[h - 1:]
+                ks.append(k)
+                values.append(Fraction(num, den))
+    return ks, values
 
 
 def gap_report(alpha: AdelePoint, N: int) -> GapReport:
-    """All nearest-neighbor distances, the distinct values, and their count.
+    """All nearest-neighbor distances, and each distinct value with its least witness.
 
-    delta_n is the prefix minimum at radius max(n-1, N-n), which strictly
-    falls for n <= (N+1)//2; every later n repeats one of those radii.  So
-    the first half of the deltas is nondecreasing and holds every value, and
-    one walk over it, comparing each delta_n with the last new value, gives
-    the distinct gaps in ascending order, each with its least witness n.
+    The quotient metric is translation-invariant, so d(n*alpha, m*alpha) =
+    D[|n-m|], and delta_n is the least positive D[k] over
+    1 <= k <= max(n-1, N-n): the record of `_records(alpha, N - 1)` in force
+    at that radius.  Record i is in force on the radii ks[i] <= r < ends[i],
+    ends = ks[1:] + [N].  With h = (N+1)//2, the radii max(n-1, N-n) are
+    N-1 down to N-h for n <= h, and later n repeat radii of [N-h, N-1].  So
+    the distinct gaps are the values in force there, ascending from the last
+    record, and record i's least witness is the least n <= h with radius
+    below ends[i]: N - ends[i] + 1.
     """
-    deltas = _deltas(alpha, N)
-    distinct = []
-    witnesses = {}
-    for n in range(1, (N + 1) // 2 + 1):
-        d = deltas[n - 1]
-        # a repeat is the same object as the last new value on every path of
-        # `_deltas`, and `is` costs far less than comparing two Fractions
-        if not distinct or d is not distinct[-1] and d != distinct[-1]:
-            distinct.append(d)
-            witnesses[d] = n
-    return GapReport(N, deltas, distinct, len(distinct), witnesses)
-
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    if N == 1:
+        raise DegenerateOrbitError("N = 1: a single orbit point has no nearest neighbor")
+    ks, values = _records(alpha, N - 1)
+    ends = ks[1:] + [N]
+    least = []  # least[r-1] is the record in force at radius r
+    for k, end, value in zip(ks, ends, values):
+        least += [value] * (end - k)
+    h = (N + 1) // 2
+    witnesses = {v: N - end + 1 for v, end in zip(values[::-1], ends[::-1]) if end > N - h}
+    return GapReport(N, least[::-1][:h] + least[h - 1:], witnesses)

@@ -145,8 +145,9 @@ class TestVerifyCommand:
         alpha, N = random_instance(random.Random(7), parse_primes("all-except:2"), 20, 30)
         gap_report(alpha, N)
         real_gap_report = cli.gap_report
+        four = {Fraction(1, g): g for g in range(1, 5)}
         monkeypatch.setattr(
-            cli, "gap_report", lambda a, n: dataclasses.replace(real_gap_report(a, n), gap_count=4)
+            cli, "gap_report", lambda a, n: dataclasses.replace(real_gap_report(a, n), witnesses=four)
         )
         code = main(["verify", "--primes", "all-except:2", "--seed", "7", "--samples", "5"])
         assert code == 2

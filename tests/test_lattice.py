@@ -286,14 +286,15 @@ class TestVMinTable:
 class TestRealBoundSkip:
     def test_table_matches_prefix_minima_of_every_v_min(self, monkeypatch):
         """The table's prefix minima and drop counts, filled with the real-bound
-        skip, against those of v_min at every k."""
+        skip, against those of v_min at every k; the values hold each minimum once."""
         monkeypatch.setattr(lattice, "_V_MIN_TABLES", weakref.WeakKeyDictionary())
         for alpha, K in real_bound_draws(20261019, 28, 400):
             spec = RotationMatrixSpec(alpha, K)
             spec._fill(K)
             minima, drops = prefix_minima_and_drops(spec.v_min(k) for k in range(K + 1))
-            assert spec._prefix_min == minima, (str(alpha), K)
+            assert [spec._values[d] for d in spec._drops] == minima, (str(alpha), K)
             assert spec._drops == drops, (str(alpha), K)
+            assert spec._values == sorted(set(minima), reverse=True), (str(alpha), K)
 
 
 class TestDropCounts:

@@ -30,6 +30,7 @@ from conftest import (
 from oracles import (
     least_positive_prefix,
     multiple,
+    pairwise_deltas,
     prefix_min_deltas,
     real_bound,
     reference_torus_distance,
@@ -45,7 +46,7 @@ COFINITE_ALPHA = AdelePoint(Fraction(-7, 3), 10, {2: Fraction(1, 4), 3: 5}, Prim
 
 class TestOrbit:
     def test_f2_orbit(self):
-        points = orbit(F2_ALPHA, 5)
+        points = list(orbit(F2_ALPHA, 5))
         assert len(points) == 5
         xi4 = points[3]
         assert xi4.at_infinity == Fraction(4, 5)
@@ -53,16 +54,18 @@ class TestOrbit:
         assert xi4.coordinate(3) == -8
 
     def test_single_point(self):
-        points = orbit(F1_ALPHA, 1)
+        points = list(orbit(F1_ALPHA, 1))
         assert len(points) == 1
         assert points[0] == reduce(F1_ALPHA)[0]
 
     def test_zero_alpha_collapses(self):
         zero = AdelePoint(0, 0, {}, P2)
-        points = orbit(zero, 4)
+        points = list(orbit(zero, 4))
+        assert len(points) == 4
         assert all(p == points[0] for p in points)
 
     def test_rejects_bad_N(self):
+        """N is checked when orbit is called, not when the first point is read."""
         with pytest.raises(ValueError):
             orbit(F1_ALPHA, 0)
 
@@ -74,7 +77,7 @@ class TestOrbit:
             primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
             alpha = unreduced_point(rng, primes, 30)
             N = rng.randint(1, 60)
-            points = orbit(alpha, N)
+            points = list(orbit(alpha, N))
             assert len(points) == N
             for n, point in enumerate(points, start=1):
                 expected, _ = reduce(multiple(alpha, n))
@@ -93,33 +96,20 @@ class TestOrbit:
             seen["N >= 50"] += N >= 50
         assert min(seen.values()) >= 10, seen
 
-    def test_lazy_view_behaves_as_a_list(self):
-        """Length, indices, slices and iteration against the list of the points
-        reduced one by one."""
-        rng = random.Random(20261020)
-        for i in range(70):
-            primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
-            alpha = unreduced_point(rng, primes, 30)
-            N = rng.randint(1, 40)
-            points = orbit(alpha, N)
-            expected = [reduce(multiple(alpha, n))[0] for n in range(1, N + 1)]
-            assert len(points) == N
-            assert list(points) == expected, (str(alpha), N)
-            assert points[0] == expected[0] and points[-1] == expected[-1]
-            for outside in (N, -N - 1):
-                with pytest.raises(IndexError):
-                    points[outside]
-            cut = slice(rng.randint(-N - 2, N + 2), rng.randint(-N - 2, N + 2),
-                        rng.choice((1, 2, -1, -3)))
-            assert type(points[cut]) is list
-            assert points[cut] == expected[cut], (str(alpha), N, cut)
-
-    def test_far_point_is_built_alone(self):
-        """Point 10**18 is built in closed form, without the points before it."""
+    def test_far_point_is_built_alone(self, monkeypatch):
+        """Point 10**18 is built in closed form, without the points before it, and
+        the orbit builds its first point alone, with one `_multiple` call."""
+        counts = Counter()
+        monkeypatch.setattr(TorusPoint, "_multiple",
+                            counting(counts, "_multiple", TorusPoint._multiple))
         for alpha in (F1_ALPHA, F2_ALPHA, COFINITE_ALPHA):
-            far = orbit(alpha, 10**18)[-1]
+            far = reduce(alpha)[0]._multiple(10**18)
             expected = reduce(multiple(alpha, 10**18))[0]
             assert far == expected and str(far) == str(expected)
+            counts.clear()
+            first = next(orbit(alpha, 10**18))
+            assert counts["_multiple"] == 1
+            assert first == reduce(alpha)[0] and str(first) == str(reduce(alpha)[0])
 
 
 class TestNnDistance:
@@ -181,7 +171,8 @@ class TestGapReport:
         alpha = AdelePoint(Fraction(1, 3), Fraction(1, 3), {}, P2)
         report = gap_report(alpha, 4)
         assert all(d > 0 for d in report.deltas)
-        assert torus_distance(orbit(alpha, 4)[0], orbit(alpha, 4)[3]) == 0
+        points = list(orbit(alpha, 4))
+        assert torus_distance(points[0], points[3]) == 0
 
     def test_counts_one_reduce_and_the_distances_the_real_bound_lets_through(self, monkeypatch):
         """gap_report reduces alpha once, builds no validated point per orbit point,
@@ -267,8 +258,8 @@ class TestGapReport:
             assert drops[str(alpha), 400] < counts["kernel"], (str(alpha), counts)
 
     def test_distinct_gaps_and_witnesses_match_full_walk(self):
-        """The one walk over the first half of the deltas against sorting all N
-        of them and taking each value's first index in order over every n."""
+        """The distinct gaps and witnesses read off the records against sorting
+        all N deltas and taking each value's first index in order over every n."""
         rng = random.Random(20261119)
         checked = 0
         for i in range(140):
@@ -340,6 +331,45 @@ class TestRealBound:
         assert compared >= 20
 
 
+class TestRecords:
+    """`_records` against the walk that computes every D[k], and the gap count
+    read off the records against the full distance matrix."""
+
+    def test_records_are_the_strict_falls_of_the_unpruned_walk(self):
+        seen = Counter()
+        for alpha, K in real_bound_draws(20261021, 84, 300):
+            seen["torsion"] += reduce(multiple(alpha, 11 * 7 * 5 * 3 * 2))[0] == zero_point(alpha.primes)
+            seen["cofinite, nonzero default"] += (
+                not alpha.primes.finite and alpha.default_value != 0)
+            seen["real denominator <= 5"] += reduce(alpha)[0].at_infinity.denominator <= 5
+            try:
+                least = least_positive_prefix(alpha, K)
+            except DegenerateOrbitError:
+                with pytest.raises(DegenerateOrbitError):
+                    torus_gaps._records(alpha, K)
+                continue
+            ks, values = torus_gaps._records(alpha, K)
+            falls = [1] + [k for k in range(2, K + 1) if least[k - 1] < least[k - 2]]
+            assert ks == falls, (str(alpha), K)
+            assert values == [least[k - 1] for k in falls], (str(alpha), K)
+            seen["compared"] += 1
+        assert min(seen.values()) >= 7 and seen["compared"] >= 60, seen
+
+    def test_gap_count_is_one_plus_the_records_in_the_upper_half(self):
+        """g_N = 1 + #{i : N - h < k_i <= N - 1}, h = (N + 1) // 2."""
+        compared = 0
+        for alpha, N in real_bound_draws(20261022, 42, 60):
+            try:
+                expected = len(set(pairwise_deltas(alpha, N)))
+            except DegenerateOrbitError:
+                continue
+            ks, _ = torus_gaps._records(alpha, N - 1)
+            h = (N + 1) // 2
+            assert 1 + sum(N - h < k for k in ks) == expected, (str(alpha), N)
+            compared += 1
+        assert compared >= 30
+
+
 class TestThreeGapCheck:
     def test_paper_instances(self):
         assert gap_report(F1_ALPHA, 52).gap_count == 3
@@ -361,7 +391,7 @@ class TestThreeGapCheck:
 
 
 def test_distance_matrix_symmetry():
-    points = orbit(F2_ALPHA, 5)
+    points = list(orbit(F2_ALPHA, 5))
     for i, x in enumerate(points):
         for y in points[i:]:
             assert torus_distance(x, y) == torus_distance(y, x)
