@@ -388,8 +388,8 @@ def torus_distance(x: AdelePoint, y: AdelePoint) -> Fraction:
     A `TorusPoint` already lies in the domain, validated by its constructor or
     built there by `reduce`, `zero_point` or `TorusPoint._multiple` (the points
     `orbit` yields and the lattice path), so it is used as it is.  The record
-    walk of `gap_report` does not come here: it takes D[k] = d(k*xbar, 0) from
-    xbar's integers, by `_multiple_distance`.
+    engine of `gap_report` does not come here: it takes D[k] = d(k*xbar, 0)
+    from xbar's integers, by `_multiple_distance`.
     """
     _require_same_primes(x, y)
     xbar = x if isinstance(x, TorusPoint) else reduce(x)[0]
@@ -440,8 +440,8 @@ def _reduced_distance(xbar: AdelePoint, ybar: AdelePoint) -> Fraction:
     Each of the two candidate norms is a max that includes its real term,
     |D_inf| or 1 - |D_inf|, so the distance is at least
     min(|D_inf|, 1 - |D_inf|), the distance from D_inf to the nearest integer.
-    The prefix-minimum walks of `torus_gaps` and `lattice` skip, on this
-    bound, every k whose distance to 0 cannot set a new minimum.
+    The prefix-minimum walk of `lattice` skips, on this bound, every k whose
+    distance to 0 cannot set a new minimum.
     """
     x_default, y_default = xbar.default_value, ybar.default_value
     coords = {

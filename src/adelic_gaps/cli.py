@@ -148,9 +148,10 @@ def cmd_gaps(args) -> int:
         raise CliError(f"N must be >= 1, got {args.N}")
     report = gap_report(alpha, args.N)
     # every delta is one of the distinct gap objects, so each string is made
-    # once and found by identity: hashing a Fraction costs more than printing it
+    # once and found by identity: hashing a Fraction costs more than printing it;
+    # the N deltas are read only for the formats that list them
     text = {id(g): _text(g) for g in report.distinct_gaps}
-    deltas = [text[id(d)] for d in report.deltas]
+    deltas = [] if args.format == "plain" else [text[id(d)] for d in report.deltas]
     record = {
         "N": report.N,
         "deltas": deltas,

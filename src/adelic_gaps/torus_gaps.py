@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .adele import AdelePoint, TorusPoint, _multiple_distance, _reduced_distance, reduce, zero_point
 
@@ -19,9 +20,22 @@ class GapReport:
     """Nearest-neighbor distances of one (alpha, N) instance."""
 
     N: int
-    deltas: list[Fraction]  # deltas[n-1] is the distance for the n-th orbit point
-    # gap value -> the least index n attaining it, ascending; the objects deltas holds
+    # (ks, values): the records of D[k] = d(k*alpha, 0) over 1 <= k <= N - 1 (`_records`)
+    records: tuple[list[int], list[Fraction]]
+    # gap value -> the least index n attaining it, ascending; the objects records holds
     witnesses: dict[Fraction, int]
+
+    @cached_property
+    def deltas(self) -> list[Fraction]:
+        """deltas[n-1] is delta_n, the record in force at radius max(n-1, N-n)
+        (see `gap_report`), built on first read: the one part of a report whose
+        size grows with N."""
+        ks, values = self.records
+        least = []  # least[r-1] is the record in force at radius r
+        for k, end, value in zip(ks, ks[1:] + [self.N], values):
+            least += [value] * (end - k)
+        h = (self.N + 1) // 2
+        return least[::-1][:h] + least[h - 1:]
 
     @property
     def distinct_gaps(self) -> list[Fraction]:
@@ -49,19 +63,113 @@ def orbit(alpha: AdelePoint, N: int) -> Iterator[TorusPoint]:
     return (first._multiple(n) for n in range(1, N + 1))
 
 
+def _first_near_zero(A: int, B: int, M: int, H: int) -> int | None:
+    """The least x >= 0 with (A*x + B) mod M within H of 0, or None if there is none.
+
+    "Within H of 0" is a residue in [0, H] or [M - H, M).  Shifted by H the
+    window is [0, 2H], so the question is the least x with A*x mod M in
+    [l, l + 2H], l = (-B - H) mod M; x = 0 answers it when that interval holds
+    0 mod M.  Otherwise 0 < l <= r < M, and the least x >= 1 with A*x mod M in
+    [l, r] comes from the Euclid-style descent below: if no multiple of A lies
+    in [l, r], then A*x - M*y lands there exactly when M*y mod A lies in
+    [-r mod A, -l mod A], the same question for (M mod A, A), and the least
+    such y gives the least x = ceil((l + M*y) / A).  The moduli fall as in
+    Euclid's algorithm, so there are O(log M) steps, kept on a list rather
+    than the call stack.
+    """
+    A %= M
+    l = (-B - H) % M
+    r = l + 2 * H
+    if l == 0 or r >= M:
+        return 0
+    steps = []
+    while True:
+        if A == 0:
+            return None
+        x = (l + A - 1) // A
+        if A * x <= r:
+            break
+        steps.append((l, M, A))
+        l, r, M, A = -r % A, -l % A, A, M % A
+    for l, M, A in reversed(steps):
+        x = (l + M * x + A - 1) // A
+    return x
+
+
+def _congruence(xbar: TorusPoint, num: int, den: int, K: int) -> tuple[int, int]:
+    """(Q, u) such that, for 1 <= k <= K and an integer j with |k*xbar_inf - j| < L,
+    L = num/den <= 1, every p-term of k*xbar - j is below L exactly when
+    j = k*u mod Q.
+
+    With L <= 1 only an integer shift j can bring D[k] below L: any other
+    element of Gamma_P has p-adic size at least p at some prime of the set.
+    The term at p is w_p * |k*xbar_p - j|_p, w_p being 1 on a finite set and
+    1/p on a cofinite one.  It is below L for every j when w_p < L, and
+    otherwise exactly when j = k*xbar_p mod p^e, with e the least exponent
+    such that w_p / p^e < L.  Q is the product of these p^e and u the CRT of
+    the xbar_p mod p^e.  Every listed prime of a finite set, and every
+    override prime of a cofinite one, keeps its constraint.  The other primes
+    of a cofinite set, p <= 1/L, carry the default c/d: each states
+    p^e | j*d - k*c.  Then 0 <= j <= k <= K bounds |j*d - k*c| by
+    (K + 1)(|c| + d), so once the product R of their moduli exceeds that bound
+    they force j*d = k*c, which implies every later one: they are added in
+    increasing order only until then.
+    """
+    primes, default = xbar.primes, xbar.default_value
+    Q, u = 1, 0
+
+    def modulus(p: int) -> int:
+        """p^e for the least e with w_p / p^e < L: the least power of p above
+        limit = den // (num / w_p).  The squares p, p^2, p^4, ... give the
+        largest power at most limit in O(log e) products."""
+        limit = den // (num if primes.finite else num * p)
+        squares = [p]
+        while squares[-1] <= limit:
+            squares.append(squares[-1] ** 2)
+        power = 1
+        for square in reversed(squares[:-1]):
+            if power * square <= limit:
+                power *= square
+        return power * p if limit else 1
+
+    def require(m: int, c: Fraction) -> None:
+        """Add the congruence j = k*c mod m, for m prime to Q and to c's denominator."""
+        nonlocal Q, u
+        residue = c.numerator * pow(c.denominator, -1, m) % m
+        u += Q * ((residue - u) * pow(Q, -1, m) % m)
+        Q *= m
+
+    for p in primes.listed if primes.finite else xbar.overrides:
+        pe = modulus(p)
+        if pe > 1:
+            require(pe, xbar.overrides.get(p, default))
+    if not primes.finite:
+        bound, R = (K + 1) * (abs(default.numerator) + default.denominator), 1
+        for p in range(2, den // num + 1):  # w_p = 1/p >= L
+            if R > bound:
+                break
+            if p in primes and p not in xbar.overrides:
+                R *= modulus(p)
+        require(R, default)
+    return Q, u
+
+
 def _records(alpha: AdelePoint, K: int) -> tuple[list[int], list[Fraction]]:
     """The records of D[k] = d(k*alpha, 0) over 1 <= k <= K, as (ks, values).
 
     ks = [1, k_2, ...] are the k at which the least positive D[j], j <= k,
-    strictly falls, and values[i] = D[ks[i]] is that least value.
-    With a/b the real coordinate of the reduced alpha, the reduced k*alpha
-    has real coordinate r/b, r = k*a mod b, and D[k] is at least
-    min(r, b - r)/b (see `_reduced_distance`), so a k whose bound reaches the
-    running minimum cannot set a record, and D[k] is not computed.  A D[k]
-    that is computed, k >= 2, comes from the reduced alpha's integers as a
-    pair (`_multiple_distance`) and is compared by cross-multiplication; a
-    Fraction is built only at a record.  Raises DegenerateOrbitError when
-    D[1] = 0: alpha is then in Gamma_P, and all orbit points coincide.
+    strictly falls, and values[i] = D[ks[i]] is that least value.  Each record
+    is found from the one before it, in time that does not grow with K.  With
+    L the current record value and a/b the real coordinate of the reduced
+    alpha, D[k] < L holds exactly when some integer j has |k*a/b - j| < L and
+    j = k*u mod Q (`_congruence`), that is, when (a - u*b)*k mod Q*b lies
+    within L*b of 0.  The least such k after the last record is one window
+    query (`_first_near_zero`), and D at that k, from the reduced alpha's
+    integers as a pair (`_multiple_distance`), is the next record.  A D of 0
+    there means k*alpha lies in Gamma_P: D[k] is then periodic with period k,
+    and no later D falls below L, so the list is complete.  D[1] comes from
+    `_reduced_distance`.  Raises DegenerateOrbitError when D[1] = 0: alpha is
+    then in Gamma_P, and all orbit points coincide.
     """
     first = next(orbit(alpha, K))
     low = _reduced_distance(first, zero_point(alpha.primes))
@@ -70,41 +178,41 @@ def _records(alpha: AdelePoint, K: int) -> tuple[list[int], list[Fraction]]:
             "degenerate orbit: all orbit points coincide, no positive distance"
         )
     a, b = first.at_infinity.numerator, first.at_infinity.denominator
-    low_num, low_den = low.numerator, low.denominator
+    num, den = low.numerator, low.denominator
     ks, values = [1], [low]
-    for k in range(2, K + 1):
-        r = k * a % b
-        if min(r, b - r) * low_den < low_num * b:
-            num, den = _multiple_distance(first, k)
-            if num and num * low_den < low_num * den:
-                low_num, low_den = num, den
-                ks.append(k)
-                values.append(Fraction(num, den))
-    return ks, values
+    while True:
+        Q, u = _congruence(first, num, den, K)
+        A, start = a - u * b, ks[-1] + 1
+        step = _first_near_zero(A, A * start, Q * b, (num * b - 1) // den)  # H < L*b
+        if step is None or start + step > K:
+            return ks, values
+        num, den = _multiple_distance(first, start + step)
+        if not num:  # (start + step)*alpha lies in Gamma_P
+            return ks, values
+        ks.append(start + step)
+        values.append(Fraction(num, den))
 
 
 def gap_report(alpha: AdelePoint, N: int) -> GapReport:
-    """All nearest-neighbor distances, and each distinct value with its least witness.
+    """The records of D[k] up to N - 1, and each distinct gap with its least witness.
 
     The quotient metric is translation-invariant, so d(n*alpha, m*alpha) =
     D[|n-m|], and delta_n is the least positive D[k] over
     1 <= k <= max(n-1, N-n): the record of `_records(alpha, N - 1)` in force
-    at that radius.  Record i is in force on the radii ks[i] <= r < ends[i],
-    ends = ks[1:] + [N].  With h = (N+1)//2, the radii max(n-1, N-n) are
-    N-1 down to N-h for n <= h, and later n repeat radii of [N-h, N-1].  So
-    the distinct gaps are the values in force there, ascending from the last
-    record, and record i's least witness is the least n <= h with radius
-    below ends[i]: N - ends[i] + 1.
+    at that radius (`GapReport.deltas`).  Record i is in force on the radii
+    ks[i] <= r < ends[i], ends = ks[1:] + [N].  With h = (N+1)//2, the radii
+    of n <= h are N-1 down to N-h, and later n repeat radii of [N-h, N-1].
+    So the distinct gaps are the values in force there, ascending from the
+    last record, and record i's least witness is the least n <= h with radius
+    below ends[i]: N - ends[i] + 1.  The cost is that of the records; only
+    reading `deltas` grows with N.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if N == 1:
         raise DegenerateOrbitError("N = 1: a single orbit point has no nearest neighbor")
-    ks, values = _records(alpha, N - 1)
+    records = ks, values = _records(alpha, N - 1)
     ends = ks[1:] + [N]
-    least = []  # least[r-1] is the record in force at radius r
-    for k, end, value in zip(ks, ends, values):
-        least += [value] * (end - k)
     h = (N + 1) // 2
     witnesses = {v: N - end + 1 for v, end in zip(values[::-1], ends[::-1]) if end > N - h}
-    return GapReport(N, least[::-1][:h] + least[h - 1:], witnesses)
+    return GapReport(N, records, witnesses)

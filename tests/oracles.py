@@ -7,7 +7,9 @@ package's kernel takes only differences of reduced points.  The
 reference norm works on raw `Fraction` coordinates, with its own p-adic
 valuation and trial-division primality, so the norm and distance oracles share
 no point arithmetic with the package: `reduce` is the only package function
-they use, to bring their inputs into the fundamental domain.
+they use, to bring their inputs into the fundamental domain.  The record walk
+shares the package's pair kernel, which the reference distance checks, and
+nothing else with the record engine it checks.
 """
 
 from fractions import Fraction
@@ -21,6 +23,7 @@ from adelic_gaps import (
     torus_distance,
     zero_point,
 )
+from adelic_gaps.adele import _multiple_distance
 
 
 def prime_factors(n: int) -> list[int]:
@@ -199,6 +202,37 @@ def least_positive_prefix(alpha: AdelePoint, K: int) -> list[Fraction]:
             low = d
         least.append(low)
     return least
+
+
+def record_walk(alpha: AdelePoint, K: int) -> tuple[list[int], list[Fraction]]:
+    """The records of D[k] = d(k*alpha, 0) over 1 <= k <= K, as (ks, values), by
+    the O(K) prefix-minimum walk: the oracle of the record engine.
+
+    D[1] is the torus distance of the reduced alpha to 0, and each later D[k]
+    comes from the reduced alpha's integers by the package's pair kernel
+    (`adele._multiple_distance`, checked on its own against the reference
+    distance), except at a k whose real bound ||k * abar_inf|| reaches the
+    running minimum: D[k] is at least that bound, so such a k cannot set a
+    record.  Record positions come from this scan, not from the engine's
+    congruences and window queries.
+    """
+    first = reduce(alpha)[0]
+    low = torus_distance(first, zero_point(alpha.primes))
+    if low == 0:
+        raise DegenerateOrbitError(
+            "degenerate orbit: all orbit points coincide, no positive distance"
+        )
+    a, b = first.at_infinity.numerator, first.at_infinity.denominator
+    ks, values = [1], [low]
+    for k in range(2, K + 1):
+        r = k * a % b
+        if min(r, b - r) * low.denominator < low.numerator * b:
+            num, den = _multiple_distance(first, k)
+            if num and num * low.denominator < low.numerator * den:
+                low = Fraction(num, den)
+                ks.append(k)
+                values.append(low)
+    return ks, values
 
 
 def prefix_min_deltas(alpha: AdelePoint, N: int) -> list[Fraction]:

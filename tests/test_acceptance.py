@@ -22,13 +22,20 @@ from adelic_gaps import (
     reproduce_all,
     scan_G,
     torus_distance,
+    torus_gaps,
     zero_point,
 )
 from adelic_gaps.arith import padic_abs
 from adelic_gaps.cli import random_instance, random_rational
 
-from conftest import ORACLE_PRIMESETS, random_point
-from oracles import brute_force_torus_distance, pairwise_deltas, point_sum
+from conftest import ORACLE_PRIMESETS, random_point, real_bound_draws, unreduced_point
+from oracles import (
+    brute_force_torus_distance,
+    multiple,
+    pairwise_deltas,
+    point_sum,
+    record_walk,
+)
 
 SWEEP_PRIMESETS = [
     PrimeSet.of(2),
@@ -240,3 +247,31 @@ def test_criterion_8_gap_engine_vs_pairwise_oracle():
     _verdict(8, "gap engine vs pairwise-matrix oracle", ok, time.time() - start,
              "; ".join(mismatches[:3])
              or f"{degenerate} degenerate, {cofinite_default} cofinite with nonzero default")
+
+
+def test_criterion_9_record_engine_vs_walk_oracle():
+    """The records of D[k] from the CRT and window-query engine against the
+    O(K) prefix-minimum walk, on `unreduced_point` draws over
+    `ORACLE_PRIMESETS` (torsion draws included) and `real_bound_draws`, with K
+    up to 1000 and a few draws at K = 20000."""
+    start = time.time()
+    rng = random.Random(1009)
+    draws = []
+    for i in range(350):
+        primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
+        K = 20000 if i % 70 == 0 else rng.randint(1, 1000)
+        draws.append((unreduced_point(rng, primes, 30), K))
+    draws += real_bound_draws(1010, 70, 1000)
+    mismatches = []
+    counts = {"torsion": 0, "K = 20000": 0}
+    for alpha, K in draws:
+        engine = _deltas_or_degenerate(lambda: torus_gaps._records(alpha, K))
+        oracle = _deltas_or_degenerate(lambda: record_walk(alpha, K))
+        if engine != oracle:
+            mismatches.append(f"alpha={alpha}, primes={alpha.primes}, K={K}: {engine} != {oracle}")
+        counts["torsion"] += reduce(
+            multiple(alpha, 11 * 7 * 5 * 3 * 2))[0] == zero_point(alpha.primes)
+        counts["K = 20000"] += K == 20000
+    ok = not mismatches and min(counts.values()) > 0
+    _verdict(9, "record engine vs walk oracle", ok, time.time() - start,
+             "; ".join(mismatches[:3]) or f"{len(draws)} draws, {counts}")

@@ -26,6 +26,7 @@ from conftest import (
     random_primeset,
     real_bound_draws,
     unreduced_point,
+    within_seconds,
 )
 from oracles import (
     least_positive_prefix,
@@ -33,6 +34,7 @@ from oracles import (
     pairwise_deltas,
     prefix_min_deltas,
     real_bound,
+    record_walk,
     reference_torus_distance,
 )
 
@@ -174,18 +176,18 @@ class TestGapReport:
         points = list(orbit(alpha, 4))
         assert torus_distance(points[0], points[3]) == 0
 
-    def test_counts_one_reduce_and_the_distances_the_real_bound_lets_through(self, monkeypatch):
+    def test_counts_one_reduce_and_one_kernel_call_per_record(self, monkeypatch):
         """gap_report reduces alpha once, builds no validated point per orbit point,
-        and computes D[k] at k = 1 (`_reduced_distance`) and, by the pair kernel,
-        at each 2 <= k <= N - 1 whose real bound ||k * abar_inf|| is below the
-        least positive D[j], j < k."""
+        computes D[1] by `_reduced_distance`, and runs the pair kernel exactly at
+        the records after it: the k <= N - 1 at which the least positive D[j],
+        j < k, strictly falls, so never at a k with D[k] >= that least value."""
         cofinite = AdelePoint(Fraction(-7, 3), 10, {2: Fraction(1, 4), 3: 5}, PrimeSet.all_primes())
         expected = {}
         for alpha in (F1_ALPHA, F2_ALPHA, cofinite):
             for N in (2, 9, 60):
                 least = least_positive_prefix(alpha, N - 1)
                 expected[str(alpha), N] = [1] + [
-                    k for k in range(2, N) if real_bound(alpha, k) < least[k - 2]
+                    k for k in range(2, N) if least[k - 1] < least[k - 2]
                 ]
         counts = Counter()
         kernel_ks = []
@@ -210,19 +212,20 @@ class TestGapReport:
             for N in (2, 9, 60):
                 counts.clear()
                 kernel_ks.clear()
-                gap_report(alpha, N)
+                report = gap_report(alpha, N)
                 assert counts["reduce"] == 1
                 assert counts["_reduced_distance"] == 1  # D[1]
+                assert kernel_ks == report.records[0][1:]
                 assert [1] + kernel_ks == expected[str(alpha), N], (str(alpha), N)
                 assert counts["_multiple"] == 1  # the reduced alpha
                 constructions.add(counts["__post_init__"])
             assert len(constructions) == 1, (str(alpha), constructions)
         assert len(expected[str(F1_ALPHA), 60]) < 60 - 1
 
-    def test_builds_no_orbit_point_per_distance(self, monkeypatch):
+    def test_builds_no_orbit_point_and_one_fraction_per_record(self, monkeypatch):
         """Besides the reduced alpha and zero, gap_report builds no point: a D[k]
-        with k >= 2 comes from alpha's integers as a pair, and a Fraction is
-        built only where the running minimum drops."""
+        with k >= 2 comes from alpha's integers as a pair, only at a record, and a
+        Fraction is built only there."""
         drops = {}
         for alpha in (F1_ALPHA, F2_ALPHA, COFINITE_ALPHA):
             for N in (2, 9, 60, 400):
@@ -252,10 +255,10 @@ class TestGapReport:
                 gap_report(alpha, N)
                 assert counts["reduce"] == 1
                 assert counts["_multiple"] == 1, (str(alpha), N, counts)
+                assert counts["kernel"] == drops[str(alpha), N], (str(alpha), N, counts)
                 fixed.add((counts["_trusted"], counts["Fraction"] - drops[str(alpha), N]))
             assert len(fixed) == 1, (str(alpha), fixed)
-            assert 0 < counts["kernel"] < 400 - 1, (str(alpha), counts)
-            assert drops[str(alpha), 400] < counts["kernel"], (str(alpha), counts)
+            assert drops[str(alpha), 400] > 0, str(alpha)
 
     def test_distinct_gaps_and_witnesses_match_full_walk(self):
         """The distinct gaps and witnesses read off the records against sorting
@@ -292,8 +295,9 @@ class TestGapReport:
 
 
 class TestRealBound:
-    """Both prefix-minimum walks skip a k whose real bound ||k * abar_inf||
-    reaches the running minimum; the lemma and the walk against the oracles."""
+    """The lattice walk and the record walk oracle skip a k whose real bound
+    ||k * abar_inf|| reaches the running minimum; the record engine needs no
+    skip.  The lemma, and gap_report against the walk without the skip."""
 
     def test_distance_to_zero_is_at_least_the_real_bound(self):
         rng = random.Random(20261018)
@@ -329,6 +333,102 @@ class TestRealBound:
             assert gap_report(alpha, N).deltas == expected, (str(alpha), N)
             compared += 1
         assert compared >= 20
+
+
+class TestRecordEngine:
+    """The window query against brute force, and the record engine where the
+    walk cannot go: K up to 10**18, and the inputs that size its modulus."""
+
+    def test_window_query_against_brute_force(self):
+        """Every M <= 60, A and B in [0, M) and H with 2H + 1 < M: the least
+        x >= 0 with (A*x + B) mod M within H of 0, or None.  A*x mod M has a
+        period dividing M, so pos[v], the least x < M with A*x mod M = v, is the
+        least x of each residue, and the answer is the least pos[v] over the
+        residues v with v + B within H of 0."""
+        cases = 0
+        for M in range(1, 61):
+            for A in range(M):
+                pos = [None] * M
+                for x in range(M - 1, -1, -1):
+                    pos[A * x % M] = x
+                for B in range(M):
+                    expected, best = [], None
+                    for H in range((M - 2) // 2 + 1):
+                        for v in ((-B - H) % M, (H - B) % M):
+                            if pos[v] is not None and (best is None or pos[v] < best):
+                                best = pos[v]
+                        expected.append(best)
+                    got = [torus_gaps._first_near_zero(A, B, M, H) for H in range(len(expected))]
+                    assert got == expected, (A, B, M)
+                    cases += len(expected)
+        assert cases > 1_600_000
+
+    def test_exact_tail_cut_keeps_the_modulus_small(self):
+        """On a cofinite set with a small D[1] every prime up to 1/D[1] carries
+        the default; the primes past the product bound are implied, so the
+        modulus stays small (without the cut it is the primorial of 10**5)."""
+        alpha = AdelePoint(Fraction(1, 100000), 0, {}, PrimeSet.all_primes())
+        with within_seconds(0.3):
+            report = gap_report(alpha, 200)
+        assert report.records == ([1], [Fraction(1, 100000)])
+        assert report.distinct_gaps == [Fraction(1, 100000)]
+
+    def test_no_finite_set_constraint_is_dropped(self):
+        """abar_inf reduces to 0 and the 3-adic coordinate is -9/4, so the
+        records are the powers of 3; the 3-adic constraint is the binding one."""
+        alpha = AdelePoint(3, Fraction(1, 5), {2: 3, 3: Fraction(3, 4)}, PrimeSet.of(2, 3))
+        with within_seconds(0.5):
+            ks, values = torus_gaps._records(alpha, 10**9)
+        assert ks == [3**i for i in range(19)]
+        assert values == [Fraction(1, 3 ** (i + 2)) for i in range(19)]
+
+    def test_f1_records_double_after_51(self, monkeypatch):
+        """F1's records after k = 51 are at 100 * 2**j with D = 2**-j, through
+        K = 10**18, and the kernel runs once per record after D[1]."""
+        kernel_ks = []
+        kernel = torus_gaps._multiple_distance
+        monkeypatch.setattr(torus_gaps, "_multiple_distance",
+                            lambda xbar, k: kernel_ks.append(k) or kernel(xbar, k))
+        with within_seconds(0.5):
+            ks, values = torus_gaps._records(F1_ALPHA, 10**18)
+        assert ks[:6] == [1, 3, 8, 16, 35, 51]
+        assert values[:6] == [Fraction(51, 100), Fraction(47, 100), Fraction(1, 4),
+                              Fraction(4, 25), Fraction(3, 20), Fraction(1, 100)]
+        assert ks[6:] == [100 * 2**j for j in range(7, 54)]
+        assert values[6:] == [Fraction(1, 2**j) for j in range(7, 54)]
+        assert kernel_ks == ks[1:]
+
+    def test_ci_cofinite_alpha_has_14_records_through_10_to_18(self):
+        alpha = AdelePoint(Fraction(-7, 3), 10, {11: Fraction(1, 4), 13: 5},
+                           PrimeSet.all_except(2, 3, 5, 7))
+        with within_seconds(0.5):
+            ks, values = torus_gaps._records(alpha, 10**18)
+        assert len(ks) == 14
+        assert ks[:5] == [1, 3, 33, 429, 7293]
+        assert values[:5] == [Fraction(1, 3), Fraction(1, 11), Fraction(1, 13),
+                              Fraction(1, 17), Fraction(1, 19)]
+
+    @pytest.mark.parametrize("c, primes, order", [
+        (Fraction(1, 3), PrimeSet.of(2), 3),
+        (Fraction(2, 7), PrimeSet.all_except(7), 7),
+    ])
+    def test_torsion_records_stop_at_the_order(self, monkeypatch, c, primes, order):
+        """k*alpha lies in Gamma_P first at the order q, where D[q] = 0; D is then
+        periodic, so the engine stops there, with every record below q."""
+        calls = []
+        kernel = torus_gaps._multiple_distance
+
+        def recording(xbar, k):
+            calls.append((k, kernel(xbar, k)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(torus_gaps, "_multiple_distance", recording)
+        alpha = AdelePoint(c, c, {}, primes)
+        with within_seconds(0.5):
+            ks, values = torus_gaps._records(alpha, 10**18)
+        assert calls[-1][0] == order and calls[-1][1][0] == 0
+        assert [k for k, _ in calls[:-1]] == ks[1:] and ks[-1] < order
+        assert (ks, values) == record_walk(alpha, 3 * order)
 
 
 class TestRecords:
