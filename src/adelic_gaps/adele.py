@@ -441,7 +441,9 @@ def _reduced_distance(xbar: AdelePoint, ybar: AdelePoint) -> Fraction:
     |D_inf| or 1 - |D_inf|, so the distance is at least
     min(|D_inf|, 1 - |D_inf|), the distance from D_inf to the nearest integer.
     The prefix-minimum walk of `lattice` skips, on this bound, every k whose
-    distance to 0 cannot set a new minimum.
+    distance to 0 cannot set a new minimum; it takes the distance of every
+    other k from `_multiple_distance`, and comes here only at the k where the
+    minimum drops.
     """
     x_default, y_default = xbar.default_value, ybar.default_value
     coords = {

@@ -13,7 +13,7 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .adele import AdelePoint, TorusPoint, reduce, torus_distance, zero_point
+from .adele import AdelePoint, TorusPoint, _multiple_distance, reduce, torus_distance, zero_point
 
 
 def min_positive_diagonal_distance(x: AdelePoint) -> Fraction:
@@ -42,17 +42,17 @@ _V_MIN_TABLES = weakref.WeakKeyDictionary()
 class RotationMatrixSpec:
     """Upper-triangular determinant-1 matrix with diagonal (1/t, t) and shear t*alpha.
 
-    The gap identity for the orbit of length N uses t = N + 1/2, set once as
-    the attribute `t`.  The prefix minima M of the shortest vectors
-    `v_min(k)`, as one drop index per radius into the values M takes, and the
-    reduced alpha they are computed from are kept in one table per alpha,
-    which every spec on an equal alpha that is still alive shares; alpha is
-    reduced once, when its table is made.
+    The gap identity for the orbit of length N uses t = N + 1/2, the property
+    `t`.  The prefix minima M of the shortest vectors `v_min(k)`, as one drop
+    index per radius into the values M takes, and the reduced alpha they are
+    computed from are kept in one table per alpha, which every spec on an
+    equal alpha that is still alive shares; alpha is reduced once, when its
+    table is made.  The drops are found on the integer kernel, and each value
+    at a drop comes from `v_min`.
     """
 
     alpha: AdelePoint
     N: int
-    t: Fraction = field(init=False, repr=False, compare=False)
     _drops: list[int] = field(init=False, repr=False, compare=False)
     _values: list[Fraction] = field(init=False, repr=False, compare=False)
     _alpha_bar: TorusPoint = field(init=False, repr=False, compare=False)
@@ -60,20 +60,24 @@ class RotationMatrixSpec:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
-        self.t = Fraction(2 * self.N + 1, 2)
         entry = _V_MIN_TABLES.get(self.alpha)
         if entry is None:
             # v_min(0) = 1, the norm of the shortest nonzero element of Gamma_P
             entry = _V_MIN_TABLES[self.alpha] = ([0], [Fraction(1)], reduce(self.alpha)[0])
         self._drops, self._values, self._alpha_bar = entry
 
+    @property
+    def t(self) -> Fraction:
+        return Fraction(2 * self.N + 1, 2)
+
     def v_min(self, k: int) -> Fraction:
         """Minimal positive |k*alpha - gamma| over Gamma_P; symmetric in +-k.
 
         The distance is taken at the reduced k*alpha, which the reduced alpha
         builds in closed form (`TorusPoint._multiple`), the construction
-        `orbit` uses too.  The value is computed on every call; the table
-        keeps only the values at which its prefix minimum drops.
+        `orbit` uses too, through `min_positive_diagonal_distance` and
+        `torus_distance`.  The value is computed on every call; `_fill` calls
+        it only at the k where the prefix minimum drops.
         """
         return min_positive_diagonal_distance(self._alpha_bar._multiple(abs(k)))
 
@@ -85,18 +89,26 @@ class RotationMatrixSpec:
         min(r, b - r)/b when k*alpha is off the lattice (see
         `_reduced_distance`), and 1 when it is on it, which no prefix minimum
         exceeds, since v_min(0) = 1.  A k whose bound reaches the last minimum
-        cannot lower it, so v_min(k) is not computed for it.
+        cannot lower it and is skipped.  For every other k, D[k] = d(k*alpha, 0)
+        comes as an integer pair from `_multiple_distance` and is compared with
+        the last minimum by cross-multiplication; a D of 0 (k*alpha on the
+        lattice) or one that is not below the minimum is no drop.  Only at a
+        drop is `v_min(k)` computed, and its value is the one kept, so the
+        table's values come from the point path.
         """
-        drops, values = self._drops, self._values
-        inf = self._alpha_bar.at_infinity
+        drops, values, xbar = self._drops, self._values, self._alpha_bar
+        inf = xbar.at_infinity
         a, b = inf.numerator, inf.denominator
+        low_num, low_den = values[-1].numerator, values[-1].denominator
         while len(drops) <= K:
-            k, low = len(drops), values[-1]
+            k = len(drops)
             r = k * a % b
-            if min(r, b - r) * low.denominator < low.numerator * b:
-                v = self.v_min(k)
-                if v < low:
+            if min(r, b - r) * low_den < low_num * b:
+                num, den = _multiple_distance(xbar, k)
+                if 0 < num and num * low_den < low_num * den:
+                    v = self.v_min(k)
                     values.append(v)
+                    low_num, low_den = v.numerator, v.denominator
             drops.append(len(values) - 1)
 
 

@@ -1,10 +1,15 @@
 import contextlib
+import os
 import random
 import signal
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import adelic_gaps
 from adelic_gaps import AdelePoint, PrimeSet, add_diagonal, reduce
 from adelic_gaps.cli import random_point  # noqa: F401  (the one sampler, re-exported to the tests)
 
@@ -123,3 +128,24 @@ def within_seconds(limit):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def in_child(check, limit):
+    """Run the module-level function `check` of a test module in a child Python
+    process, and fail unless it returns within `limit` wall-clock seconds.
+
+    `within_seconds` raises only between bytecodes, so it cannot stop one long
+    C call that does not check for signals; the child is killed at the limit
+    wherever it is.  A failed assertion in the child fails the test with the
+    child's traceback.
+    """
+    paths = [str(Path(__file__).parent), str(Path(adelic_gaps.__file__).parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    module = Path(check.__code__.co_filename).stem
+    result = subprocess.run(
+        [sys.executable, "-c", f"import {module}; {module}.{check.__name__}()"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+        capture_output=True, text=True, timeout=limit,
+    )
+    assert result.returncode == 0, result.stderr

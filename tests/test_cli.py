@@ -342,6 +342,9 @@ class TestBoundedText:
 
 F1 = ["--primes", "2", "--alpha", "inf=351/100;default=0;2=1", "--N", "52"]
 I1 = ["--primes", "all-except:2", "--alpha", "inf=1/9;default=0;3=1", "--N", "11"]
+F2 = ["--primes", "3", "--alpha", "inf=16/5;default=0;3=1", "--N", "5"]
+COFINITE = ["--primes", "all-except:2,3,5,7", "--alpha", "inf=-7/3;default=10;11=1/4;13=5",
+            "--N", "2000"]
 SWEEP = ["--primes", "all-except:2", "--seed", "7", "--samples", "500", "--max-N", "30"]
 
 # SHA-256 of f"{exit code}\0{stdout}\0{stderr}" for whole runs of `main`
@@ -389,6 +392,22 @@ GOLDEN = {
     "lattice-check-I1-json": (
         ["lattice-check", *I1, "--format", "json"],
         "2d13cf9455dbe46292a8520eac80bf577e8c2d17aadfbb8081e5a782bbfe8652",
+    ),
+    "lattice-check-F2-plain": (
+        ["lattice-check", *F2],
+        "f8675e13618524d63a51aba7d03bef7b8e76eab1dc0f35c54c2a008b5033f07b",
+    ),
+    "lattice-check-F2-json": (
+        ["lattice-check", *F2, "--format", "json"],
+        "cc710fd639ba910919c487680cc97b22d26cb72e8ca1c6854c9a787083718794",
+    ),
+    "lattice-check-cofinite-plain": (
+        ["lattice-check", *COFINITE],
+        "fdca401a62bcdaf023494490346a816e02fac7b55af8001d768c43ba52b004c8",
+    ),
+    "lattice-check-cofinite-json": (
+        ["lattice-check", *COFINITE, "--format", "json"],
+        "1261b2021aa04de6bf4309a46df9030d47cff5f10863bb04d15cb06befb3125a",
     ),
     "verify-plain": (
         ["verify", *SWEEP],

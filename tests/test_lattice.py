@@ -227,8 +227,8 @@ class TestVMinTable:
     @pytest.mark.parametrize("instance", ["F1", "cofinite", "fixed-cofinite"])
     def test_lattice_check_v_min_calls_match_real_bound(self, instance, rng, monkeypatch, capsys):
         # every F_value reads the prefix minimum of the table, so each |k| <= N
-        # is computed at most once, when the table first grows past it; the
-        # table starts from M[0] = v_min(0) = 1, so k = 0 is never computed
+        # is visited once, when the table first grows past it; the table
+        # starts from M[0] = v_min(0) = 1, so k = 0 is never computed
         if instance == "F1":
             primes, alpha, N = P2, F1_ALPHA, 52
         elif instance == "fixed-cofinite":
@@ -238,26 +238,50 @@ class TestVMinTable:
         else:
             primes = PrimeSet.all_except(2, 3, 5, 7)
             alpha, N = unreduced_point(rng, primes, 30), 200
-        calls = []
+        calls, kernel_ks = [], []
         v_min = RotationMatrixSpec.v_min
+        kernel = lattice._multiple_distance
 
         def recording(spec, k):
             calls.append(k)
             return v_min(spec, k)
 
         monkeypatch.setattr(RotationMatrixSpec, "v_min", recording)
+        monkeypatch.setattr(lattice, "_multiple_distance",
+                            lambda xbar, k: kernel_ks.append(k) or kernel(xbar, k))
         monkeypatch.setattr(lattice, "_V_MIN_TABLES", weakref.WeakKeyDictionary())
         argv = ["lattice-check", "--primes", str(primes), "--alpha", str(alpha), "--N", str(N)]
         assert main(argv) == 0
         assert f"{N}/{N} match" in capsys.readouterr().out
-        assert 0 < len(calls) <= N
-        # the table is filled through radius N, and v_min(k) is computed at each
-        # k whose real bound is below the prefix minimum M[k - 1]
+        # the table is filled through radius N: the kernel runs at each k whose
+        # real bound is below the prefix minimum M[k - 1], and v_min only at
+        # each k where M drops
         zero = zero_point(primes)
-        minima, _ = prefix_minima_and_drops(
+        minima, drops = prefix_minima_and_drops(
             reference_torus_distance(multiple(alpha, k), zero) or Fraction(1) for k in range(N + 1)
         )
-        assert len(calls) == sum(real_bound(alpha, k) < minima[k - 1] for k in range(1, N + 1))
+        assert kernel_ks == [k for k in range(1, N + 1) if real_bound(alpha, k) < minima[k - 1]]
+        assert calls == [k for k in range(1, N + 1) if drops[k] > drops[k - 1]]
+        if instance == "F1":
+            assert calls == [1, 3, 8, 16, 35, 51] and len(kernel_ks) == 21
+
+    def test_kernel_overstating_a_drop_is_a_mismatch(self, monkeypatch, capsys):
+        """The lattice side finds its drops on the kernel: a kernel that misses
+        F1's drop at k = 35 (D = 3/20) leaves the prefix minimum at 4/25 on the
+        radii 35..50, and lattice-check reports each delta read there."""
+        kernel = lattice._multiple_distance
+        monkeypatch.setattr(lattice, "_multiple_distance",
+                            lambda xbar, k: (1, 1) if k == 35 else kernel(xbar, k))
+        monkeypatch.setattr(lattice, "_V_MIN_TABLES", weakref.WeakKeyDictionary())
+        argv = ["lattice-check", "--primes", "2", "--alpha", "inf=351/100;default=0;2=1",
+                "--N", "52"]
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        # the radius of n is max(n - 1, 52 - n), in 35..50 for n in 2..17 and 36..51
+        mismatched = [*range(2, 18), *range(36, 52)]
+        assert f"{52 - len(mismatched)}/52 match" in out
+        for n in mismatched:
+            assert f"  MISMATCH n={n}: direct 3/20 != lattice 4/25" in out
 
     def test_lattice_check_reduces_alpha_twice(self, monkeypatch, capsys):
         """One lattice-check reduces alpha in `orbit` and once for its v_min table,

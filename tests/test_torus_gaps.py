@@ -22,6 +22,7 @@ from adelic_gaps import (
 from conftest import (
     ORACLE_PRIMESETS,
     counting,
+    in_child,
     random_point,
     random_primeset,
     real_bound_draws,
@@ -335,6 +336,22 @@ class TestRealBound:
         assert compared >= 20
 
 
+def exact_tail_cut_check():
+    alpha = AdelePoint(Fraction(1, 100000), 0, {}, PrimeSet.all_primes())
+    with within_seconds(0.3):
+        report = gap_report(alpha, 200)
+    assert report.records == ([1], [Fraction(1, 100000)])
+    assert report.distinct_gaps == [Fraction(1, 100000)]
+
+
+def finite_set_constraint_check():
+    alpha = AdelePoint(3, Fraction(1, 5), {2: 3, 3: Fraction(3, 4)}, PrimeSet.of(2, 3))
+    with within_seconds(0.5):
+        ks, values = torus_gaps._records(alpha, 10**9)
+    assert ks == [3**i for i in range(19)]
+    assert values == [Fraction(1, 3 ** (i + 2)) for i in range(19)]
+
+
 class TestRecordEngine:
     """The window query against brute force, and the record engine where the
     walk cannot go: K up to 10**18, and the inputs that size its modulus."""
@@ -366,21 +383,15 @@ class TestRecordEngine:
     def test_exact_tail_cut_keeps_the_modulus_small(self):
         """On a cofinite set with a small D[1] every prime up to 1/D[1] carries
         the default; the primes past the product bound are implied, so the
-        modulus stays small (without the cut it is the primorial of 10**5)."""
-        alpha = AdelePoint(Fraction(1, 100000), 0, {}, PrimeSet.all_primes())
-        with within_seconds(0.3):
-            report = gap_report(alpha, 200)
-        assert report.records == ([1], [Fraction(1, 100000)])
-        assert report.distinct_gaps == [Fraction(1, 100000)]
+        modulus stays small (without the cut it is the primorial of 10**5).
+        The check runs in a child process, killed after 5 s."""
+        in_child(exact_tail_cut_check, 5)
 
     def test_no_finite_set_constraint_is_dropped(self):
         """abar_inf reduces to 0 and the 3-adic coordinate is -9/4, so the
-        records are the powers of 3; the 3-adic constraint is the binding one."""
-        alpha = AdelePoint(3, Fraction(1, 5), {2: 3, 3: Fraction(3, 4)}, PrimeSet.of(2, 3))
-        with within_seconds(0.5):
-            ks, values = torus_gaps._records(alpha, 10**9)
-        assert ks == [3**i for i in range(19)]
-        assert values == [Fraction(1, 3 ** (i + 2)) for i in range(19)]
+        records are the powers of 3; the 3-adic constraint is the binding one.
+        The check runs in a child process, killed after 5 s."""
+        in_child(finite_set_constraint_check, 5)
 
     def test_f1_records_double_after_51(self, monkeypatch):
         """F1's records after k = 51 are at 100 * 2**j with D = 2**-j, through
