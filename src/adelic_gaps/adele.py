@@ -226,25 +226,35 @@ def _is_prime_cofactor(n: int) -> bool:
     return n < PRIMALITY_LIMIT and is_prime(n)
 
 
+#: `_prime_factors` trial-divides by the integers below this bound only (about 20 ms).
+TRIAL_DIVISION_LIMIT = 10**5
+
+
 @lru_cache(maxsize=1 << 16)
 def _prime_factors(n: int) -> tuple[int, ...]:
     """The distinct prime factors of n, ascending.
 
     Trial division stops as soon as the remaining cofactor is a prime below
-    PRIMALITY_LIMIT, so a large prime factor costs one primality test.  A
-    cofactor with two large prime factors is still trial-divided.
+    PRIMALITY_LIMIT, so a large prime factor costs one primality test.  It
+    stops at TRIAL_DIVISION_LIMIT in any case: a cofactor left then is
+    composite or its primality is not decided, and ValueError is raised.
     """
     n = abs(n)
     out = []
     d = 2
     prime_rest = _is_prime_cofactor(n)
-    while not prime_rest and d * d <= n:
+    while not prime_rest and d * d <= n and d < TRIAL_DIVISION_LIMIT:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
             prime_rest = _is_prime_cofactor(n)
         d += 1
+    if not prime_rest and d * d <= n:
+        raise ValueError(
+            f"cannot factor a {n.bit_length()}-bit cofactor: it has no prime factor below "
+            f"{TRIAL_DIVISION_LIMIT} and is not a prime below {PRIMALITY_LIMIT}"
+        )
     if n > 1:
         out.append(n)
     return tuple(out)
@@ -266,8 +276,9 @@ def add_diagonal(x: AdelePoint, gamma) -> AdelePoint:
     The one check is that gamma lies in Gamma_P.  On a finite set it divides
     the listed primes out of gamma's denominator, and anything left rejects
     gamma; nothing is factored.  On a cofinite set only the part of the
-    denominator prime to x's override keys is factored; for the shifts
-    `reduce` builds that part is 1, however large the override primes are.
+    denominator prime to x's override keys is factored, and a part that
+    `_prime_factors` cannot factor raises ValueError; for the shifts `reduce`
+    builds that part is 1, however large the override primes are.
     The sum is built without re-validation: x is valid, and every prime of
     gamma's denominator becomes an override key.
     """

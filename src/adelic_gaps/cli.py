@@ -24,10 +24,10 @@ import random
 import re
 import shlex
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 
 from .adele import AdelePoint, PrimeSet
 from .lattice import RotationMatrixSpec, G_N_value, delta_via_lattice, scan_G
@@ -130,15 +130,41 @@ def _text(r: Fraction) -> str:
                        "for int-to-string conversion") from None
 
 
-def _emit(fmt: str, record: dict, lines: list[str], rows: Iterable[Sequence] = ()) -> None:
+def _emit(fmt: str, record: dict, lines: list[str], rows: Iterable[Sequence] = (),
+          deltas: Sequence[tuple[str, int]] = ()) -> None:
     """Print one result: `record` as JSON, `rows` (header first, read only for
-    CSV) as CSV, else `lines`."""
+    CSV) as CSV, else `lines`.
+
+    `deltas`, if given, is the JSON array record["deltas"] as runs (text,
+    count) in order, and the record holds [] in its place: each distinct text
+    is encoded once and the items are joined in one `str.join`, in the bytes
+    that json.dumps(indent=2) writes for the whole list, which encodes the
+    items one at a time.  The pieces are printed one after another, so the
+    text is never copied whole.
+    """
     if fmt == "json":
-        print(json.dumps(record, indent=2))
+        text = json.dumps(record, indent=2)
+        if deltas:
+            head, tail = text.split('"deltas": []', 1)
+            encoded = {t: json.dumps(t) for t in {t for t, _ in deltas}}
+            items = chain.from_iterable(repeat(encoded[t], count) for t, count in deltas)
+            print(head, '"deltas": [\n    ', ",\n    ".join(items), "\n  ]", tail, sep="")
+        else:
+            print(text)
     elif fmt == "csv":
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     else:
         print("\n".join(lines))
+
+
+def _listing_rows(runs: Sequence[tuple[str, int]]) -> Iterator[Iterable[Sequence]]:
+    """The CSV rows of a listing given as runs (text, count) in order: the
+    header, then one iterator of rows (n, text) per run, n counting from 1."""
+    yield [("n", "delta")]
+    n = 1
+    for text, count in runs:
+        yield zip(range(n, n + count), repeat(text))
+        n += count
 
 
 def cmd_gaps(args) -> int:
@@ -147,14 +173,14 @@ def cmd_gaps(args) -> int:
     if args.N < 1:
         raise CliError(f"N must be >= 1, got {args.N}")
     report = gap_report(alpha, args.N)
-    # every delta is one of the distinct gap objects, so each string is made
-    # once and found by identity: hashing a Fraction costs more than printing it;
-    # the N deltas are read only for the formats that list them
+    # every run's value is one of the distinct gap objects, so each string is
+    # made once and found by identity: hashing a Fraction costs more than
+    # printing it; the listing is written from the runs, never item by item
     text = {id(g): _text(g) for g in report.distinct_gaps}
-    deltas = [] if args.format == "plain" else [text[id(d)] for d in report.deltas]
+    runs = [] if args.format == "plain" else [(text[id(v)], count) for v, count in report.runs]
     record = {
         "N": report.N,
-        "deltas": deltas,
+        "deltas": [],
         "distinct_gaps": list(text.values()),
         "gap_count": report.gap_count,
         "witnesses": {text[id(g)]: n for g, n in report.witnesses.items()},
@@ -166,7 +192,7 @@ def cmd_gaps(args) -> int:
         f"distinct gaps ({report.gap_count}): " + ", ".join(record["distinct_gaps"]),
         "witnesses: " + ", ".join(f"delta_{n} = {g}" for g, n in record["witnesses"].items()),
     ]
-    _emit(args.format, record, lines, chain([("n", "delta")], enumerate(deltas, start=1)))
+    _emit(args.format, record, lines, chain.from_iterable(_listing_rows(runs)), runs)
     return EXIT_OK
 
 
@@ -189,10 +215,13 @@ def cmd_verify(args) -> int:
                 continue
             break
         if report.gap_count > 3:
+            # the gaps and their least witnesses, not the N deltas: N may be 10^12
+            gaps = {_text(g): n for g, n in report.witnesses.items()}
             print(
                 f"VERIFICATION FAILURE at sample {i}: g_N = {report.gap_count} > 3\n"
                 f"  alpha = {alpha}\n  primes = {primes}\n  N = {N}\n"
-                f"  deltas = {[_text(d) for d in report.deltas]}\n"
+                f"  distinct gaps ({report.gap_count}): {', '.join(gaps)}\n"
+                f"  witnesses: {', '.join(f'delta_{n} = {g}' for g, n in gaps.items())}\n"
                 f"adelic-gaps gaps --primes {shlex.quote(str(primes))} "
                 f"--alpha {shlex.quote(str(alpha))} --N {N}",
                 file=sys.stderr,

@@ -26,16 +26,36 @@ class GapReport:
     witnesses: dict[Fraction, int]
 
     @cached_property
-    def deltas(self) -> list[Fraction]:
-        """deltas[n-1] is delta_n, the record in force at radius max(n-1, N-n)
-        (see `gap_report`), built on first read: the one part of a report whose
-        size grows with N."""
+    def runs(self) -> list[tuple[Fraction, int]]:
+        """delta_1, ..., delta_N as runs (value, count) in n order, read off the
+        records: O(records) of them, each value one of the objects records holds.
+
+        delta_n is the record in force at radius max(n-1, N-n) (see
+        `gap_report`), and record i is in force on the radii
+        ks[i] <= r < ends[i], ends = ks[1:] + [N].  With h = (N+1)//2, the
+        n <= h take the radii N-1 down to N-h, so record i covers
+        [max(ks[i], N-h), ends[i]) there, last record first; the n > h take
+        the radii h up to N-1, so record i covers [max(ks[i], h), ends[i]),
+        ascending.  A record with no radius in a range has no run in it.
+        """
         ks, values = self.records
-        least = []  # least[r-1] is the record in force at radius r
-        for k, end, value in zip(ks, ks[1:] + [self.N], values):
-            least += [value] * (end - k)
-        h = (self.N + 1) // 2
-        return least[::-1][:h] + least[h - 1:]
+        N, h = self.N, (self.N + 1) // 2
+        first, second = [], []  # the runs of the n <= h, last record first, and of the n > h
+        for k, end, value in zip(ks, ks[1:] + [N], values):
+            if end > N - h:
+                first.append((value, end - max(k, N - h)))
+            if end > h:
+                second.append((value, end - max(k, h)))
+        return first[::-1] + second
+
+    @cached_property
+    def deltas(self) -> list[Fraction]:
+        """deltas[n-1] is delta_n, the expansion of `runs`, built on first read:
+        the one part of a report whose size grows with N."""
+        deltas = []
+        for value, count in self.runs:
+            deltas += [value] * count
+        return deltas
 
     @property
     def distinct_gaps(self) -> list[Fraction]:
@@ -199,13 +219,13 @@ def gap_report(alpha: AdelePoint, N: int) -> GapReport:
     The quotient metric is translation-invariant, so d(n*alpha, m*alpha) =
     D[|n-m|], and delta_n is the least positive D[k] over
     1 <= k <= max(n-1, N-n): the record of `_records(alpha, N - 1)` in force
-    at that radius (`GapReport.deltas`).  Record i is in force on the radii
+    at that radius (`GapReport.runs`).  Record i is in force on the radii
     ks[i] <= r < ends[i], ends = ks[1:] + [N].  With h = (N+1)//2, the radii
     of n <= h are N-1 down to N-h, and later n repeat radii of [N-h, N-1].
     So the distinct gaps are the values in force there, ascending from the
     last record, and record i's least witness is the least n <= h with radius
     below ends[i]: N - ends[i] + 1.  The cost is that of the records; only
-    reading `deltas` grows with N.
+    reading `GapReport.deltas`, the runs expanded, grows with N.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")

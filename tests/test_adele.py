@@ -24,6 +24,7 @@ from adelic_gaps.cli import main
 from conftest import (
     ORACLE_PRIMESETS,
     counting,
+    in_child,
     random_point,
     random_primeset,
     unreduced_point,
@@ -241,6 +242,15 @@ class TestMakePoint:
         assert point.coordinate(2) == 1
 
 
+def unfactored_denominator_check():
+    gamma = Fraction(1, (10**11 + 3) * (10**11 + 19))
+    with within_seconds(1), pytest.raises(ValueError, match="cannot factor a 74-bit cofactor"):
+        add_diagonal(AdelePoint(Fraction(1, 3), 0, {5: 1}, PrimeSet.all_except(2)), gamma)
+    # every factor below the limit is found, and a prime cofactor above it
+    assert _prime_factors(99989 * 99991) == (99989, 99991)
+    assert _prime_factors(99991 * (10**11 + 3)) == (99991, 10**11 + 3)
+
+
 class TestAddDiagonal:
     def test_f1_reduction_step(self):
         x = AdelePoint(Fraction(17901, 100), 0, {2: 51}, P2)
@@ -285,6 +295,12 @@ class TestAddDiagonal:
         with within_seconds(2):
             assert _prime_factors(8 * p) == (2, p)
         assert _prime_factors(10**30) == (2, 5)
+
+    def test_cofinite_set_refuses_a_denominator_it_cannot_factor(self):
+        """Trial division stops at TRIAL_DIVISION_LIMIT: a denominator with two
+        12-digit prime factors is refused with ValueError, not split by 10**11
+        divisions.  The check runs in a child process, killed after 5 s."""
+        in_child(unfactored_denominator_check, 5)
 
     def test_finite_set_rejects_a_large_denominator_without_factoring(self):
         # the denominator is a product of two 12-digit primes, which trial

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from adelic_gaps import PrimeSet, gap_report, sharp_instance
+from adelic_gaps import DegenerateOrbitError, PrimeSet, gap_report, reduce, sharp_instance, zero_point
 from adelic_gaps import cli, paper_examples
 from adelic_gaps.cli import (
     CliError,
@@ -24,8 +24,14 @@ from adelic_gaps.cli import (
     parse_rational,
     random_instance,
 )
+from adelic_gaps.torus_gaps import GapReport
 
-from conftest import within_seconds
+from conftest import ORACLE_PRIMESETS, unreduced_point, within_seconds
+from oracles import multiple, prefix_min_deltas
+
+
+def unread_deltas(report):
+    raise AssertionError("GapReport.deltas was read")
 
 
 class TestParsing:
@@ -121,6 +127,65 @@ class TestGapsCommand:
         assert captured.err == "error: N = 1: a single orbit point has no nearest neighbor\n"
 
 
+class TestGapsListing:
+    """`gaps --format json|csv` lists every delta_n, written from the runs of
+    the gap profile: its bytes must equal the full per-n list serialised item
+    by item."""
+
+    @staticmethod
+    def expected_outputs(alpha, N) -> tuple[str, str]:
+        """The JSON and CSV stdout that json.dumps(indent=2) and csv.writer
+        write from the oracle's per-n deltas."""
+        values = prefix_min_deltas(alpha, N)
+        deltas = [str(d) for d in values]
+        witnesses = {}
+        for n, d in enumerate(values, start=1):
+            witnesses.setdefault(d, n)
+        gaps = sorted(witnesses)
+        record = {
+            "N": N,
+            "deltas": deltas,
+            "distinct_gaps": [str(g) for g in gaps],
+            "gap_count": len(gaps),
+            "witnesses": {str(g): witnesses[g] for g in gaps},
+            "alpha": str(alpha),
+            "primes": str(alpha.primes),
+        }
+        rows = io.StringIO()
+        csv.writer(rows, lineterminator="\n").writerows([("n", "delta"), *enumerate(deltas, start=1)])
+        return json.dumps(record, indent=2) + "\n", rows.getvalue()
+
+    def test_listing_matches_the_oracle_item_by_item(self, capsys):
+        """Seeded `unreduced_point` draws over `ORACLE_PRIMESETS`, N = 2 and 3
+        on each set and N in [2, 300] otherwise, torsion draws included."""
+        rng = random.Random(2022)
+        torsion = 0
+        for i in range(70):
+            primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
+            alpha = unreduced_point(rng, primes, 30)
+            N = 2 + i % 2 if i < 2 * len(ORACLE_PRIMESETS) else rng.randint(2, 300)
+            argv = ["gaps", "--primes", str(primes), "--alpha", str(alpha), "--N", str(N)]
+            try:
+                expected = self.expected_outputs(alpha, N)
+            except DegenerateOrbitError:
+                assert main(argv) == 1, (str(alpha), N)
+                capsys.readouterr()
+                continue
+            for fmt, out in zip(("json", "csv"), expected):
+                assert main([*argv, "--format", fmt]) == 0
+                assert capsys.readouterr().out == out, (str(alpha), N, fmt)
+            torsion += reduce(multiple(alpha, 11 * 7 * 5 * 3 * 2))[0] == zero_point(primes)
+        assert torsion > 0
+
+    @pytest.mark.parametrize("name", ["gaps-F1-json", "gaps-F1-csv", "gaps-cofinite-json",
+                                      "gaps-cofinite-csv", "gaps-torsion-odd-json"])
+    def test_listing_never_reads_the_deltas(self, name, capsys, monkeypatch):
+        """A spy fails any read of `GapReport.deltas`; the golden bytes still come out."""
+        monkeypatch.setattr(GapReport, "deltas", property(unread_deltas))
+        argv, digest = GOLDEN[name]
+        assert output_digest(argv, capsys) == digest
+
+
 class TestVerifyCommand:
     def test_sweep_histogram_totals(self, capsys):
         code = main(["verify", "--primes", "2", "--seed", "42", "--samples", "200",
@@ -157,6 +222,32 @@ class TestVerifyCommand:
         assert argv[:2] == ["adelic-gaps", "gaps"]
         args = build_parser().parse_args(argv[1:])
         assert args.N == N
+        assert parse_alpha(args.alpha, parse_primes(args.primes)) == alpha
+
+    def test_failure_report_is_bounded_at_large_max_n(self, capsys, monkeypatch):
+        """The failure report names g_N, the distinct gaps and their least
+        witnesses, not the N deltas, so a failing sample at N near 10**12 is
+        reported at once; a spy fails any read of the deltas before it could
+        build them."""
+        real_gap_report = cli.gap_report
+        four = {Fraction(1, g): g for g in range(1, 5)}
+        monkeypatch.setattr(
+            cli, "gap_report", lambda a, n: dataclasses.replace(real_gap_report(a, n), witnesses=four)
+        )
+        monkeypatch.setattr(GapReport, "deltas", property(unread_deltas))
+        with within_seconds(5):
+            code = main(["verify", "--primes", "all-except:2", "--seed", "7", "--samples", "5",
+                         "--max-N", "1000000000000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert lines[0] == "VERIFICATION FAILURE at sample 0: g_N = 4 > 3"
+        assert lines[4:6] == ["  distinct gaps (4): 1, 1/2, 1/3, 1/4",
+                              "  witnesses: delta_1 = 1, delta_2 = 1/2, delta_3 = 1/3, delta_4 = 1/4"]
+        assert len(lines) == 7 and len(err) < 500
+        args = build_parser().parse_args(shlex.split(lines[-1])[1:])
+        alpha, N = random_instance(random.Random(7), parse_primes("all-except:2"), 10**12, 30)
+        assert args.N == N > 10**9
         assert parse_alpha(args.alpha, parse_primes(args.primes)) == alpha
 
     def test_config_validation(self, capsys):
@@ -346,6 +437,8 @@ F2 = ["--primes", "3", "--alpha", "inf=16/5;default=0;3=1", "--N", "5"]
 COFINITE = ["--primes", "all-except:2,3,5,7", "--alpha", "inf=-7/3;default=10;11=1/4;13=5",
             "--N", "2000"]
 SWEEP = ["--primes", "all-except:2", "--seed", "7", "--samples", "500", "--max-N", "30"]
+# a torsion alpha: 3*alpha lies in Gamma_{2}, so its records stop at k = 1
+TORSION = ["--primes", "2", "--alpha", "inf=1/3;default=1/3"]
 
 # SHA-256 of f"{exit code}\0{stdout}\0{stderr}" for whole runs of `main`
 GOLDEN = {
@@ -408,6 +501,30 @@ GOLDEN = {
     "lattice-check-cofinite-json": (
         ["lattice-check", *COFINITE, "--format", "json"],
         "1261b2021aa04de6bf4309a46df9030d47cff5f10863bb04d15cb06befb3125a",
+    ),
+    "gaps-cofinite-json": (
+        ["gaps", *COFINITE, "--format", "json"],
+        "4c981481a1ae2762fb209bc272791932dd427d9fb8cb3285253a33cb9e9e3c96",
+    ),
+    "gaps-cofinite-csv": (
+        ["gaps", *COFINITE, "--format", "csv"],
+        "88daf5f70a32be6d35823bb0590bb6e0f9058118e41a503d0527b1186cf41d1f",
+    ),
+    "gaps-torsion-even-json": (
+        ["gaps", *TORSION, "--N", "10", "--format", "json"],
+        "3c7168f1cfaff8436f016a152e0fbe25d8524508ca03a7eb9ae6447ce56e04df",
+    ),
+    "gaps-torsion-even-csv": (
+        ["gaps", *TORSION, "--N", "10", "--format", "csv"],
+        "22bc3bfa512b0c230d60989f85b8a7b4f6e37d362204225e8c72482bb3dfb60c",
+    ),
+    "gaps-torsion-odd-json": (
+        ["gaps", *TORSION, "--N", "11", "--format", "json"],
+        "f3f33289653cefe854fbf57920e6cb51f2fb01195baea295d9c4f7bb3c1d9f9b",
+    ),
+    "gaps-torsion-odd-csv": (
+        ["gaps", *TORSION, "--N", "11", "--format", "csv"],
+        "49fcd4e52794a81038d1ff66dcf7a3e1b24c9855bcb56d1898a16011e071c070",
     ),
     "verify-plain": (
         ["verify", *SWEEP],

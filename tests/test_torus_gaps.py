@@ -155,13 +155,28 @@ class TestGapReport:
         assert all(report.deltas[n - 1] == g for g, n in report.witnesses.items())
 
     def test_deltas_hold_the_distinct_gap_objects(self):
-        """The CLI prints each distinct gap once and finds each delta's string by
+        """The CLI prints each distinct gap once and finds each run's string by
         the object's identity."""
         for alpha, N in ((F1_ALPHA, 52), (F2_ALPHA, 5), (COFINITE_ALPHA, 60)):
             report = gap_report(alpha, N)
             ids = {id(g) for g in report.distinct_gaps}
+            assert {id(v) for v, _ in report.runs} == ids
             assert {id(d) for d in report.deltas} == ids
             assert {id(g) for g in report.witnesses} == ids
+
+    def test_runs_are_read_off_the_records_at_any_n(self):
+        """At N = 10**18 the last two records of F1 below N are k = 100 * 2**52
+        and 100 * 2**53, with D = 2**-52 and 2**-53 (see
+        `test_f1_records_double_after_51`).  The radii of n <= N/2 run from
+        N - 1 down to N/2, and the later n repeat them in reverse, so the
+        profile is four runs; each gap's least witness starts its first run.
+        Nothing of size N is built."""
+        N = 10**18
+        report = gap_report(F1_ALPHA, N)
+        low, high = Fraction(1, 2**53), Fraction(1, 2**52)
+        a, b = N - 100 * 2**53, 100 * 2**53 - N // 2
+        assert report.runs == [(low, a), (high, b), (high, b), (low, a)]
+        assert report.witnesses == {low: 1, high: a + 1}
 
     def test_degenerate_orbit_propagates(self):
         diagonal = AdelePoint(Fraction(3), 3, {}, P2)  # the coset of 3 in Gamma_P
