@@ -231,13 +231,15 @@ TRIAL_DIVISION_LIMIT = 10**5
 
 
 @lru_cache(maxsize=1 << 16)
-def _prime_factors(n: int) -> tuple[int, ...]:
-    """The distinct prime factors of n, ascending.
+def _prime_factors(n: int) -> tuple[int, ...] | str:
+    """The distinct prime factors of n, ascending, or the message of a refusal.
 
     Trial division stops as soon as the remaining cofactor is a prime below
     PRIMALITY_LIMIT, so a large prime factor costs one primality test.  It
     stops at TRIAL_DIVISION_LIMIT in any case: a cofactor left then is
-    composite or its primality is not decided, and ValueError is raised.
+    composite or its primality is not decided, and n is refused.  The refusal
+    is returned, not raised, so that the cache keeps it too (`lru_cache` keeps
+    no raised call); the caller raises it as a ValueError.
     """
     n = abs(n)
     out = []
@@ -251,18 +253,19 @@ def _prime_factors(n: int) -> tuple[int, ...]:
             prime_rest = _is_prime_cofactor(n)
         d += 1
     if not prime_rest and d * d <= n:
-        raise ValueError(
-            f"cannot factor a {n.bit_length()}-bit cofactor: it has no prime factor below "
-            f"{TRIAL_DIVISION_LIMIT} and is not a prime below {PRIMALITY_LIMIT}"
-        )
+        return (f"cannot factor a {n.bit_length()}-bit cofactor: it has no prime factor below "
+                f"{TRIAL_DIVISION_LIMIT} and is not a prime below {PRIMALITY_LIMIT}")
     if n > 1:
         out.append(n)
     return tuple(out)
 
 
+_ZERO = Fraction(0)
+
+
 def zero_point(primes: PrimeSet) -> TorusPoint:
     """The zero of A_P, which lies in the fundamental domain: a trusted TorusPoint."""
-    return TorusPoint._trusted(Fraction(0), Fraction(0), {}, primes)
+    return TorusPoint._trusted(_ZERO, _ZERO, {}, primes)
 
 
 def _require_same_primes(x: AdelePoint, y: AdelePoint) -> None:
@@ -294,7 +297,10 @@ def add_diagonal(x: AdelePoint, gamma) -> AdelePoint:
         if den != 1:
             raise ValueError(f"{gamma} is not in Gamma_P: a denominator prime is outside the set")
     else:
-        for p in _prime_factors(den):
+        factors = _prime_factors(den)
+        if isinstance(factors, str):
+            raise ValueError(factors)
+        for p in factors:
             if p not in x.primes:
                 raise ValueError(f"{gamma} is not in Gamma_P: denominator prime {p} outside the set")
             keys.add(p)
@@ -371,14 +377,19 @@ def _fractional_p_part(v: Fraction, p: int) -> Fraction:
 def reduce(x: AdelePoint) -> tuple[TorusPoint, Fraction]:
     """Reduce into the fundamental domain; returns (xbar, gamma) with xbar = x - gamma.
 
-    Per-prime peeling: at each override prime whose coordinate is not p-integral,
-    subtract its fractional p-part diagonally (this leaves every other prime
-    coordinate's integrality untouched, by the strong triangle inequality);
-    finish by subtracting the floor of the coordinate at infinity.
+    A `TorusPoint` already lies in [0,1) x prod Z_p: its constructor validated
+    it, or `reduce`, `zero_point` or `TorusPoint._multiple` built it there.  It
+    is returned itself, with gamma = 0, and nothing is checked again.
 
-    The result is validated once, by the `TorusPoint` constructor;
-    `add_diagonal` checks only that gamma lies in Gamma_P.
+    Any other point is peeled per prime: at each override prime whose
+    coordinate is not p-integral, subtract its fractional p-part diagonally
+    (this leaves every other prime coordinate's integrality untouched, by the
+    strong triangle inequality); finish by subtracting the floor of the
+    coordinate at infinity.  The result is validated once, by the `TorusPoint`
+    constructor; `add_diagonal` checks only that gamma lies in Gamma_P.
     """
+    if isinstance(x, TorusPoint):
+        return x, _ZERO
     gamma = Fraction(0)
     for p, v in x.overrides.items():
         gamma += _fractional_p_part(v, p)
@@ -393,19 +404,16 @@ def reduce(x: AdelePoint) -> tuple[TorusPoint, Fraction]:
 def torus_distance(x: AdelePoint, y: AdelePoint) -> Fraction:
     """Quotient-metric distance between the cosets of x and y.
 
-    A point that is not a `TorusPoint` is reduced to the fundamental domain
-    first, which is the precondition of `_reduced_distance`: there the minimum
-    over Gamma_P is attained at the shift 0 or sign of the real difference.
-    A `TorusPoint` already lies in the domain, validated by its constructor or
-    built there by `reduce`, `zero_point` or `TorusPoint._multiple` (the points
-    `orbit` yields and the lattice path), so it is used as it is.  The record
-    engine of `gap_report` does not come here: it takes D[k] = d(k*xbar, 0)
-    from xbar's integers, by `_multiple_distance`.
+    Both points go through `reduce` into the fundamental domain, the
+    precondition of `_reduced_distance`: there the minimum over Gamma_P is
+    attained at the shift 0 or sign of the real difference.  `reduce` returns
+    a `TorusPoint` as it is (the points `orbit` yields and the lattice path),
+    so only other points are reduced.  The record engine of `gap_report` does
+    not come here: it takes D[k] = d(k*xbar, 0) from xbar's integers, by
+    `_multiple_distance`.
     """
     _require_same_primes(x, y)
-    xbar = x if isinstance(x, TorusPoint) else reduce(x)[0]
-    ybar = y if isinstance(y, TorusPoint) else reduce(y)[0]
-    return _reduced_distance(xbar, ybar)
+    return _reduced_distance(reduce(x)[0], reduce(y)[0])
 
 
 def _pair_difference(x: Fraction, y: Fraction) -> Pair:

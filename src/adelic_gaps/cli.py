@@ -24,12 +24,12 @@ import random
 import re
 import shlex
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
 
-from .adele import AdelePoint, PrimeSet
+from .adele import AdelePoint, PrimeSet, reduce
 from .lattice import RotationMatrixSpec, G_N_value, delta_via_lattice, scan_G
 from .paper_examples import reproduce_all
 from .torus_gaps import DegenerateOrbitError, gap_report
@@ -135,12 +135,14 @@ def _emit(fmt: str, record: dict, lines: list[str], rows: Iterable[Sequence] = (
     """Print one result: `record` as JSON, `rows` (header first, read only for
     CSV) as CSV, else `lines`.
 
-    `deltas`, if given, is the JSON array record["deltas"] as runs (text,
-    count) in order, and the record holds [] in its place: each distinct text
-    is encoded once and the items are joined in one `str.join`, in the bytes
-    that json.dumps(indent=2) writes for the whole list, which encodes the
-    items one at a time.  The pieces are printed one after another, so the
-    text is never copied whole.
+    `deltas`, if given, is the listing delta_1, ..., delta_N as runs (text,
+    count) in order, and is written in one `str.join` per run, in the bytes
+    that json.dumps(indent=2) and csv.writer write item by item.  In JSON it
+    is the array record["deltas"], and the record holds [] in its place: each
+    distinct text is encoded once and the items are joined in one `str.join`.
+    In CSV it is the rows n,text after `rows`, n counting from 1; a rational's
+    text holds nothing that csv.writer would quote.  The pieces are printed
+    one after another, so the text is never copied whole.
     """
     if fmt == "json":
         text = json.dumps(record, indent=2)
@@ -153,18 +155,13 @@ def _emit(fmt: str, record: dict, lines: list[str], rows: Iterable[Sequence] = (
             print(text)
     elif fmt == "csv":
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+        n = 1
+        for text, count in deltas:
+            row_end = f",{text}\n"
+            print(row_end.join(map(str, range(n, n + count))), end=row_end)
+            n += count
     else:
         print("\n".join(lines))
-
-
-def _listing_rows(runs: Sequence[tuple[str, int]]) -> Iterator[Iterable[Sequence]]:
-    """The CSV rows of a listing given as runs (text, count) in order: the
-    header, then one iterator of rows (n, text) per run, n counting from 1."""
-    yield [("n", "delta")]
-    n = 1
-    for text, count in runs:
-        yield zip(range(n, n + count), repeat(text))
-        n += count
 
 
 def cmd_gaps(args) -> int:
@@ -192,7 +189,7 @@ def cmd_gaps(args) -> int:
         f"distinct gaps ({report.gap_count}): " + ", ".join(record["distinct_gaps"]),
         "witnesses: " + ", ".join(f"delta_{n} = {g}" for g, n in record["witnesses"].items()),
     ]
-    _emit(args.format, record, lines, chain.from_iterable(_listing_rows(runs)), runs)
+    _emit(args.format, record, lines, [("n", "delta")], runs)
     return EXIT_OK
 
 
@@ -265,14 +262,17 @@ def cmd_lattice_check(args) -> int:
     N = args.N
     if N < 1:
         raise CliError(f"N must be >= 1, got {N}")
-    report = gap_report(alpha, N)
+    # both sides start from the one reduced alpha; delta_n and delta_{N+1-n}
+    # share their lattice radius, so the lattice side is asked once per radius
+    alpha_bar = reduce(alpha)[0]
+    report = gap_report(alpha_bar, N)
+    lattice_deltas = [delta_via_lattice(alpha_bar, N, n) for n in range(1, (N + 1) // 2 + 1)]
     mismatches = []
-    for n in range(1, N + 1):
-        direct = report.deltas[n - 1]
-        via_lattice = delta_via_lattice(alpha, N, n)
+    for n, direct in enumerate(report.deltas, 1):
+        via_lattice = lattice_deltas[min(n, N + 1 - n) - 1]
         if direct != via_lattice:
             mismatches.append((n, _text(direct), _text(via_lattice)))
-    spec = RotationMatrixSpec(alpha, N)
+    spec = RotationMatrixSpec(alpha_bar, N)
     g_n_count = G_N_value(spec)
     scan = scan_G(spec)
     chain_ok = report.gap_count == g_n_count <= scan.distinct_count

@@ -12,6 +12,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .adele import AdelePoint, TorusPoint, _multiple_distance, reduce, torus_distance, zero_point
 
@@ -28,13 +29,15 @@ def min_positive_diagonal_distance(x: AdelePoint) -> Fraction:
     return d if d > 0 else Fraction(1)
 
 
-#: alpha -> (drops, values, reduced alpha): values holds the prefix minimum
-#: M[K] = min of v_min(k) over 0 <= k <= K once per drop, starting from
-#: M[0] = v_min(0) = 1, and drops[K] is the number of K' <= K with
-#: M[K'] < M[K' - 1], so M[K] = values[drops[K]], filled upward in K.  M is
-#: nonincreasing, so M[K] = M[K'] exactly when drops[K] = drops[K'].  All
-#: three depend on alpha alone, not on N, so every spec on an equal alpha
-#: shares one entry; an entry lives as long as its alpha.
+#: alpha -> (drops, values): values holds the prefix minimum M[K] = min of
+#: v_min(k) over 0 <= k <= K once per drop, starting from M[0] = v_min(0) = 1,
+#: and drops[K] is the number of K' <= K with M[K'] < M[K' - 1], so
+#: M[K] = values[drops[K]], filled upward in K.  M is nonincreasing, so
+#: M[K] = M[K'] exactly when drops[K] = drops[K'].  Both depend on alpha
+#: alone, not on N, so every spec on an equal alpha shares one entry; an entry
+#: lives as long as its alpha.  The reduced alpha is kept on the spec, not
+#: here: for a reduced alpha it is alpha itself, and an entry that held its
+#: own key would never die.
 _V_MIN_TABLES = weakref.WeakKeyDictionary()
 
 
@@ -44,18 +47,19 @@ class RotationMatrixSpec:
 
     The gap identity for the orbit of length N uses t = N + 1/2, the property
     `t`.  The prefix minima M of the shortest vectors `v_min(k)`, as one drop
-    index per radius into the values M takes, and the reduced alpha they are
-    computed from are kept in one table per alpha, which every spec on an
-    equal alpha that is still alive shares; alpha is reduced once, when its
-    table is made.  The drops are found on the integer kernel, and each value
-    at a drop comes from `v_min`.
+    index per radius into the values M takes, are kept in one table per
+    alpha, which every spec on an equal alpha that is still alive shares.  The
+    reduced alpha they are computed from lives on the spec, made by `reduce`
+    when the spec first grows the table or calls `v_min`: a spec that only
+    reads the table reduces nothing, and a reduced alpha, such as the one
+    `lattice-check` passes, is its own reduction.  The drops are found on the
+    integer kernel, and each value at a drop comes from `v_min`.
     """
 
     alpha: AdelePoint
     N: int
     _drops: list[int] = field(init=False, repr=False, compare=False)
     _values: list[Fraction] = field(init=False, repr=False, compare=False)
-    _alpha_bar: TorusPoint = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 1:
@@ -63,12 +67,16 @@ class RotationMatrixSpec:
         entry = _V_MIN_TABLES.get(self.alpha)
         if entry is None:
             # v_min(0) = 1, the norm of the shortest nonzero element of Gamma_P
-            entry = _V_MIN_TABLES[self.alpha] = ([0], [Fraction(1)], reduce(self.alpha)[0])
-        self._drops, self._values, self._alpha_bar = entry
+            entry = _V_MIN_TABLES[self.alpha] = ([0], [Fraction(1)])
+        self._drops, self._values = entry
 
     @property
     def t(self) -> Fraction:
         return Fraction(2 * self.N + 1, 2)
+
+    @cached_property
+    def _alpha_bar(self) -> TorusPoint:
+        return reduce(self.alpha)[0]
 
     def v_min(self, k: int) -> Fraction:
         """Minimal positive |k*alpha - gamma| over Gamma_P; symmetric in +-k.
@@ -96,7 +104,10 @@ class RotationMatrixSpec:
         drop is `v_min(k)` computed, and its value is the one kept, so the
         table's values come from the point path.
         """
-        drops, values, xbar = self._drops, self._values, self._alpha_bar
+        drops, values = self._drops, self._values
+        if len(drops) > K:
+            return
+        xbar = self._alpha_bar
         inf = xbar.at_infinity
         a, b = inf.numerator, inf.denominator
         low_num, low_den = values[-1].numerator, values[-1].denominator
@@ -154,13 +165,14 @@ def delta_via_lattice(alpha: AdelePoint, N: int, n: int) -> Fraction:
 
     It is F_value(spec, n / spec.t) / spec.t with spec.t = N + 1/2, that is
     the prefix minimum M[K] = values[drops[K]] of v_min at the window radius
-    K = max(n - 1, N - n), read from the table with no product and no division.
+    of t = n / spec.t, which in closed form is K = max(n - 1, N - n); it is
+    read from the table with no product and no division.  delta_n and
+    delta_{N+1-n} share their radius, so they are one lookup.
     """
     if not 1 <= n <= N:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
     spec = RotationMatrixSpec(alpha, N)
-    m = 2 * N + 1
-    K = _radius(m, 2 * n, m)
+    K = max(n - 1, N - n)
     spec._fill(K)
     return spec._values[spec._drops[K]]
 
@@ -168,15 +180,17 @@ def delta_via_lattice(alpha: AdelePoint, N: int, n: int) -> Fraction:
 def G_N_value(spec: RotationMatrixSpec) -> int:
     """Number of distinct F values at the gap sample parameters n / (N + 1/2).
 
-    F is spec.t times the prefix minimum M at the sample's window radius, and
-    M is nonincreasing, so the distinct F values are counted as the distinct
-    drop counts of M at those radii; no F value is built.
+    F is spec.t times the prefix minimum M at the sample's window radius
+    K = max(n - 1, N - n), and M is nonincreasing, so the distinct F values
+    are counted as the distinct drop counts of M at those radii; no F value
+    is built.  The radii are every K from N // 2 to N - 1, and the drop count
+    rises by at most 1 per radius, so the count is the rise over that range
+    plus one.
     """
-    m = 2 * spec.N + 1
-    radii = [_radius(m, 2 * n, m) for n in range(1, spec.N + 1)]
-    spec._fill(max(radii))
+    low, high = spec.N // 2, spec.N - 1
+    spec._fill(high)
     drops = spec._drops
-    return len({drops[K] for K in radii})
+    return drops[high] - drops[low] + 1
 
 
 def scan_G(spec: RotationMatrixSpec) -> ScanResult:
@@ -187,15 +201,17 @@ def scan_G(spec: RotationMatrixSpec) -> ScanResult:
     open subintervals between those breakpoints and one interior sample per
     subinterval determines it.  The cuts 2k/m and (m - 2k)/m are together
     every j/m with 0 < j < m, so the breakpoints are those and the midpoints
-    are (2j + 1)/(2m), 0 <= j < m.  Two midpoints have equal F exactly when
-    the prefix minimum has dropped equally often at their window radii, so
-    `distinct_count` counts drop counts, and F_value runs once per distinct
+    are (2j + 1)/(2m), 0 <= j < m, whose window radius is, in closed form,
+    K_j = max(j // 2, N - ceil(j / 2)).  Two midpoints have equal F exactly
+    when the prefix minimum has dropped equally often at their window radii,
+    so `distinct_count` counts drop counts, and F_value runs once per distinct
     drop count, at its first midpoint.
     """
-    m = 2 * spec.N + 1
-    radii = [_radius(m, 2 * j + 1, 2 * m) for j in range(m)]
-    spec._fill(max(radii))
-    counts = [spec._drops[K] for K in radii]
+    N = spec.N
+    m = 2 * N + 1
+    spec._fill(N)  # K_0 = N, the largest radius
+    drops = spec._drops
+    counts = [drops[max(j // 2, N - (j + 1) // 2)] for j in range(m)]
     value = {}
     for j, c in enumerate(counts):
         if c not in value:

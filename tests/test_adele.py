@@ -302,6 +302,22 @@ class TestAddDiagonal:
         divisions.  The check runs in a child process, killed after 5 s."""
         in_child(unfactored_denominator_check, 5)
 
+    def test_a_repeated_refusal_is_a_cache_hit(self):
+        """`_prime_factors` keeps its refusal in its cache, so the same refused
+        gamma is refused again without trial division, with the same message."""
+        gamma = Fraction(1, (10**11 + 3) * (10**11 + 19))
+        x = AdelePoint(Fraction(1, 3), 0, {5: 1}, PrimeSet.all_except(2))
+        messages = []
+        for _ in range(2):
+            before = _prime_factors.cache_info()
+            with within_seconds(1), pytest.raises(ValueError) as refused:
+                add_diagonal(x, gamma)
+            messages.append(str(refused.value))
+        after = _prime_factors.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("cannot factor a 74-bit cofactor")
+
     def test_finite_set_rejects_a_large_denominator_without_factoring(self):
         # the denominator is a product of two 12-digit primes, which trial
         # division would take minutes to split; dividing out P = {2} leaves it whole
@@ -493,6 +509,17 @@ class TestReduce:
             reduce(x)
             assert counts["__post_init__"] == 1, str(x)
 
+    def test_returns_a_torus_point_itself(self):
+        """A reduced point is returned as it is, with gamma = 0: seeded
+        `unreduced_point` draws over `ORACLE_PRIMESETS`, reduced once first."""
+        rng = random.Random(20261123)
+        for i in range(70):
+            xbar = reduce(unreduced_point(rng, ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)], 30))[0]
+            again, gamma = reduce(xbar)
+            assert again is xbar and gamma == 0, str(xbar)
+        zero = zero_point(PrimeSet.all_primes())
+        assert reduce(zero)[0] is zero
+
     def test_reduction_is_exact_translate(self, rng):
         for _ in range(50):
             primes = random_primeset(rng)
@@ -534,7 +561,9 @@ class TestTorusDistance:
 
     def test_torus_points_are_not_reduced_again(self, monkeypatch):
         """A TorusPoint already lies in the fundamental domain: torus_distance
-        reduces only its arguments that are not TorusPoints."""
+        passes both arguments through `reduce`, which shifts only those that
+        are not TorusPoints (one `add_diagonal` each) and returns a TorusPoint
+        as it is."""
         rng = random.Random(20261102)
         cases = []
         for i in range(140):
@@ -545,8 +574,9 @@ class TestTorusDistance:
             cases.append((x, y, reduce(x)[0], reduce(y)[0], reference_torus_distance(x, y),
                           reference_torus_distance(x, zero)))
         calls = []
-        reduce_ = adele.reduce
-        monkeypatch.setattr(adele, "reduce", lambda x: calls.append(x) or reduce_(x))
+        add_diagonal_ = adele.add_diagonal
+        monkeypatch.setattr(adele, "add_diagonal",
+                            lambda x, g: calls.append(x) or add_diagonal_(x, g))
         for x, y, xbar, ybar, expected, to_zero in cases:
             assert torus_distance(xbar, ybar) == expected, (str(x), str(y))
             assert torus_distance(xbar, zero_point(x.primes)) == to_zero, str(x)

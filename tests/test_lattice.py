@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import weakref
@@ -13,6 +14,7 @@ from adelic_gaps import (
     G_N_value,
     PrimeSet,
     RotationMatrixSpec,
+    TorusPoint,
     add_diagonal,
     delta_via_lattice,
     gap_report,
@@ -21,7 +23,7 @@ from adelic_gaps import (
     scan_G,
     zero_point,
 )
-from adelic_gaps import adele, lattice, torus_gaps
+from adelic_gaps import adele, lattice
 from adelic_gaps.cli import main
 
 from conftest import (
@@ -283,13 +285,13 @@ class TestVMinTable:
         for n in mismatched:
             assert f"  MISMATCH n={n}: direct 3/20 != lattice 4/25" in out
 
-    def test_lattice_check_reduces_alpha_twice(self, monkeypatch, capsys):
-        """One lattice-check reduces alpha in `orbit` and once for its v_min table,
-        and builds no validated point per v_min(k)."""
+    def test_lattice_check_validates_one_reduction(self, monkeypatch, capsys):
+        """One lattice-check reduces alpha once, and both sides start from that
+        reduced alpha: `reduce` passes a TorusPoint through, so one TorusPoint
+        is validated per call, and no validated point is built per v_min(k)."""
         counts = Counter()
-        counted_reduce = counting(counts, "reduce", adele.reduce)
-        for module in (adele, torus_gaps, lattice):
-            monkeypatch.setattr(module, "reduce", counted_reduce)
+        monkeypatch.setattr(TorusPoint, "__post_init__",
+                            counting(counts, "TorusPoint", TorusPoint.__post_init__))
         monkeypatch.setattr(AdelePoint, "__post_init__",
                             counting(counts, "__post_init__", AdelePoint.__post_init__))
         monkeypatch.setattr(lattice, "_V_MIN_TABLES", weakref.WeakKeyDictionary())
@@ -302,9 +304,34 @@ class TestVMinTable:
                         "--N", str(N)]
                 assert main(argv) == 0
                 assert f"{N}/{N} match" in capsys.readouterr().out
-                assert counts["reduce"] == 2
+                assert counts["TorusPoint"] == 1
                 constructions.add(counts["__post_init__"])
             assert len(constructions) == 1, (str(alpha), constructions)
+
+    def test_table_dies_with_a_reduced_alpha(self, monkeypatch):
+        """The reduced alpha lives on the spec, not in the table: a table keyed
+        by a TorusPoint, which is its own reduction, dies with it."""
+        tables = weakref.WeakKeyDictionary()
+        monkeypatch.setattr(lattice, "_V_MIN_TABLES", tables)
+        xbar = reduce(F1_ALPHA)[0]
+        assert delta_via_lattice(xbar, 52, 18) == Fraction(4, 25)
+        spec = RotationMatrixSpec(xbar, 52)
+        assert scan_G(spec).distinct_count == 3 and spec.v_min(35) == Fraction(3, 20)
+        assert len(tables) == 1
+        del xbar, spec
+        gc.collect()
+        assert len(tables) == 0
+
+    def test_reading_the_table_reduces_nothing(self, monkeypatch):
+        """A spec reduces its alpha only when it grows the table."""
+        counts = Counter()
+        monkeypatch.setattr(lattice, "reduce", counting(counts, "reduce", reduce))
+        monkeypatch.setattr(lattice, "_V_MIN_TABLES", weakref.WeakKeyDictionary())
+        assert delta_via_lattice(F1_ALPHA, 52, 1) == Fraction(1, 100)
+        assert counts["reduce"] == 1
+        for n in range(1, 53):
+            delta_via_lattice(F1_ALPHA, 52, n)
+        assert counts["reduce"] == 1
 
 
 class TestRealBoundSkip:
@@ -319,6 +346,19 @@ class TestRealBoundSkip:
             assert [spec._values[d] for d in spec._drops] == minima, (str(alpha), K)
             assert spec._drops == drops, (str(alpha), K)
             assert spec._values == sorted(set(minima), reverse=True), (str(alpha), K)
+
+
+class TestClosedFormRadii:
+    def test_match_the_window_radius_at_every_N(self):
+        """The radii that delta_via_lattice, G_N_value and scan_G take in closed
+        form against `_radius` at t = n / (N + 1/2) and at the midpoints
+        t = (2j + 1)/(2m), m = 2N + 1, for every n, j and N <= 400."""
+        for N in range(1, 401):
+            m = 2 * N + 1
+            for n in range(1, N + 1):
+                assert max(n - 1, N - n) == lattice._radius(m, 2 * n, m), (N, n)
+            for j in range(m):
+                assert max(j // 2, N - (j + 1) // 2) == lattice._radius(m, 2 * j + 1, 2 * m), (N, j)
 
 
 class TestDropCounts:
