@@ -83,37 +83,21 @@ def orbit(alpha: AdelePoint, N: int) -> Iterator[TorusPoint]:
     return (first._multiple(n) for n in range(1, N + 1))
 
 
-def _first_near_zero(A: int, B: int, M: int, H: int) -> int | None:
-    """The least x >= 0 with (A*x + B) mod M within H of 0, or None if there is none.
+def _first_near_zero(A: int, M: int, H: int) -> int:
+    """The least k >= 1 with A*k mod M within H of 0, a residue in [0, H] or
+    [M - H, M), for M >= 1 and H >= 0.
 
-    "Within H of 0" is a residue in [0, H] or [M - H, M).  Shifted by H the
-    window is [0, 2H], so the question is the least x with A*x mod M in
-    [l, l + 2H], l = (-B - H) mod M; x = 0 answers it when that interval holds
-    0 mod M.  Otherwise 0 < l <= r < M, and the least x >= 1 with A*x mod M in
-    [l, r] comes from the Euclid-style descent below: if no multiple of A lies
-    in [l, r], then A*x - M*y lands there exactly when M*y mod A lies in
-    [-r mod A, -l mod A], the same question for (M mod A, A), and the least
-    such y gives the least x = ceil((l + M*y) / A).  The moduli fall as in
-    Euclid's algorithm, so there are O(log M) steps, kept on a list rather
-    than the call stack.
+    Every smaller k is strictly farther from 0, so k is a best approximation
+    of the second kind of A/M: a convergent denominator.  Euclid's algorithm
+    on (M, A mod M) yields them as q, with the remainders r = |q*A - p*M|
+    falling, and the answer is the first q with r <= H.  The last r is 0, at
+    q = M / gcd(A, M), so there is one, after O(log M) steps.
     """
-    A %= M
-    l = (-B - H) % M
-    r = l + 2 * H
-    if l == 0 or r >= M:
-        return 0
-    steps = []
-    while True:
-        if A == 0:
-            return None
-        x = (l + A - 1) // A
-        if A * x <= r:
-            break
-        steps.append((l, M, A))
-        l, r, M, A = -r % A, -l % A, A, M % A
-    for l, M, A in reversed(steps):
-        x = (l + M * x + A - 1) // A
-    return x
+    r0, r1, q0, q1 = M, A % M, 0, 1
+    while r1 > H:
+        a = r0 // r1
+        r0, r1, q0, q1 = r1, r0 - a * r1, q1, q0 + a * q1
+    return q1
 
 
 def _congruence(xbar: TorusPoint, num: int, den: int, K: int) -> tuple[int, int]:
@@ -183,9 +167,10 @@ def _records(alpha: AdelePoint, K: int) -> tuple[list[int], list[Fraction]]:
     L the current record value and a/b the real coordinate of the reduced
     alpha, D[k] < L holds exactly when some integer j has |k*a/b - j| < L and
     j = k*u mod Q (`_congruence`), that is, when (a - u*b)*k mod Q*b lies
-    within L*b of 0.  The least such k after the last record is one window
-    query (`_first_near_zero`), and D at that k, from the reduced alpha's
-    integers as a pair (`_multiple_distance`), is the next record.  A D of 0
+    within L*b of 0.  No k up to the last record has D[k] < L, so the next
+    record is the least such k >= 1, a convergent denominator of
+    (a - u*b)/(Q*b) (`_first_near_zero`), and D there, from the reduced
+    alpha's integers as a pair (`_multiple_distance`), is its value.  A D of 0
     there means k*alpha lies in Gamma_P: D[k] is then periodic with period k,
     and no later D falls below L, so the list is complete.  D[1] comes from
     `_reduced_distance`.  Raises DegenerateOrbitError when D[1] = 0: alpha is
@@ -202,14 +187,13 @@ def _records(alpha: AdelePoint, K: int) -> tuple[list[int], list[Fraction]]:
     ks, values = [1], [low]
     while True:
         Q, u = _congruence(first, num, den, K)
-        A, start = a - u * b, ks[-1] + 1
-        step = _first_near_zero(A, A * start, Q * b, (num * b - 1) // den)  # H < L*b
-        if step is None or start + step > K:
+        k = _first_near_zero(a - u * b, Q * b, (num * b - 1) // den)  # H < L*b
+        if k > K:
             return ks, values
-        num, den = _multiple_distance(first, start + step)
-        if not num:  # (start + step)*alpha lies in Gamma_P
+        num, den = _multiple_distance(first, k)
+        if not num:  # k*alpha lies in Gamma_P
             return ks, values
-        ks.append(start + step)
+        ks.append(k)
         values.append(Fraction(num, den))
 
 

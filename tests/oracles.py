@@ -214,7 +214,7 @@ def record_walk(alpha: AdelePoint, K: int) -> tuple[list[int], list[Fraction]]:
     distance), except at a k whose real bound ||k * abar_inf|| reaches the
     running minimum: D[k] is at least that bound, so such a k cannot set a
     record.  Record positions come from this scan, not from the engine's
-    congruences and window queries.
+    congruences and convergent walks.
     """
     first = reduce(alpha)[0]
     low = torus_distance(first, zero_point(alpha.primes))

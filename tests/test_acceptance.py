@@ -250,8 +250,8 @@ def test_criterion_8_gap_engine_vs_pairwise_oracle():
 
 
 def test_criterion_9_record_engine_vs_walk_oracle():
-    """The records of D[k] from the CRT and window-query engine against the
-    O(K) prefix-minimum walk, on `unreduced_point` draws over
+    """The records of D[k] from the engine of CRT congruences and convergent
+    walks against the O(K) prefix-minimum walk, on `unreduced_point` draws over
     `ORACLE_PRIMESETS` (torsion draws included) and `real_bound_draws`, with K
     up to 1000 and a few draws at K = 20000."""
     start = time.time()

@@ -367,33 +367,67 @@ def finite_set_constraint_check():
     assert values == [Fraction(1, 3 ** (i + 2)) for i in range(19)]
 
 
+def wide_default_records_check():
+    """`_records` against `record_walk` on cofinite draws shaped like the
+    benchmark's wide-digit calls: 7-10 digit defaults, two in three of them
+    multiples of 2310 = 2*3*5*7*11 or of 223092870 = 2*3*...*23, integer
+    overrides up to 10**9, real denominators up to 10**4, and K <= 10, the
+    size of those calls, or K <= 3000.  Half the draws have a real numerator below 10,
+    so D[1] is small and every prime up to about 1/D[1] carries the default:
+    a congruence cut short there admits a k whose D is not below the record,
+    and the query from k = 1 then returns that k forever."""
+    rng = random.Random(20261019)
+    sets = (PrimeSet.all_primes(), PrimeSet.all_except(2), PrimeSet.all_except(2, 3, 5, 7))
+    seen = Counter()
+    for i in range(150):
+        primes = sets[i % 3]
+        digits, m = rng.randint(7, 10), rng.choice((1, 2310, 223092870))
+        default = rng.randint(10 ** (digits - 1), 10**digits - 1)
+        default = rng.choice((-1, 1)) * max(m, default - default % m)
+        overrides = {p: rng.randint(-10**9, 10**9)
+                     for p in primes.first_members(4) if rng.random() < 0.4}
+        inf = Fraction(rng.randint(-10**4, 10**4) if i % 4 < 2 else rng.randint(1, 9),
+                       rng.randint(1, 10**4))
+        alpha, K = AdelePoint(inf, default, overrides, primes), rng.randint(2, (10, 3000)[i % 2])
+        expected = record_walk(alpha, K)
+        assert torus_gaps._records(alpha, K) == expected, (str(alpha), K)
+        seen["multiple of 2310"] += default % 2310 == 0
+        seen["more than 3 records"] += len(expected[0]) > 3
+    assert min(seen.values()) >= 50, seen
+
+
 class TestRecordEngine:
-    """The window query against brute force, and the record engine where the
-    walk cannot go: K up to 10**18, and the inputs that size its modulus."""
+    """The convergent walk against brute force, and the record engine where
+    the walk oracle cannot go (K up to 10**18), on the inputs that size its
+    modulus, and on wide-digit cofinite defaults."""
 
     def test_window_query_against_brute_force(self):
-        """Every M <= 60, A and B in [0, M) and H with 2H + 1 < M: the least
-        x >= 0 with (A*x + B) mod M within H of 0, or None.  A*x mod M has a
-        period dividing M, so pos[v], the least x < M with A*x mod M = v, is the
-        least x of each residue, and the answer is the least pos[v] over the
-        residues v with v + B within H of 0."""
+        """Every M <= 80, A in [-M, M) and H <= M/2: the least k >= 1 with
+        A*k mod M within H of 0.  A*k mod M depends on A mod M and has a
+        period dividing M, and k = M lands on 0, so the answers are the k <= M
+        at which the distance of A*k mod M to 0 strictly falls: a fall at k to
+        d answers every H from d up to the distance before it."""
         cases = 0
-        for M in range(1, 61):
+        for M in range(1, 81):
+            top = M // 2 + 1
             for A in range(M):
-                pos = [None] * M
-                for x in range(M - 1, -1, -1):
-                    pos[A * x % M] = x
-                for B in range(M):
-                    expected, best = [], None
-                    for H in range((M - 2) // 2 + 1):
-                        for v in ((-B - H) % M, (H - B) % M):
-                            if pos[v] is not None and (best is None or pos[v] < best):
-                                best = pos[v]
-                        expected.append(best)
-                    got = [torus_gaps._first_near_zero(A, B, M, H) for H in range(len(expected))]
-                    assert got == expected, (A, B, M)
-                    cases += len(expected)
-        assert cases > 1_600_000
+                expected, low = [None] * top, top
+                for k in range(1, M + 1):
+                    d = min(A * k % M, -A * k % M)
+                    if d < low:
+                        expected[d:low] = [k] * (low - d)
+                        low = d
+                for shifted in (A, A - M):
+                    got = [torus_gaps._first_near_zero(shifted, M, H) for H in range(top)]
+                    assert got == expected, (shifted, M)
+                    cases += top
+        assert cases > 170_000
+
+    def test_wide_digit_defaults_against_the_walk(self):
+        """The check runs in a child process, killed after 10 s, so that a
+        wrong congruence, on which the query from k = 1 would return the same
+        k forever, fails the test instead of hanging it."""
+        in_child(wide_default_records_check, 10)
 
     def test_exact_tail_cut_keeps_the_modulus_small(self):
         """On a cofinite set with a small D[1] every prime up to 1/D[1] carries
