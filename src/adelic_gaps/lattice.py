@@ -64,11 +64,8 @@ class RotationMatrixSpec:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
-        entry = _V_MIN_TABLES.get(self.alpha)
-        if entry is None:
-            # v_min(0) = 1, the norm of the shortest nonzero element of Gamma_P
-            entry = _V_MIN_TABLES[self.alpha] = ([0], [Fraction(1)])
-        self._drops, self._values = entry
+        # a new table holds v_min(0) = 1, the norm of the shortest nonzero element of Gamma_P
+        self._drops, self._values = _V_MIN_TABLES.setdefault(self.alpha, ([0], [Fraction(1)]))
 
     @property
     def t(self) -> Fraction:

@@ -100,6 +100,15 @@ def _first_near_zero(A: int, M: int, H: int) -> int:
     return q1
 
 
+def _power_above(p: int, x: int) -> int:
+    """The least power of p >= 2 above the integer x >= 0, in O(log e) products:
+    with p^(2m) the least power of p*p above x, it is p^(2m-1) or p^(2m)."""
+    if p > x:
+        return 1 if x < 1 else p
+    power = _power_above(p * p, x)
+    return power // p if power // p > x else power
+
+
 def _congruence(xbar: TorusPoint, num: int, den: int, K: int) -> tuple[int, int]:
     """(Q, u) such that, for 1 <= k <= K and an integer j with |k*xbar_inf - j| < L,
     L = num/den <= 1, every p-term of k*xbar - j is below L exactly when
@@ -110,51 +119,38 @@ def _congruence(xbar: TorusPoint, num: int, den: int, K: int) -> tuple[int, int]
     The term at p is w_p * |k*xbar_p - j|_p, w_p being 1 on a finite set and
     1/p on a cofinite one.  It is below L for every j when w_p < L, and
     otherwise exactly when j = k*xbar_p mod p^e, with e the least exponent
-    such that w_p / p^e < L.  Q is the product of these p^e and u the CRT of
-    the xbar_p mod p^e.  Every listed prime of a finite set, and every
-    override prime of a cofinite one, keeps its constraint.  The other primes
-    of a cofinite set, p <= 1/L, carry the default c/d: each states
+    such that w_p / p^e < L: p^e is the least power of p above
+    den // (num / w_p) (`_power_above`; p^0 = 1 when w_p < L, a congruence
+    every j meets), and one CRT step adds its congruence to (Q, u), one prime
+    at a time.  Every listed prime of a finite set, and every override prime
+    of a cofinite one, keeps its constraint.  The other primes of a cofinite
+    set, p <= 1/L, carry the default c/d and come in increasing order from
+    `PrimeSet.members()`: each states
     p^e | j*d - k*c.  Then 0 <= j <= k <= K bounds |j*d - k*c| by
     (K + 1)(|c| + d), so once the product R of their moduli exceeds that bound
-    they force j*d = k*c, which implies every later one: they are added in
-    increasing order only until then.
+    they force j*d = k*c, which implies every later one: they are added only
+    until then.
     """
     primes, default = xbar.primes, xbar.default_value
     Q, u = 1, 0
 
-    def modulus(p: int) -> int:
-        """p^e for the least e with w_p / p^e < L: the least power of p above
-        limit = den // (num / w_p).  The squares p, p^2, p^4, ... give the
-        largest power at most limit in O(log e) products."""
-        limit = den // (num if primes.finite else num * p)
-        squares = [p]
-        while squares[-1] <= limit:
-            squares.append(squares[-1] ** 2)
-        power = 1
-        for square in reversed(squares[:-1]):
-            if power * square <= limit:
-                power *= square
-        return power * p if limit else 1
-
-    def require(m: int, c: Fraction) -> None:
-        """Add the congruence j = k*c mod m, for m prime to Q and to c's denominator."""
+    def require(p: int, c: Fraction) -> int:
+        """Add j = k*c mod p^e, for the least e with w_p / p^e < L; returns p^e."""
         nonlocal Q, u
-        residue = c.numerator * pow(c.denominator, -1, m) % m
-        u += Q * ((residue - u) * pow(Q, -1, m) % m)
-        Q *= m
+        pe = _power_above(p, den // (num if primes.finite else num * p))
+        residue = c.numerator * pow(c.denominator, -1, pe) % pe
+        u += Q * ((residue - u) * pow(Q, -1, pe) % pe)
+        Q *= pe
+        return pe
 
     for p in primes.listed if primes.finite else xbar.overrides:
-        pe = modulus(p)
-        if pe > 1:
-            require(pe, xbar.overrides.get(p, default))
+        require(p, xbar.overrides.get(p, default))
     if not primes.finite:
         bound, R = (K + 1) * (abs(default.numerator) + default.denominator), 1
-        for p in range(2, den // num + 1):  # w_p = 1/p >= L
-            if R > bound:
-                break
-            if p in primes and p not in xbar.overrides:
-                R *= modulus(p)
-        require(R, default)
+        walk = primes.members()
+        while R <= bound and (p := next(walk)) * num <= den:  # w_p = 1/p >= L
+            if p not in xbar.overrides:
+                R *= require(p, default)
     return Q, u
 
 

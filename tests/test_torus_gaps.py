@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -36,6 +37,7 @@ from oracles import (
     prefix_min_deltas,
     real_bound,
     record_walk,
+    reference_norm,
     reference_torus_distance,
 )
 
@@ -397,9 +399,10 @@ def wide_default_records_check():
 
 
 class TestRecordEngine:
-    """The convergent walk against brute force, and the record engine where
-    the walk oracle cannot go (K up to 10**18), on the inputs that size its
-    modulus, and on wide-digit cofinite defaults."""
+    """The convergent walk and the least prime powers against brute force, the
+    congruence against the place terms, and the record engine where the walk
+    oracle cannot go (K up to 10**18), on the inputs that size its modulus,
+    and on wide-digit cofinite defaults."""
 
     def test_window_query_against_brute_force(self):
         """Every M <= 80, A in [-M, M) and H <= M/2: the least k >= 1 with
@@ -422,6 +425,75 @@ class TestRecordEngine:
                     assert got == expected, (shifted, M)
                     cases += top
         assert cases > 170_000
+
+    def test_power_above_against_the_loop(self):
+        """The least power of p above x: against multiplying by p until x is
+        passed, for every x below 3000, and p^E for x = p^E - 1, p^(E+1) for
+        x = p^E and p^E + 1, with p^E up to 10**8600, about the largest 1/L
+        that inputs within Python's 4300-digit limit reach."""
+        for p in (2, 3, 5, 7, 97):
+            for x in range(3000):
+                power = 1
+                while power <= x:
+                    power *= p
+                assert torus_gaps._power_above(p, x) == power, (p, x)
+            E = 1
+            while p**E < 10**8600:
+                assert torus_gaps._power_above(p, p**E - 1) == p**E, (p, E)
+                assert torus_gaps._power_above(p, p**E) == p ** (E + 1), (p, E)
+                assert torus_gaps._power_above(p, p**E + 1) == p ** (E + 1), (p, E)
+                E += max(1, E // 3)
+
+    def test_congruence_against_the_place_terms(self):
+        """For every k <= K and every integer j within L of k*xbar_inf, the
+        p-terms of k*xbar - j (`reference_norm` with the real term 0) are all
+        below L exactly when j = k*u mod Q, on seeded reduced points.  Half the
+        draws range widely: finite and cofinite sets, override primes,
+        defaults 0, up to 60 in size or multiples of 2310, over a prime
+        outside the set, and L = num/den over small denominators, powers of 2
+        and denominators up to 5000.  The other half leave only the cofinite
+        default primes, an integer default up to 60 and L = 1/den with
+        den <= 32, where the product of the primes up to 1/L meets the bound
+        (K + 1)(|c| + d) for K <= 40, so the cut there decides.  Real
+        coordinates of small denominator put many integers k*xbar_inf in the
+        window."""
+        rng = random.Random(20261026)
+        finite = (PrimeSet.of(2), PrimeSet.of(3), PrimeSet.of(2, 3), PrimeSet.of(2, 3, 5),
+                  PrimeSet.of(3, 5, 7))
+        cofinite = (PrimeSet.all_primes(), PrimeSet.all_except(2), PrimeSet.all_except(3),
+                    PrimeSet.all_except(2, 3, 5, 7))
+        seen = Counter()
+        for i in range(700):
+            if i % 2:
+                primes, overrides = rng.choice(cofinite), {}
+                default = Fraction(rng.choice((0, rng.randint(-60, 60))))
+                num, den, d = 1, rng.randint(1, 32), rng.randint(1, 12)
+            else:
+                primes = rng.choice(finite + cofinite)
+                # a prime outside the set may divide the default's denominator
+                q = rng.choice([q for q in (2, 3, 5, 7) if q not in primes] or [1])
+                scale, top = rng.choice(((1, 0), (1, 60), (2310, 5)))
+                default = Fraction(scale * rng.randint(-top, top), q ** rng.randint(0, 2))
+                overrides = {}
+                for p in primes.first_members(3):
+                    if rng.random() < 0.5:
+                        m = rng.choice([m for m in (1, 2, 3, 5, 7) if m % p])
+                        overrides[p] = Fraction(rng.randint(-60, 60) * p ** rng.randint(0, 3), m)
+                den = rng.choice((rng.randint(1, 12), 2 ** rng.randint(0, 12), rng.randint(1, 5000)))
+                num = rng.choice((1, rng.randint(1, den)))
+                d = rng.choice((rng.randint(1, 12), rng.randint(1, 1000)))
+            xbar = TorusPoint(Fraction(rng.randrange(d), d), default, overrides, primes)
+            L, K = Fraction(num, den), rng.randint(1, 40)
+            Q, u = torus_gaps._congruence(xbar, num, den, K)
+            for k in range(1, K + 1):
+                center = k * xbar.at_infinity
+                for j in range(math.floor(center - L) + 1, math.ceil(center + L)):
+                    coords = {p: k * v - j for p, v in overrides.items()}
+                    below = reference_norm(Fraction(0), k * default - j, coords, primes) < L
+                    assert below == ((j - k * u) % Q == 0), (str(xbar), L, K, k, j)
+                    seen["below L" if below else "not below L"] += 1
+                    seen["cofinite, nonzero default"] += not primes.finite and default != 0
+        assert min(seen.values()) >= 2000, seen
 
     def test_wide_digit_defaults_against_the_walk(self):
         """The check runs in a child process, killed after 10 s, so that a
