@@ -17,7 +17,7 @@ from math import floor
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .arith import PRIMALITY_LIMIT, int_valuation, is_prime, next_prime, padic_abs
+from .arith import PRIMALITY_LIMIT, is_prime, next_prime, padic_abs, split_power
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,7 @@ class AdelePoint:
             # every prime outside the exclusions is in the set: what the excluded
             # and overridden primes leave of the denominator must be 1
             for p in (*self.primes.listed, *self.overrides):
-                while den % p == 0:
-                    den //= p
+                den = split_power(den, p)[1]
             if den != 1:
                 raise ValueError(
                     f"default coordinate {self.default_value} is not integral at a prime "
@@ -248,8 +247,7 @@ def _prime_factors(n: int) -> tuple[int, ...] | str:
     while not prime_rest and d * d <= n and d < TRIAL_DIVISION_LIMIT:
         if n % d == 0:
             out.append(d)
-            while n % d == 0:
-                n //= d
+            n = split_power(n, d)[1]
             prime_rest = _is_prime_cofactor(n)
         d += 1
     if not prime_rest and d * d <= n:
@@ -291,8 +289,7 @@ def add_diagonal(x: AdelePoint, gamma) -> AdelePoint:
     for p in x.primes.listed if x.primes.finite else x.overrides:
         if den % p == 0:
             keys.add(p)
-            while den % p == 0:
-                den //= p
+            den = split_power(den, p)[1]
     if x.primes.finite:
         if den != 1:
             raise ValueError(f"{gamma} is not in Gamma_P: a denominator prime is outside the set")
@@ -342,7 +339,7 @@ def _raw_abs(inf: Pair, default: Pair, coords: Mapping[int, Pair], primes: Prime
     for p in primes.listed if primes.finite else coords:
         num = coords.get(p, default)[0]
         if num:
-            term_den = p ** (int_valuation(num, p) + weight)
+            term_den = p ** (split_power(num, p)[0] + weight)
             if best_den > best_num * term_den:
                 best_num, best_den = 1, term_den
     num = default[0]
@@ -353,7 +350,7 @@ def _raw_abs(inf: Pair, default: Pair, coords: Mapping[int, Pair], primes: Prime
         p = primes.smallest_outside(avoid)
         if num % p:
             return (1, p) if best_den > best_num * p else (best_num, best_den)
-        term_den = p ** (int_valuation(num, p) + 1)
+        term_den = p ** (split_power(num, p)[0] + 1)
         if best_den > best_num * term_den:
             best_num, best_den = 1, term_den
         avoid.add(p)
@@ -365,11 +362,10 @@ def _fractional_p_part(v: Fraction, p: int) -> Fraction:
     v is in lowest terms, so k, the exponent of p in its denominator, is
     -v_p(v) when that is positive and 0 otherwise, v = 0 included.
     """
-    k = int_valuation(v.denominator, p)
+    k, b = split_power(v.denominator, p)  # b: the p-free part of the denominator
     if k == 0:
         return Fraction(0)
     pk = p**k
-    b = v.denominator // pk  # p-free part of the denominator
     c = (v.numerator * pow(b, -1, pk)) % pk
     return Fraction(c, pk)
 

@@ -4,8 +4,9 @@ All scalar quantities in this package are `fractions.Fraction` instances or
 integers, so every computation is exact.
 
 Primality is decided by Miller-Rabin on a fixed set of bases, which is exact
-below `PRIMALITY_LIMIT`; nothing here factors an integer, so the cost of every
-helper grows with the number of digits of its input, not with its size.
+below `PRIMALITY_LIMIT`.  Nothing here factors an integer, and a valuation v
+takes O(log v) divisions by powers of p, never v divisions by p, so the cost
+of every helper grows with the number of digits of its input, not with its size.
 """
 
 from __future__ import annotations
@@ -37,10 +38,7 @@ def is_prime(n: int) -> bool:
     for a in _MILLER_RABIN_BASES:
         if n % a == 0:
             return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s, d = split_power(n - 1, 2)
     for a in _MILLER_RABIN_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -67,14 +65,19 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"invalid prime: {p}")
 
 
-def int_valuation(n: int, p: int) -> int:
-    """Exponent of p in the nonzero integer n."""
-    v = 0
-    n = abs(n)
-    while n % p == 0:
-        v += 1
-        n //= p
-    return v
+def split_power(n: int, p: int) -> tuple[int, int]:
+    """(v, m) with n = p^v * m and p not dividing m, for an integer n != 0
+    (ValueError for n = 0), in O(log v) big-integer divisions, not v: with
+    n = p * q and q = (p*p)^w * m', p*p not dividing m', v is 2w + 1, or
+    2w + 2 when p still divides m'."""
+    q, r = divmod(n, p)
+    if r:
+        return 0, n
+    if not n:
+        raise ValueError("the valuation of 0 is not an integer")
+    w, m = split_power(q, p * p)
+    q, r = divmod(m, p)
+    return (2 * w + 1, m) if r else (2 * w + 2, q)
 
 
 def valuation(r: Fraction | int, p: int) -> int:
@@ -84,9 +87,7 @@ def valuation(r: Fraction | int, p: int) -> int:
     """
     _check_prime(p)
     r = Fraction(r)
-    if r == 0:
-        raise ValueError("the valuation of 0 is not an integer")
-    return int_valuation(r.numerator, p) - int_valuation(r.denominator, p)
+    return split_power(r.numerator, p)[0] - split_power(r.denominator, p)[0]
 
 
 def padic_abs(r: Fraction | int, p: int) -> Fraction:

@@ -1,14 +1,18 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+
+from conftest import within_seconds
 
 from adelic_gaps.arith import (
     PRIMALITY_LIMIT,
     is_prime,
     next_prime,
     padic_abs,
+    split_power,
     valuation,
 )
 
@@ -30,6 +34,39 @@ def test_valuation_rejects_non_prime():
         valuation(Fraction(1, 2), 4)
     with pytest.raises(ValueError, match="invalid prime"):
         padic_abs(Fraction(1), 91)
+
+
+def test_split_power_against_the_loop():
+    """Splitting off p by repeated squaring against dividing out one p at a
+    time, on seeded n = +-u * p^v with p not dividing u, v up to 3000 and
+    p^v up to 12000 bits."""
+
+    def by_the_loop(n, p):
+        v = 0
+        while n % p == 0:
+            v += 1
+            n //= p
+        return v, n
+
+    rng = random.Random(20261019)
+    primes = (2, 3, 5, 7, 11, 13, 97, 10**9 + 7, 3317044064679887385961813)
+    for _ in range(1500):
+        p = rng.choice(primes)
+        top = min(3000, 12000 // p.bit_length())
+        v = rng.choice((rng.randrange(8), rng.randrange(top // 8), rng.randrange(top + 1)))
+        u = rng.randrange(1, 10**12)
+        u += u % p == 0
+        n = rng.choice((1, -1)) * u * p**v
+        assert split_power(n, p) == by_the_loop(n, p) == (v, n // p**v), (n, p)
+    with pytest.raises(ValueError, match="valuation of 0"):
+        split_power(0, 5)
+
+
+def test_split_power_takes_log_v_divisions():
+    """Dividing out one p at a time takes seconds here."""
+    with within_seconds(0.5):
+        assert split_power(3 * 2**100000, 2) == (100000, 3)
+        assert split_power(-7 * 3**40000, 3) == (40000, -7)
 
 
 def test_padic_abs_examples():

@@ -516,19 +516,23 @@ class TestRecordEngine:
 
     def test_f1_records_double_after_51(self, monkeypatch):
         """F1's records after k = 51 are at 100 * 2**j with D = 2**-j, through
-        K = 10**18, and the kernel runs once per record after D[1]."""
+        K = 10**18 and K = 10**1000, and the kernel runs once per record after
+        D[1].  The 3315 records through 10**1000 stay within their limit only
+        if each valuation takes O(log v) divisions, not v."""
         kernel_ks = []
         kernel = torus_gaps._multiple_distance
         monkeypatch.setattr(torus_gaps, "_multiple_distance",
                             lambda xbar, k: kernel_ks.append(k) or kernel(xbar, k))
-        with within_seconds(0.5):
-            ks, values = torus_gaps._records(F1_ALPHA, 10**18)
-        assert ks[:6] == [1, 3, 8, 16, 35, 51]
-        assert values[:6] == [Fraction(51, 100), Fraction(47, 100), Fraction(1, 4),
-                              Fraction(4, 25), Fraction(3, 20), Fraction(1, 100)]
-        assert ks[6:] == [100 * 2**j for j in range(7, 54)]
-        assert values[6:] == [Fraction(1, 2**j) for j in range(7, 54)]
-        assert kernel_ks == ks[1:]
+        for K, last_j, seconds in ((10**18, 53, 0.5), (10**1000, 3315, 2)):
+            kernel_ks.clear()
+            with within_seconds(seconds):
+                ks, values = torus_gaps._records(F1_ALPHA, K)
+            assert ks[:6] == [1, 3, 8, 16, 35, 51]
+            assert values[:6] == [Fraction(51, 100), Fraction(47, 100), Fraction(1, 4),
+                                  Fraction(4, 25), Fraction(3, 20), Fraction(1, 100)]
+            assert ks[6:] == [100 * 2**j for j in range(7, last_j + 1)]
+            assert values[6:] == [Fraction(1, 2**j) for j in range(7, last_j + 1)]
+            assert kernel_ks == ks[1:]
 
     def test_ci_cofinite_alpha_has_14_records_through_10_to_18(self):
         alpha = AdelePoint(Fraction(-7, 3), 10, {11: Fraction(1, 4), 13: 5},
@@ -586,6 +590,24 @@ class TestRecords:
             assert values == [least[k - 1] for k in falls], (str(alpha), K)
             seen["compared"] += 1
         assert min(seen.values()) >= 7 and seen["compared"] >= 60, seen
+
+    def test_slack_one_doubling_golden(self):
+        """inf=2/7;default=0;2=-7 over {2} has the least slack found in a census
+        of the doubling condition k_{i+2} >= 2*k_i - 1: slack 1, at the records
+        3, 5 and 6.  The three gap bound holds through N = K + 1 exactly when
+        that slack is never negative; at small N it is checked against
+        gap_report directly."""
+        alpha = AdelePoint(Fraction(2, 7), 0, {2: -7}, P2)
+        ks, values = torus_gaps._records(alpha, 10**18)
+        assert len(ks) == 60
+        assert ks[:12] == [1, 2, 3, 5, 6, 11, 56, 112, 224, 448, 896, 1792]
+        assert values[:8] == [Fraction(5, 7), Fraction(4, 7), Fraction(1, 2), Fraction(3, 7),
+                              Fraction(2, 7), Fraction(1, 7), Fraction(1, 8), Fraction(1, 16)]
+        slack = min((ks[i + 2] - (2 * ks[i] - 1), ks[i:i + 3]) for i in range(len(ks) - 2))
+        assert slack == (1, [3, 5, 6])
+        for N in range(2, 61):
+            upper = sum(N // 2 < k <= N - 1 for k in ks)  # N // 2 = ceil((N - 1) / 2)
+            assert gap_report(alpha, N).gap_count == 1 + upper <= 3, N
 
     def test_gap_count_is_one_plus_the_records_in_the_upper_half(self):
         """g_N = 1 + #{i : N - h < k_i <= N - 1}, h = (N + 1) // 2."""
