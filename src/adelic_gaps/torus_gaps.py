@@ -100,16 +100,8 @@ def _first_near_zero(A: int, M: int, H: int) -> int:
     return q1
 
 
-def _power_above(p: int, x: int) -> int:
-    """The least power of p >= 2 above the integer x >= 0, in O(log e) products:
-    with p^(2m) the least power of p*p above x, it is p^(2m-1) or p^(2m)."""
-    if p > x:
-        return 1 if x < 1 else p
-    power = _power_above(p * p, x)
-    return power // p if power // p > x else power
-
-
-def _congruence(xbar: TorusPoint, num: int, den: int, K: int) -> tuple[int, int]:
+def _congruence(xbar: TorusPoint, num: int, den: int, K: int,
+                powers: dict[int, int]) -> tuple[int, int]:
     """(Q, u) such that, for 1 <= k <= K and an integer j with |k*xbar_inf - j| < L,
     L = num/den <= 1, every p-term of k*xbar - j is below L exactly when
     j = k*u mod Q.
@@ -119,10 +111,12 @@ def _congruence(xbar: TorusPoint, num: int, den: int, K: int) -> tuple[int, int]
     The term at p is w_p * |k*xbar_p - j|_p, w_p being 1 on a finite set and
     1/p on a cofinite one.  It is below L for every j when w_p < L, and
     otherwise exactly when j = k*xbar_p mod p^e, with e the least exponent
-    such that w_p / p^e < L: p^e is the least power of p above
-    den // (num / w_p) (`_power_above`; p^0 = 1 when w_p < L, a congruence
-    every j meets), and one CRT step adds its congruence to (Q, u), one prime
-    at a time.  Every listed prime of a finite set, and every override prime
+    such that w_p / p^e < L (p^0 = 1 when w_p < L, a congruence every j
+    meets), and one CRT step adds its congruence to (Q, u), one prime at a
+    time.  `powers` maps each prime to its p^e at an earlier, larger L (empty
+    on the first call) and is updated in place: L only falls from call to
+    call, so p^e only rises, and it rises from there one factor of p at a
+    time.  Every listed prime of a finite set, and every override prime
     of a cofinite one, keeps its constraint.  The other primes of a cofinite
     set, p <= 1/L, carry the default c/d and come in increasing order from
     `PrimeSet.members()`: each states
@@ -137,7 +131,10 @@ def _congruence(xbar: TorusPoint, num: int, den: int, K: int) -> tuple[int, int]
     def require(p: int, c: Fraction) -> int:
         """Add j = k*c mod p^e, for the least e with w_p / p^e < L; returns p^e."""
         nonlocal Q, u
-        pe = _power_above(p, den // (num if primes.finite else num * p))
+        pe, scale = powers.get(p, 1), num if primes.finite else num * p
+        while pe * scale <= den:  # until w_p / p^e < L
+            pe *= p
+        powers[p] = pe
         residue = c.numerator * pow(c.denominator, -1, pe) % pe
         u += Q * ((residue - u) * pow(Q, -1, pe) % pe)
         Q *= pe
@@ -162,7 +159,8 @@ def _records(alpha: AdelePoint, K: int) -> tuple[list[int], list[Fraction]]:
     is found from the one before it, in time that does not grow with K.  With
     L the current record value and a/b the real coordinate of the reduced
     alpha, D[k] < L holds exactly when some integer j has |k*a/b - j| < L and
-    j = k*u mod Q (`_congruence`), that is, when (a - u*b)*k mod Q*b lies
+    j = k*u mod Q (`_congruence`, with each prime's p^e kept in `powers`
+    from one record to the next), that is, when (a - u*b)*k mod Q*b lies
     within L*b of 0.  No k up to the last record has D[k] < L, so the next
     record is the least such k >= 1, a convergent denominator of
     (a - u*b)/(Q*b) (`_first_near_zero`), and D there, from the reduced
@@ -180,9 +178,9 @@ def _records(alpha: AdelePoint, K: int) -> tuple[list[int], list[Fraction]]:
         )
     a, b = first.at_infinity.numerator, first.at_infinity.denominator
     num, den = low.numerator, low.denominator
-    ks, values = [1], [low]
+    ks, values, powers = [1], [low], {}
     while True:
-        Q, u = _congruence(first, num, den, K)
+        Q, u = _congruence(first, num, den, K, powers)
         k = _first_near_zero(a - u * b, Q * b, (num * b - 1) // den)  # H < L*b
         if k > K:
             return ks, values

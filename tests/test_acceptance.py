@@ -25,6 +25,7 @@ from adelic_gaps import (
     torus_gaps,
     zero_point,
 )
+from adelic_gaps.adele import _multiple_distance
 from adelic_gaps.arith import padic_abs
 from adelic_gaps.cli import random_instance, random_rational
 
@@ -275,3 +276,103 @@ def test_criterion_9_record_engine_vs_walk_oracle():
     ok = not mismatches and min(counts.values()) > 0
     _verdict(9, "record engine vs walk oracle", ok, time.time() - start,
              "; ".join(mismatches[:3]) or f"{len(draws)} draws, {counts}")
+
+
+DOUBLING_BOXES = [PrimeSet.of(2), PrimeSet.of(3, 5), PrimeSet.all_primes(), PrimeSet.all_except(2)]
+
+
+def _box_point(rng, primes):
+    """alpha_inf = a/b with 0 <= a < b <= 10, default 0, and at each of the
+    set's two smallest members, with probability 1/2, an override c/d with
+    |c| <= 10 and d <= 9 prime to p."""
+    b = rng.randint(1, 10)
+    overrides = {p: Fraction(rng.randint(-10, 10), rng.choice([d for d in range(1, 10) if d % p]))
+                 for p in primes.first_members(2) if rng.random() < 0.5}
+    return AdelePoint(Fraction(rng.randrange(b), b), 0, overrides, primes)
+
+
+def test_criterion_10_doubling_over_four_boxes():
+    """g_N = 1 + #{i : ceil((N-1)/2) < k_i <= N-1}, so the three gap bound
+    holds for every N <= K + 1 exactly when the records satisfy
+    k_{i+2} >= 2*k_i - 1.  That condition is checked on the records through
+    K = 10**18 of 150 seeded draws in each of four boxes of alpha (`_box_point`
+    over {2}, {3, 5}, all and all-except:2), and the least slack
+    k_{i+2} - (2*k_i - 1) of each box is reported.  On the first three
+    non-degenerate draws of each box, gap_report's g_N is checked against the
+    records at every N <= 60."""
+    start = time.time()
+    rng = random.Random(1011)
+    violations, least, longest, compared = [], {}, 0, 0
+    for primes in DOUBLING_BOXES:
+        checked = 0
+        for _ in range(150):
+            alpha = _box_point(rng, primes)
+            try:
+                ks, _ = torus_gaps._records(alpha, 10**18)
+            except DegenerateOrbitError:
+                continue
+            longest = max(longest, len(ks))
+            for i in range(len(ks) - 2):
+                slack = ks[i + 2] - (2 * ks[i] - 1)
+                if slack < 0:
+                    violations.append(f"alpha={alpha} over {primes}: records {ks[i:i + 3]}")
+                least[str(primes)] = min(least.get(str(primes), slack), slack)
+            if checked < 3:
+                checked += 1
+                for N in range(2, 61):
+                    upper = sum(N // 2 < k <= N - 1 for k in ks)  # N // 2 = ceil((N - 1) / 2)
+                    if not gap_report(alpha, N).gap_count == 1 + upper <= 3:
+                        violations.append(f"g_N at alpha={alpha} over {primes}, N={N}")
+                    compared += 1
+    ok = not violations and len(least) == len(DOUBLING_BOXES)
+    summary = f"least slack per box {least}, at most {longest} records, {compared} g_N compared"
+    _verdict(10, "doubling condition over four boxes", ok, time.time() - start,
+             "; ".join(violations[:3] + [summary]))
+
+
+RETURN_PRIMESETS = [PrimeSet.of(2), PrimeSet.of(3, 5), PrimeSet.all_primes(),
+                    PrimeSet.all_except(2), PrimeSet.all_except(2, 3, 5, 7)]
+
+
+def test_criterion_11_return_times_have_at_most_three_gaps():
+    """For L <= 1 the record engine's congruence turns D[k] < L into j = k*u
+    mod Q with |k*abar_inf - j| < L, so {k : D[k] < L} is the set of return
+    times of one rational rotation, by (abar_inf - u)/Q, to an interval about
+    0 (`torus_gaps._congruence`).  By Slater's theorem (Proc. Cambridge
+    Philos. Soc. 63, 1967) the gaps between successive return times then take
+    at most three values, the largest the sum of the other two.  This is
+    derived from the engine's congruence and Slater's theorem, not taken from
+    the paper, and is checked here without the congruence: D[k] for k <= 300
+    by the pair kernel, on `unreduced_point` draws (overrides, nonzero
+    defaults, torsion) over five sets, with L at each record value v <= 1 and
+    just above it, the set {k : D[k] <= v} when v < 1."""
+    start = time.time()
+    rng = random.Random(1012)
+    violations = []
+    counts = {"return sets": 0, "three gaps": 0}
+    for i in range(100):
+        primes = RETURN_PRIMESETS[i % len(RETURN_PRIMESETS)]
+        xbar = reduce(unreduced_point(rng, primes, 30))[0]
+        D = [Fraction(*_multiple_distance(xbar, k)) for k in range(1, 301)]
+        if D[0] == 0:
+            continue
+        records, low = [], 2
+        for d in D:
+            if 0 < d < low:
+                low = d
+                if d <= 1:
+                    records.append(d)
+        for v in records:
+            below = [k for k, d in enumerate(D, 1) if d < v]
+            at_most = [k for k, d in enumerate(D, 1) if d <= v] if v < 1 else []
+            for label, returns in ((f"L = {v}", below), (f"L just above {v}", at_most)):
+                if len(returns) < 2:
+                    continue
+                gaps = sorted({m - k for k, m in zip(returns, returns[1:])})
+                counts["return sets"] += 1
+                counts["three gaps"] += len(gaps) == 3
+                if len(gaps) > 3 or len(gaps) == 3 and gaps[2] != gaps[0] + gaps[1]:
+                    violations.append(f"alpha={xbar} over {primes}, {label}: gaps {gaps}")
+    ok = not violations and counts["three gaps"] >= 100
+    _verdict(11, "return times have at most three gaps", ok, time.time() - start,
+             "; ".join(violations[:3]) or f"{counts}")

@@ -426,23 +426,34 @@ class TestRecordEngine:
                     cases += top
         assert cases > 170_000
 
-    def test_power_above_against_the_loop(self):
-        """The least power of p above x: against multiplying by p until x is
-        passed, for every x below 3000, and p^E for x = p^E - 1, p^(E+1) for
-        x = p^E and p^E + 1, with p^E up to 10**8600, about the largest 1/L
-        that inputs within Python's 4300-digit limit reach."""
-        for p in (2, 3, 5, 7, 97):
-            for x in range(3000):
-                power = 1
-                while power <= x:
-                    power *= p
-                assert torus_gaps._power_above(p, x) == power, (p, x)
-            E = 1
-            while p**E < 10**8600:
-                assert torus_gaps._power_above(p, p**E - 1) == p**E, (p, E)
-                assert torus_gaps._power_above(p, p**E) == p ** (E + 1), (p, E)
-                assert torus_gaps._power_above(p, p**E + 1) == p ** (E + 1), (p, E)
-                E += max(1, E // 3)
+    def test_carried_powers_give_the_fresh_congruence(self):
+        """At every record value of `_records(alpha, 10**18)`, in falling order,
+        `_congruence` with one dict of prime powers carried from call to call
+        gives the (Q, u) of a fresh dict, whose p^e rise from p^0 = 1: on F1,
+        the 2,3,5 and cofinite instances of the CI runs, and seeded points over
+        finite and cofinite sets, nonzero defaults and overrides included."""
+        K = 10**18
+        rng = random.Random(20261027)
+        alphas = [F1_ALPHA,
+                  AdelePoint(Fraction(1, 999983), 0, {2: Fraction(1, 3)}, PrimeSet.of(2, 3, 5)),
+                  AdelePoint(Fraction(-7, 3), 10, {11: Fraction(1, 4), 13: 5},
+                             PrimeSet.all_except(2, 3, 5, 7))]
+        alphas += [unreduced_point(rng, ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)], 30)
+                   for i in range(70)]
+        seen = Counter()
+        for alpha in alphas:
+            try:
+                _, values = torus_gaps._records(alpha, K)
+            except DegenerateOrbitError:
+                continue
+            xbar, shared = reduce(alpha)[0], {}
+            for value in values:
+                num, den = value.numerator, value.denominator
+                carried = torus_gaps._congruence(xbar, num, den, K, shared)
+                assert carried == torus_gaps._congruence(xbar, num, den, K, {}), (str(alpha), value)
+                seen["finite" if alpha.primes.finite else "cofinite"] += 1
+                seen["Q > 1"] += carried[0] > 1
+        assert min(seen.values()) >= 500, seen
 
     def test_congruence_against_the_place_terms(self):
         """For every k <= K and every integer j within L of k*xbar_inf, the
@@ -484,7 +495,7 @@ class TestRecordEngine:
                 d = rng.choice((rng.randint(1, 12), rng.randint(1, 1000)))
             xbar = TorusPoint(Fraction(rng.randrange(d), d), default, overrides, primes)
             L, K = Fraction(num, den), rng.randint(1, 40)
-            Q, u = torus_gaps._congruence(xbar, num, den, K)
+            Q, u = torus_gaps._congruence(xbar, num, den, K, {})
             for k in range(1, K + 1):
                 center = k * xbar.at_infinity
                 for j in range(math.floor(center - L) + 1, math.ceil(center + L)):
