@@ -22,9 +22,12 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIMALITY_LIMIT = 3317044064679887385961981
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin on the bases 2, 3, ..., 41; exact for n < PRIMALITY_LIMIT.
+
+    The cache keeps the last 2^16 answers, so a long run of distinct inputs
+    holds bounded memory.
 
     Raises ValueError for n >= PRIMALITY_LIMIT, where these bases no longer
     decide primality.

@@ -262,17 +262,27 @@ def cmd_lattice_check(args) -> int:
     N = args.N
     if N < 1:
         raise CliError(f"N must be >= 1, got {N}")
-    # both sides start from the one reduced alpha; delta_n and delta_{N+1-n}
-    # share their lattice radius, so the lattice side is asked once per radius
+    # both sides start from the one reduced alpha, and are compared run by run.
+    # The lattice delta_n is the table's prefix minimum at the radius
+    # max(n - 1, N - n), which is monotone in n on each side of ceil(N/2), and
+    # no run of the report crosses it; a radius's minimum is values[drops[K]],
+    # so a run matches at every n when the drop count is equal at its two end
+    # radii and delta_via_lattice at one end equals its value.  A run that
+    # fails is compared n by n, so every mismatch is listed, in n order.
     alpha_bar = reduce(alpha)[0]
     report = gap_report(alpha_bar, N)
-    lattice_deltas = [delta_via_lattice(alpha_bar, N, n) for n in range(1, (N + 1) // 2 + 1)]
-    mismatches = []
-    for n, direct in enumerate(report.deltas, 1):
-        via_lattice = lattice_deltas[min(n, N + 1 - n) - 1]
-        if direct != via_lattice:
-            mismatches.append((n, _text(direct), _text(via_lattice)))
     spec = RotationMatrixSpec(alpha_bar, N)
+    mismatches = []
+    first = 1
+    for direct, count in report.runs:
+        last = first + count - 1
+        if (spec.drop_count(max(first - 1, N - first)) != spec.drop_count(max(last - 1, N - last))
+                or delta_via_lattice(alpha_bar, N, first) != direct):
+            for n in range(first, last + 1):
+                via_lattice = delta_via_lattice(alpha_bar, N, n)
+                if direct != via_lattice:
+                    mismatches.append((n, _text(direct), _text(via_lattice)))
+        first = last + 1
     g_n_count = G_N_value(spec)
     scan = scan_G(spec)
     chain_ok = report.gap_count == g_n_count <= scan.distinct_count

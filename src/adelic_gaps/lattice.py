@@ -13,6 +13,7 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from .adele import AdelePoint, TorusPoint, _multiple_distance, reduce, torus_distance, zero_point
 
@@ -86,6 +87,13 @@ class RotationMatrixSpec:
         """
         return min_positive_diagonal_distance(self._alpha_bar._multiple(abs(k)))
 
+    def drop_count(self, K: int) -> int:
+        """drops[K], the number of drops of the prefix minimum M over radii
+        1..K, filling the table through K.  M[K] = values[drops[K]], so two
+        radii with equal drop counts have one M."""
+        self._fill(K)
+        return self._drops[K]
+
     def _fill(self, K: int) -> None:
         """Grow the table's drop indices through radius K, adding a value at each drop.
 
@@ -153,8 +161,7 @@ def F_value(spec: RotationMatrixSpec, t) -> Fraction:
     """
     t = Fraction(t)
     K = _radius(2 * spec.N + 1, t.numerator, t.denominator)
-    spec._fill(K)
-    return spec.t * spec._values[spec._drops[K]]
+    return spec.t * spec._values[spec.drop_count(K)]
 
 
 def delta_via_lattice(alpha: AdelePoint, N: int, n: int) -> Fraction:
@@ -169,9 +176,7 @@ def delta_via_lattice(alpha: AdelePoint, N: int, n: int) -> Fraction:
     if not 1 <= n <= N:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
     spec = RotationMatrixSpec(alpha, N)
-    K = max(n - 1, N - n)
-    spec._fill(K)
-    return spec._values[spec._drops[K]]
+    return spec._values[spec.drop_count(max(n - 1, N - n))]
 
 
 def G_N_value(spec: RotationMatrixSpec) -> int:
@@ -184,10 +189,7 @@ def G_N_value(spec: RotationMatrixSpec) -> int:
     rises by at most 1 per radius, so the count is the rise over that range
     plus one.
     """
-    low, high = spec.N // 2, spec.N - 1
-    spec._fill(high)
-    drops = spec._drops
-    return drops[high] - drops[low] + 1
+    return spec.drop_count(spec.N - 1) - spec.drop_count(spec.N // 2) + 1
 
 
 def scan_G(spec: RotationMatrixSpec) -> ScanResult:
@@ -199,18 +201,19 @@ def scan_G(spec: RotationMatrixSpec) -> ScanResult:
     subinterval determines it.  The cuts 2k/m and (m - 2k)/m are together
     every j/m with 0 < j < m, so the breakpoints are those and the midpoints
     are (2j + 1)/(2m), 0 <= j < m, whose window radius is, in closed form,
-    K_j = max(j // 2, N - ceil(j / 2)).  Two midpoints have equal F exactly
-    when the prefix minimum has dropped equally often at their window radii,
-    so `distinct_count` counts drop counts, and F_value runs once per distinct
-    drop count, at its first midpoint.
+    K_j = max(j // 2, N - ceil(j / 2)): (2N - j) // 2 for j <= N and j // 2
+    above.  So the midpoints' drop counts are two slices of the drop counts
+    at radii 0..N, each listed twice, and are read with no Python-level loop.
+    Two midpoints have equal F exactly when the prefix minimum has dropped
+    equally often at their window radii, so `distinct_count` counts drop
+    counts, and F_value runs once per distinct drop count, at its first
+    midpoint.
     """
     N = spec.N
     m = 2 * N + 1
     spec._fill(N)  # K_0 = N, the largest radius
-    drops = spec._drops
-    counts = [drops[max(j // 2, N - (j + 1) // 2)] for j in range(m)]
-    value = {}
-    for j, c in enumerate(counts):
-        if c not in value:
-            value[c] = F_value(spec, Fraction(2 * j + 1, 2 * m))
-    return ScanResult([value[c] for c in counts], len(value))
+    drops = spec._drops[:N + 1]
+    twice = list(chain.from_iterable(zip(drops, drops)))  # twice[i] = drops[i // 2]
+    counts = twice[2 * N:N - 1:-1] + twice[N + 1:m]
+    value = {c: F_value(spec, Fraction(2 * counts.index(c) + 1, 2 * m)) for c in dict.fromkeys(counts)}
+    return ScanResult(list(map(value.__getitem__, counts)), len(value))

@@ -94,6 +94,15 @@ def test_is_prime_agrees_with_trial_division():
     is_prime.cache_clear()
 
 
+def test_is_prime_cache_is_bounded():
+    maxsize = is_prime.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(maxsize + 100):
+        is_prime(n)
+    assert is_prime.cache_info().currsize == maxsize
+    is_prime.cache_clear()
+
+
 def test_is_prime_rejects_strong_pseudoprimes():
     assert not is_prime(3215031751)  # strong pseudoprime to the bases 2, 3, 5, 7
     assert not is_prime(3825123056546413051)  # to the bases 2, ..., 31

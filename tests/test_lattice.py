@@ -12,6 +12,7 @@ from adelic_gaps import (
     DegenerateOrbitError,
     F_value,
     G_N_value,
+    GapReport,
     PrimeSet,
     RotationMatrixSpec,
     TorusPoint,
@@ -23,8 +24,8 @@ from adelic_gaps import (
     scan_G,
     zero_point,
 )
-from adelic_gaps import adele, lattice
-from adelic_gaps.cli import main
+from adelic_gaps import adele, cli, lattice
+from adelic_gaps.cli import main, parse_alpha, parse_primes
 
 from conftest import (
     ORACLE_PRIMESETS,
@@ -285,6 +286,53 @@ class TestVMinTable:
         for n in mismatched:
             assert f"  MISMATCH n={n}: direct 3/20 != lattice 4/25" in out
 
+    def test_fault_inside_a_run_is_a_mismatch_at_each_n(self, monkeypatch, capsys):
+        """A fault that leaves a run's two ends right: the kernel reports drops
+        at k = 39 and k = 45, where v_min gives 1/5 and then F1's 3/20 again,
+        so the lattice delta is 3/20 at both ends of the radii 35..50, one run
+        of the report, and 1/5 on 39..44.  Each n read there is a mismatch, as
+        a per-n comparison through delta_via_lattice finds."""
+        faults = {39: Fraction(1, 5), 45: Fraction(3, 20)}
+        kernel, v_min = lattice._multiple_distance, RotationMatrixSpec.v_min
+        monkeypatch.setattr(lattice, "_multiple_distance",
+                            lambda xbar, k: (1, 7) if k in faults else kernel(xbar, k))
+        monkeypatch.setattr(RotationMatrixSpec, "v_min", lambda spec, k: faults.get(k) or v_min(spec, k))
+        monkeypatch.setattr(lattice, "_V_MIN_TABLES", weakref.WeakKeyDictionary())
+        argv = ["lattice-check", "--primes", "2", "--alpha", "inf=351/100;default=0;2=1",
+                "--N", "52"]
+        assert main(argv) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "direct vs lattice deltas: 40/52 match"
+        # the radius of n is max(n - 1, 52 - n), in 39..44 for n in 8..13 and 40..45
+        mismatches = [line for line in lines if "MISMATCH" in line]
+        assert mismatches == [f"  MISMATCH n={n}: direct 3/20 != lattice 1/5"
+                              for n in [*range(8, 14), *range(40, 46)]]
+        oracle = [(n, direct, delta_via_lattice(F1_ALPHA, 52, n))
+                  for n, direct in enumerate(gap_report(F1_ALPHA, 52).deltas, 1)]
+        assert mismatches == [f"  MISMATCH n={n}: direct {direct} != lattice {via_lattice}"
+                              for n, direct, via_lattice in oracle if direct != via_lattice]
+
+    @pytest.mark.parametrize("primes, alpha, N", [
+        ("2", "inf=351/100;default=0;2=1", 100000),
+        ("all-except:2,3,5,7", "inf=-7/3;default=10;11=1/4;13=5", 2000),
+    ], ids=["F1", "cofinite"])
+    def test_lattice_check_compares_run_by_run(self, primes, alpha, N, monkeypatch, capsys):
+        """lattice-check asks the lattice side at most twice per run of the
+        report, not once per radius, and never expands the listing."""
+        runs = len(gap_report(parse_alpha(alpha, parse_primes(primes)), N).runs)
+        counts = Counter()
+        monkeypatch.setattr(cli, "delta_via_lattice",
+                            counting(counts, "delta_via_lattice", delta_via_lattice))
+
+        def expanded(report):
+            raise AssertionError("lattice-check expanded the listing")
+
+        monkeypatch.setattr(GapReport, "deltas", property(expanded))
+        argv = ["lattice-check", "--primes", primes, "--alpha", alpha, "--N", str(N)]
+        assert main(argv) == 0
+        assert f"{N}/{N} match" in capsys.readouterr().out
+        assert 1 <= counts["delta_via_lattice"] <= 2 * runs, (counts, runs)
+
     def test_lattice_check_validates_one_reduction(self, monkeypatch, capsys):
         """One lattice-check reduces alpha once, and both sides start from that
         reduced alpha: `reduce` passes a TorusPoint through, so one TorusPoint
@@ -358,7 +406,9 @@ class TestClosedFormRadii:
             for n in range(1, N + 1):
                 assert max(n - 1, N - n) == lattice._radius(m, 2 * n, m), (N, n)
             for j in range(m):
-                assert max(j // 2, N - (j + 1) // 2) == lattice._radius(m, 2 * j + 1, 2 * m), (N, j)
+                K = lattice._radius(m, 2 * j + 1, 2 * m)
+                assert max(j // 2, N - (j + 1) // 2) == K, (N, j)
+                assert ((2 * N - j) // 2 if j <= N else j // 2) == K, (N, j)
 
 
 class TestDropCounts:
