@@ -334,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact gap statistics for rotation orbits on adelic tori.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command word -> its parser, read by `main`
 
     def add_format(p, choices=("plain", "json", "csv")):
         p.add_argument("--format", choices=choices, default="plain")
@@ -386,7 +387,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        # a clean call's arguments go to its command's parser alone, as the
+        # whole parser hands them on; help and errors take the whole parser's pass
+        argv = sys.argv[1:] if argv is None else argv
+        command = _parser().commands.get(argv[0]) if argv else None
+        args, rest = command.parse_known_args(argv[1:]) if command else (None, None)
+        if command is None or rest:
+            args = _parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -6,6 +6,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from .adele import AdelePoint, TorusPoint, _multiple_distance, _reduced_distance, reduce, zero_point
 
@@ -75,12 +76,13 @@ def orbit(alpha: AdelePoint, N: int) -> Iterator[TorusPoint]:
     through `reduce`.  The fundamental domain [0,1) x prod Z_p holds one point
     of each coset, so the reduced n*alpha is n times the reduced alpha less
     the floor of its real coordinate, in every coordinate
-    (`TorusPoint._multiple`).
+    (`TorusPoint._multiple`); at n = 1 that floor is 0, so the first point is
+    the reduced alpha itself.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     first = reduce(alpha)[0]
-    return (first._multiple(n) for n in range(1, N + 1))
+    return chain((first,), (first._multiple(n) for n in range(2, N + 1)))
 
 
 def _first_near_zero(A: int, M: int, H: int) -> int:

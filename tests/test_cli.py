@@ -558,3 +558,70 @@ class TestGoldenOutput:
     def test_output(self, name, capsys):
         argv, digest = GOLDEN[name]
         assert output_digest(argv, capsys) == digest
+
+
+class TestOneParsePass:
+    """`main` hands a command's arguments to that command's parser; help and
+    errors take the whole parser's pass.  Both sides run in this interpreter,
+    since argparse's wording differs between Python versions."""
+
+    @staticmethod
+    def outcome(call, capsys):
+        """(result or ("exit", code), stdout, stderr) of `call()`."""
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        out, err = capsys.readouterr()
+        return result, out, err
+
+    @staticmethod
+    def without_command(args):
+        return {key: value for key, value in vars(args).items() if key != "command"}
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["nosuch"],
+        ["gaps", "--help"], ["lattice-check", "--help"],
+        ["gaps", "--primes", "2", "--N", "52"],
+        ["gaps", *F1, "--format", "xml"],
+        ["gaps", *F1[:4], "--N", "x"],
+        ["gaps", *F1, "--bogus", "1"],
+        ["verify", "extra"],
+        ["gaps", "--prim", *F1[1:]],
+        ["gaps", *F1[:4], "--N=52"],
+        ["gaps", *F1[:4], "--N", "-3"],
+    ], ids=["none", "help", "unknown-command", "gaps-help", "lattice-check-help",
+            "no-alpha", "bad-format", "bad-N", "bogus-option", "verify-extra",
+            "abbreviation", "equals-sign", "negative-N"])
+    def test_main_exits_and_parses_as_the_whole_parser(self, argv, capsys, monkeypatch):
+        parser = build_parser()
+        seen = []
+
+        def record(args):
+            seen.append(args)
+            return 0
+
+        for command in parser.commands.values():
+            command.set_defaults(func=record)
+        monkeypatch.setattr(cli, "_parser", lambda: parser)
+        dispatched = self.outcome(lambda: main(list(argv)), capsys)
+        whole = self.outcome(lambda: parser.parse_args(list(argv)), capsys)
+        if isinstance(whole[0], tuple):
+            assert whole[0][1] in (0, 1)
+            assert dispatched == whole and not seen
+        else:
+            assert dispatched == (0, "", "")
+            assert self.without_command(seen[0]) == self.without_command(whole[0])
+
+    @pytest.mark.parametrize("extra", [[], ["--bogus", "1"]], ids=["clean", "bogus-option"])
+    def test_main_reads_sys_argv(self, extra, capsys, monkeypatch):
+        argv = ["gaps", *F1, *extra]
+        expected = self.outcome(lambda: main(list(argv)), capsys)
+        monkeypatch.setattr(sys, "argv", ["adelic-gaps", *argv])
+        assert self.outcome(main, capsys) == expected
+        if extra:
+            whole = self.outcome(lambda: cli._parser().parse_args(), capsys)
+            assert expected == whole and whole[0] == ("exit", 1)
+        else:
+            assert expected[0] == 0 and "distinct gaps (3)" in expected[1]
+

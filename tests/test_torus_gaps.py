@@ -103,7 +103,7 @@ class TestOrbit:
 
     def test_far_point_is_built_alone(self, monkeypatch):
         """Point 10**18 is built in closed form, without the points before it, and
-        the orbit builds its first point alone, with one `_multiple` call."""
+        the orbit's first point is the reduced alpha itself, with no `_multiple` call."""
         counts = Counter()
         monkeypatch.setattr(TorusPoint, "_multiple",
                             counting(counts, "_multiple", TorusPoint._multiple))
@@ -113,7 +113,7 @@ class TestOrbit:
             assert far == expected and str(far) == str(expected)
             counts.clear()
             first = next(orbit(alpha, 10**18))
-            assert counts["_multiple"] == 1
+            assert counts["_multiple"] == 0
             assert first == reduce(alpha)[0] and str(first) == str(reduce(alpha)[0])
 
 
@@ -235,7 +235,7 @@ class TestGapReport:
                 assert counts["_reduced_distance"] == 1  # D[1]
                 assert kernel_ks == report.records[0][1:]
                 assert [1] + kernel_ks == expected[str(alpha), N], (str(alpha), N)
-                assert counts["_multiple"] == 1  # the reduced alpha
+                assert counts["_multiple"] == 0  # the reduced alpha is the first point
                 constructions.add(counts["__post_init__"])
             assert len(constructions) == 1, (str(alpha), constructions)
         assert len(expected[str(F1_ALPHA), 60]) < 60 - 1
@@ -272,7 +272,7 @@ class TestGapReport:
                 counts.clear()
                 gap_report(alpha, N)
                 assert counts["reduce"] == 1
-                assert counts["_multiple"] == 1, (str(alpha), N, counts)
+                assert counts["_multiple"] == 0, (str(alpha), N, counts)
                 assert counts["kernel"] == drops[str(alpha), N], (str(alpha), N, counts)
                 fixed.add((counts["_trusted"], counts["Fraction"] - drops[str(alpha), N]))
             assert len(fixed) == 1, (str(alpha), fixed)
