@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 from math import floor
 from types import MappingProxyType
@@ -147,6 +147,14 @@ class AdelePoint:
         object.__setattr__(point, "overrides", MappingProxyType(overrides))
         object.__setattr__(point, "primes", primes)
         return point
+
+    @cached_property
+    def _pairs(self) -> Pairs:
+        """The coordinates as the integer pairs `_raw_abs` reads, built once and
+        kept outside the dataclass fields, as the hash is."""
+        inf, default = self.at_infinity, self.default_value
+        return ((inf.numerator, inf.denominator), (default.numerator, default.denominator),
+                {p: (v.numerator, v.denominator) for p, v in self.overrides.items()})
 
     def coordinate(self, p: int) -> Fraction:
         if p not in self.primes:
@@ -312,37 +320,48 @@ def add_diagonal(x: AdelePoint, gamma) -> AdelePoint:
 #: A rational a/b as the integer pair (a, b) with b > 0, not necessarily in
 #: lowest terms: the distance kernel's coordinates and norms.
 Pair = tuple[int, int]
+#: A point's coordinates as pairs: (at infinity, default, {prime: override}).
+Pairs = tuple[Pair, Pair, Mapping[int, Pair]]
 
 
-def _raw_abs(inf: Pair, default: Pair, coords: Mapping[int, Pair], primes: PrimeSet) -> Pair:
-    """Max-metric norm from raw coordinate pairs, itself returned as a pair.
+def _raw_abs(x: Pairs, primes: PrimeSet, k: int, j: int, bound: Pair = (1, 0)) -> Pair:
+    """Max-metric norm of k*x - j, for integers k and j, itself returned as a pair.
 
-    `inf` is the coordinate at the real place, `coords` the explicit prime
-    coordinates and `default` the coordinate at every other prime of the set.
-    Precondition: the input is the difference of two reduced points, as
-    `_reduced_distance` builds it, or a reduced multiple k*xbar less 0, as
-    `_multiple_distance` builds it unnormalised, or either shifted by +-1 in
-    `_shifted_min`, so every denominator is prime to each place p where it is
-    read.  The term of a/b at p is then the unit fraction |a|_p = 1/p^v_p(a),
-    from the numerator alone, and it beats the best term so far when
-    best_den > best_num * p^v; no Fraction is built here: the caller makes
-    one from the pair it keeps, if it needs one.
+    x is (inf, default, coords) as `AdelePoint._pairs`: the real coordinate,
+    the default at every prime of the set outside `coords`, and the explicit
+    prime coordinates; each c/d is read as (k*c - j*d, d).  Precondition: x
+    is the difference of two reduced points with k = 1 and j in {0, +-1}
+    (`_reduced_distance`), or a reduced point with j in {m, m + 1},
+    m = floor(k * x_inf) (`_multiple_distance`, the walk of `lattice`), so
+    every denominator is prime to each place p where it is read.  The term
+    of a/b at p is then the unit fraction |a|_p = 1/p^v_p(a), from the
+    numerator alone, and it beats the best term so far when
+    best_den > best_num * p^v; no Fraction is built here.
 
     On a cofinite set the term at p is |x_p|_p / p = 1/p^(v_p(a) + 1).
     Walking the set's primes outside `coords` upward, each p that divides the
     default's numerator adds its term, and the first p that does not adds 1/p
     and ends the walk: every later term is at most 1/p' < 1/p.  The walk
     visits at most one prime more than the numerator has prime factors.
+
+    The norm is a running max: it returns the first term that reaches
+    `bound`, so a result below the bound is the exact norm.  The default
+    bound 1/0 is never reached.
     """
-    best_num, best_den = abs(inf[0]), inf[1]
+    (a, b), default, coords = x
+    best_num, best_den = abs(k * a - j * b), b
+    bound_num, bound_den = bound
     weight = 0 if primes.finite else 1  # the 1/p of a cofinite set, as a power of p
     for p in primes.listed if primes.finite else coords:
-        num = coords.get(p, default)[0]
+        c, d = coords.get(p, default)
+        num = k * c - j * d
         if num:
             term_den = p ** (split_power(num, p)[0] + weight)
             if best_den > best_num * term_den:
                 best_num, best_den = 1, term_den
-    num = default[0]
+                if bound_den >= bound_num * term_den:
+                    return best_num, best_den
+    num = k * default[0] - j * default[1]
     if primes.finite or not num:
         return best_num, best_den
     avoid = set(coords)
@@ -353,6 +372,8 @@ def _raw_abs(inf: Pair, default: Pair, coords: Mapping[int, Pair], primes: Prime
         term_den = p ** (split_power(num, p)[0] + 1)
         if best_den > best_num * term_den:
             best_num, best_den = 1, term_den
+            if bound_den >= bound_num * term_den:
+                return best_num, best_den
         avoid.add(p)
 
 
@@ -416,27 +437,22 @@ def _pair_difference(x: Fraction, y: Fraction) -> Pair:
     return x.numerator * y.denominator - y.numerator * x.denominator, x.denominator * y.denominator
 
 
-def _shifted_min(inf: Pair, default: Pair, coords: dict[int, Pair], primes: PrimeSet) -> Pair:
-    """min over g in Gamma_P of |D - g|, as a pair, for the difference D of two
-    reduced points given as raw pairs, as `_raw_abs` takes them.
+def _shifted_min(x: Pairs, primes: PrimeSet, k: int, j: int) -> Pair:
+    """min over g in Gamma_P of |D - g|, as a pair, for D = k*x - j, the
+    difference of two reduced points or a reduced multiple, as `_raw_abs`
+    takes it.
 
     |D_inf| < 1 and every prime term of D is at most 1 (1/2 on a cofinite
     set), so |D| <= 1 and only g in {-1, 0, 1} can do better.  The shift by
     -sign(D_inf) has real term 1 + |D_inf| >= 1, so it never wins;
-    s = sign(D_inf) has real term 1 - |D_inf|, so it is tried only when that
-    is below |D|.  D shifted by s keeps every denominator, so it still meets
-    the precondition of `_raw_abs`.
+    s = sign(D_inf) has real term 1 - |D_inf|, so it is tried, as the norm at
+    j + s, only when that is below |D|.
     """
-    best_num, best_den = _raw_abs(inf, default, coords, primes)
-    a, b = inf
+    best_num, best_den = _raw_abs(x, primes, k, j)
+    b = x[0][1]
+    a = k * x[0][0] - j * b
     if (b - abs(a)) * best_den < best_num * b:  # never when D_inf = 0 or |D| = 0
-        s = 1 if a > 0 else -1
-        num, den = _raw_abs(
-            (a - s * b, b),
-            (default[0] - s * default[1], default[1]),
-            {p: (c - s * d, d) for p, (c, d) in coords.items()},
-            primes,
-        )
+        num, den = _raw_abs(x, primes, k, j + (1 if a > 0 else -1))
         if num * best_den < best_num * den:
             return num, den
     return best_num, best_den
@@ -453,41 +469,33 @@ def _reduced_distance(xbar: AdelePoint, ybar: AdelePoint) -> Fraction:
     shifts, and the one Fraction built is that minimum.
 
     Each of the two candidate norms is a max that includes its real term,
-    |D_inf| or 1 - |D_inf|, so the distance is at least
-    min(|D_inf|, 1 - |D_inf|), the distance from D_inf to the nearest integer.
-    The prefix-minimum walk of `lattice` skips, on this bound, every k whose
-    distance to 0 cannot set a new minimum; it takes the distance of every
-    other k from `_multiple_distance`, and comes here only at the k where the
-    minimum drops.
+    |D_inf| or 1 - |D_inf|, and any other shift has a term of at least 1.
+    So for L <= 1 the distance is below L exactly when the norm at a shift
+    whose real term is below L is.  The prefix-minimum walk of `lattice`
+    asks only that, of `_raw_abs` with its minimum as the bound, at the
+    integers j within the minimum of k*xbar_inf, and comes here, through
+    `v_min`, only at the k where the minimum drops.
     """
     x_default, y_default = xbar.default_value, ybar.default_value
     coords = {
         p: _pair_difference(xbar.overrides.get(p, x_default), ybar.overrides.get(p, y_default))
         for p in {*xbar.overrides, *ybar.overrides}
     }
-    return Fraction(*_shifted_min(
-        _pair_difference(xbar.at_infinity, ybar.at_infinity),
-        _pair_difference(x_default, y_default), coords, xbar.primes,
-    ))
+    x = (_pair_difference(xbar.at_infinity, ybar.at_infinity),
+         _pair_difference(x_default, y_default), coords)
+    return Fraction(*_shifted_min(x, xbar.primes, 1, 0))
 
 
 def _multiple_distance(xbar: TorusPoint, k: int) -> Pair:
     """D[k] = d(k*xbar, 0) for a reduced xbar and an integer k >= 0, as a pair.
 
-    Each coordinate c/d of xbar becomes the pair (k*c - m*d, d) with
-    m = floor(k * xbar_inf): the reduced k*xbar of `TorusPoint._multiple`,
-    unnormalised, which is also its difference with 0.  Its denominators are
-    xbar's, so `_shifted_min` runs on it as it is; no point and no Fraction
-    is built.
+    It is the least norm of k*xbar - j over j in {m, m + 1},
+    m = floor(k * xbar_inf): k*xbar - m is the reduced k*xbar of
+    `TorusPoint._multiple`, which is also its difference with 0, and
+    `_shifted_min` tries m + 1 when it can win.  The norms read xbar's
+    integer pairs (`AdelePoint._pairs`) as they are; no point, no shifted
+    pair and no Fraction is built.
     """
-    inf = xbar.at_infinity
-    a, b = inf.numerator, inf.denominator
-    m = k * a // b
-    default = xbar.default_value
-    return _shifted_min(
-        (k * a - m * b, b),
-        (k * default.numerator - m * default.denominator, default.denominator),
-        {p: (k * v.numerator - m * v.denominator, v.denominator)
-         for p, v in xbar.overrides.items()},
-        xbar.primes,
-    )
+    x = xbar._pairs
+    a, b = x[0]
+    return _shifted_min(x, xbar.primes, k, k * a // b)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
-from .adele import AdelePoint, TorusPoint, _multiple_distance, reduce, torus_distance, zero_point
+from .adele import AdelePoint, TorusPoint, _raw_abs, reduce, torus_distance, zero_point
 
 
 def min_positive_diagonal_distance(x: AdelePoint) -> Fraction:
@@ -97,34 +97,35 @@ class RotationMatrixSpec:
     def _fill(self, K: int) -> None:
         """Grow the table's drop indices through radius K, adding a value at each drop.
 
-        With a/b the real coordinate of the reduced alpha, the reduced k*alpha
-        has real coordinate r/b, r = k*a mod b, so v_min(k) is at least
-        min(r, b - r)/b when k*alpha is off the lattice (see
-        `_reduced_distance`), and 1 when it is on it, which no prefix minimum
-        exceeds, since v_min(0) = 1.  A k whose bound reaches the last minimum
-        cannot lower it and is skipped.  For every other k, D[k] = d(k*alpha, 0)
-        comes as an integer pair from `_multiple_distance` and is compared with
-        the last minimum by cross-multiplication; a D of 0 (k*alpha on the
-        lattice) or one that is not below the minimum is no drop.  Only at a
-        drop is `v_min(k)` computed, and its value is the one kept, so the
-        table's values come from the point path.
+        The last minimum L is at most 1, since v_min(0) = 1, so v_min(k) < L
+        exactly when some integer j has 0 < |k*alpha - j| < L: any other
+        element of Gamma_P has a term of at least 1 (see `_reduced_distance`).
+        With a/b the real coordinate of the reduced alpha and k*a = m*b + r,
+        the real term is r/b at j = m, (b - r)/b at j = m + 1 and at least 1
+        at any other j.  So the walk asks `_raw_abs`, with L as the bound,
+        for the norm of k*alpha - j only at the j whose real term is below L,
+        m first, and the norm stops at the first place whose term reaches L.
+        Only at a drop is `v_min(k)` computed, and its value is the one kept,
+        so the table's values come from the point path.
         """
         drops, values = self._drops, self._values
         if len(drops) > K:
             return
         xbar = self._alpha_bar
-        inf = xbar.at_infinity
-        a, b = inf.numerator, inf.denominator
+        x, primes = xbar._pairs, xbar.primes
+        a, b = x[0]
         low_num, low_den = values[-1].numerator, values[-1].denominator
         while len(drops) <= K:
             k = len(drops)
-            r = k * a % b
-            if min(r, b - r) * low_den < low_num * b:
-                num, den = _multiple_distance(xbar, k)
-                if 0 < num and num * low_den < low_num * den:
-                    v = self.v_min(k)
-                    values.append(v)
-                    low_num, low_den = v.numerator, v.denominator
+            m, r = divmod(k * a, b)
+            for j, real in ((m, r), (m + 1, b - r)):
+                if real * low_den < low_num * b:
+                    num, den = _raw_abs(x, primes, k, j, (low_num, low_den))
+                    if 0 < num and num * low_den < low_num * den:
+                        v = self.v_min(k)
+                        values.append(v)
+                        low_num, low_den = v.numerator, v.denominator
+                        break
             drops.append(len(values) - 1)
 
 

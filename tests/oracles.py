@@ -86,6 +86,12 @@ def reference_norm(inf: Fraction, default: Fraction, coords, primes: PrimeSet) -
     return best
 
 
+def reference_shifted_norm(x: AdelePoint, k: int, j: int) -> Fraction:
+    """The ambient norm of k * x - j, for integers k and j, by `reference_norm`."""
+    return reference_norm(k * x.at_infinity - j, k * x.default_value - j,
+                          {p: k * v - j for p, v in x.overrides.items()}, x.primes)
+
+
 def reference_ambient_abs(x: AdelePoint) -> Fraction:
     """The ambient norm of a point, by `reference_norm` on its coordinates."""
     return reference_norm(x.at_infinity, x.default_value, x.overrides, x.primes)

@@ -17,7 +17,7 @@ from adelic_gaps import (
     torus_distance,
     zero_point,
 )
-from adelic_gaps import adele
+from adelic_gaps import adele, lattice
 from adelic_gaps.adele import _prime_factors
 from adelic_gaps.cli import main
 
@@ -37,6 +37,7 @@ from oracles import (
     point_sum,
     prime_factors,
     reference_ambient_abs,
+    reference_shifted_norm,
     reference_torus_distance,
 )
 
@@ -398,15 +399,18 @@ class TestIntegerKernel:
     """The integer-pair distance against the padic_abs / trial-division oracles."""
 
     def test_kernel_reads_only_denominators_prime_to_the_place(self, monkeypatch, capsys):
-        """`_raw_abs` takes the difference of two reduced points, or that difference
-        shifted by +-1, so at every place it reads the denominator is prime to p:
+        """`_raw_abs` reads k*x - j with x the difference of two reduced points or a
+        reduced point, so at every place it reads the denominator is prime to p:
         the listed primes of a finite set, the keys of `coords`, and on a cofinite
         set the tail primes up to the walk's stop.  Seeded unreduced draws run
-        through `torus_distance`, `gap_report` and `lattice-check`."""
+        through `torus_distance`, `gap_report` and `lattice-check`, whose walk
+        calls the norm from `lattice`."""
         reads = Counter()
         raw_abs = adele._raw_abs
 
-        def spy(inf, default, coords, primes):
+        def spy(x, primes, k, j, *bound):
+            _, (c0, d0), coords = x
+            default = k * c0 - j * d0, d0
             if primes.finite:
                 places = [("listed", p, coords.get(p, default)) for p in primes.listed]
             else:
@@ -419,11 +423,12 @@ class TestIntegerKernel:
                         break
                     avoid.add(p)
             for kind, p, (_, den) in places:
-                assert den % p, (kind, p, inf, default, coords, str(primes))
+                assert den % p, (kind, p, x, k, j, str(primes))
                 reads[kind, den > 1] += 1
-            return raw_abs(inf, default, coords, primes)
+            return raw_abs(x, primes, k, j, *bound)
 
-        monkeypatch.setattr(adele, "_raw_abs", spy)
+        for module in (adele, lattice):  # the distances, and the walk of lattice-check
+            monkeypatch.setattr(module, "_raw_abs", spy)
         rng = random.Random(20261019)
         for i in range(210):
             primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
@@ -440,6 +445,45 @@ class TestIntegerKernel:
                 assert main(argv) in (0, 1), str(y)  # 1: a degenerate orbit of y
         capsys.readouterr()
         assert len(reads) == 6 and min(reads.values()) >= 20, reads
+
+    def test_bounded_norm_is_exact_below_the_bound(self, monkeypatch):
+        """`_raw_abs` on a reduced point's pairs is the norm of k*xbar - j, and with
+        a bound it is that norm when the norm is below the bound, and a pair at or
+        above the bound otherwise.  Bounds are set at the norm and just above and
+        below it; a cofinite tail walk that stops at the bound is counted by its
+        `smallest_outside` steps, against those of the unbounded norm."""
+        steps = []
+        smallest_outside = PrimeSet.smallest_outside
+        monkeypatch.setattr(PrimeSet, "smallest_outside",
+                            lambda primes, avoid: steps.append(1) or smallest_outside(primes, avoid))
+        rng = random.Random(20261020)
+        seen, near = Counter(), Fraction(1, 10**12)
+        for i in range(35):
+            primes = ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)]
+            xbar = reduce(unreduced_point(rng, primes, 30))[0]
+            x = xbar._pairs
+            for k in range(61):
+                m = k * xbar.at_infinity.numerator // xbar.at_infinity.denominator
+                for j in (m, m + 1):
+                    norm = reference_shifted_norm(xbar, k, j)
+                    steps.clear()
+                    assert Fraction(*adele._raw_abs(x, primes, k, j)) == norm, (str(xbar), k, j)
+                    seen["unbounded"] += 1
+                    walked = len(steps)
+                    tail = norm > reference_shifted_norm(dataclasses.replace(xbar, default_value=0), k, j)
+                    seen["norm set in the cofinite tail"] += not primes.finite and tail
+                    for bound in (norm, norm + near, norm - near) if norm else (near,):
+                        steps.clear()
+                        num, den = adele._raw_abs(x, primes, k, j, (bound.numerator, bound.denominator))
+                        value = Fraction(num, den)
+                        if norm < bound:
+                            assert value == norm, (str(xbar), k, j, bound)
+                            seen["below the bound"] += 1
+                        else:
+                            assert bound <= value <= norm, (str(xbar), k, j, bound)
+                            seen["at or above the bound"] += 1
+                            seen["stopped inside the cofinite tail"] += 0 < len(steps) < walked
+        assert min(seen.values()) >= 20, seen
 
     def test_torus_distance_on_unreduced_pairs(self):
         rng = random.Random(20261020)

@@ -4,6 +4,7 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
+from math import floor
 
 import pytest
 
@@ -41,6 +42,7 @@ from oracles import (
     prefix_minima_and_drops,
     real_bound,
     reference_ambient_abs,
+    reference_shifted_norm,
     reference_torus_distance,
     windowed_F,
 )
@@ -241,40 +243,56 @@ class TestVMinTable:
         else:
             primes = PrimeSet.all_except(2, 3, 5, 7)
             alpha, N = unreduced_point(rng, primes, 30), 200
-        calls, kernel_ks = [], []
-        v_min = RotationMatrixSpec.v_min
-        kernel = lattice._multiple_distance
+        calls, norms = [], []
+        v_min, raw_abs = RotationMatrixSpec.v_min, lattice._raw_abs
 
         def recording(spec, k):
             calls.append(k)
             return v_min(spec, k)
 
+        def norm(x, primes, k, j, bound):
+            norms.append((k, j))
+            return raw_abs(x, primes, k, j, bound)
+
         monkeypatch.setattr(RotationMatrixSpec, "v_min", recording)
-        monkeypatch.setattr(lattice, "_multiple_distance",
-                            lambda xbar, k: kernel_ks.append(k) or kernel(xbar, k))
+        monkeypatch.setattr(lattice, "_raw_abs", norm)
         monkeypatch.setattr(lattice, "_V_MIN_TABLES", weakref.WeakKeyDictionary())
         argv = ["lattice-check", "--primes", str(primes), "--alpha", str(alpha), "--N", str(N)]
         assert main(argv) == 0
         assert f"{N}/{N} match" in capsys.readouterr().out
-        # the table is filled through radius N: the kernel runs at each k whose
-        # real bound is below the prefix minimum M[k - 1], and v_min only at
-        # each k where M drops
+        # the table is filled through radius N: the walk asks the norm of
+        # k*alpha - j at j = m, then m + 1 (m = floor(k * abar_inf)), whenever its
+        # real term is below the prefix minimum M[k - 1], and stops at the j
+        # whose norm is positive and below M[k - 1]; v_min runs only at each k
+        # where M drops
         zero = zero_point(primes)
         minima, drops = prefix_minima_and_drops(
             reference_torus_distance(multiple(alpha, k), zero) or Fraction(1) for k in range(N + 1)
         )
-        assert kernel_ks == [k for k in range(1, N + 1) if real_bound(alpha, k) < minima[k - 1]]
+        abar = reduce(alpha)[0]
+        expected = []
+        for k in range(1, N + 1):
+            m = floor(k * abar.at_infinity)
+            for j in (m, m + 1):
+                if abs(k * abar.at_infinity - j) < minima[k - 1]:
+                    expected.append((k, j))
+                    if 0 < reference_shifted_norm(abar, k, j) < minima[k - 1]:
+                        break
+        assert norms == expected
+        assert {k for k, _ in norms} == {k for k in range(1, N + 1) if real_bound(alpha, k) < minima[k - 1]}
         assert calls == [k for k in range(1, N + 1) if drops[k] > drops[k - 1]]
         if instance == "F1":
-            assert calls == [1, 3, 8, 16, 35, 51] and len(kernel_ks) == 21
+            # after k = 1 the minimum is at most 51/100, so at most one j per k has
+            # a real term below it: one norm at each of the 21 k with a real bound below M
+            assert calls == [1, 3, 8, 16, 35, 51] and len(norms) == 21
 
     def test_kernel_overstating_a_drop_is_a_mismatch(self, monkeypatch, capsys):
-        """The lattice side finds its drops on the kernel: a kernel that misses
+        """The lattice side finds its drops with the walk's norm: a norm that misses
         F1's drop at k = 35 (D = 3/20) leaves the prefix minimum at 4/25 on the
         radii 35..50, and lattice-check reports each delta read there."""
-        kernel = lattice._multiple_distance
-        monkeypatch.setattr(lattice, "_multiple_distance",
-                            lambda xbar, k: (1, 1) if k == 35 else kernel(xbar, k))
+        raw_abs = lattice._raw_abs
+        monkeypatch.setattr(lattice, "_raw_abs", lambda x, primes, k, j, bound:
+                            (1, 1) if k == 35 else raw_abs(x, primes, k, j, bound))
         monkeypatch.setattr(lattice, "_V_MIN_TABLES", weakref.WeakKeyDictionary())
         argv = ["lattice-check", "--primes", "2", "--alpha", "inf=351/100;default=0;2=1",
                 "--N", "52"]
@@ -287,15 +305,15 @@ class TestVMinTable:
             assert f"  MISMATCH n={n}: direct 3/20 != lattice 4/25" in out
 
     def test_fault_inside_a_run_is_a_mismatch_at_each_n(self, monkeypatch, capsys):
-        """A fault that leaves a run's two ends right: the kernel reports drops
-        at k = 39 and k = 45, where v_min gives 1/5 and then F1's 3/20 again,
+        """A fault that leaves a run's two ends right: the walk's norm reports
+        drops at k = 39 and k = 45, where v_min gives 1/5 and then F1's 3/20 again,
         so the lattice delta is 3/20 at both ends of the radii 35..50, one run
         of the report, and 1/5 on 39..44.  Each n read there is a mismatch, as
         a per-n comparison through delta_via_lattice finds."""
         faults = {39: Fraction(1, 5), 45: Fraction(3, 20)}
-        kernel, v_min = lattice._multiple_distance, RotationMatrixSpec.v_min
-        monkeypatch.setattr(lattice, "_multiple_distance",
-                            lambda xbar, k: (1, 7) if k in faults else kernel(xbar, k))
+        raw_abs, v_min = lattice._raw_abs, RotationMatrixSpec.v_min
+        monkeypatch.setattr(lattice, "_raw_abs", lambda x, primes, k, j, bound:
+                            (1, 7) if k in faults else raw_abs(x, primes, k, j, bound))
         monkeypatch.setattr(RotationMatrixSpec, "v_min", lambda spec, k: faults.get(k) or v_min(spec, k))
         monkeypatch.setattr(lattice, "_V_MIN_TABLES", weakref.WeakKeyDictionary())
         argv = ["lattice-check", "--primes", "2", "--alpha", "inf=351/100;default=0;2=1",
