@@ -97,7 +97,10 @@ class AdelePoint:
     `overrides[p]` if present, else `default_value`.  The restricted-product
     condition forces the default to be p-integral wherever it applies.
     The constructor stores `overrides` as a read-only sorted copy, so a point
-    is immutable and hashable.
+    is immutable and hashable.  A point may keep caches in its `__dict__`:
+    `_pairs`, its coordinates as integer pairs, and `_v_min_table`, the lattice
+    table of `RotationMatrixSpec`.  They are not fields, so they never enter
+    `repr`, equality or the hash.
     """
 
     at_infinity: Fraction
@@ -150,8 +153,7 @@ class AdelePoint:
 
     @cached_property
     def _pairs(self) -> Pairs:
-        """The coordinates as the integer pairs `_raw_abs` reads, built once and
-        kept outside the dataclass fields, as the hash is."""
+        """The coordinates as the integer pairs `_raw_abs` reads, built once."""
         inf, default = self.at_infinity, self.default_value
         return ((inf.numerator, inf.denominator), (default.numerator, default.denominator),
                 {p: (v.numerator, v.denominator) for p, v in self.overrides.items()})
@@ -183,13 +185,7 @@ class AdelePoint:
         return self._key() == other._key()
 
     def __hash__(self) -> int:
-        # the point is immutable, so the hash is computed once; it is kept
-        # outside the dataclass fields, which repr and fields read
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self._key())
 
     def __str__(self) -> str:
         parts = [f"inf={self.at_infinity}", f"default={self.default_value}"]

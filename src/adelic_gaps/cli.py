@@ -262,7 +262,8 @@ def cmd_lattice_check(args) -> int:
     N = args.N
     if N < 1:
         raise CliError(f"N must be >= 1, got {N}")
-    # both sides start from the one reduced alpha, and are compared run by run.
+    # both sides start from the one reduced alpha, whose object carries the
+    # lattice table that every spec here reads, and are compared run by run.
     # The lattice delta_n is the table's prefix minimum at the radius
     # max(n - 1, N - n), which is monotone in n on each side of ceil(N/2), and
     # no run of the report crosses it; a radius's minimum is values[drops[K]],

@@ -9,8 +9,7 @@ so everything is a finite exact scan.
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -30,43 +29,33 @@ def min_positive_diagonal_distance(x: AdelePoint) -> Fraction:
     return d if d > 0 else Fraction(1)
 
 
-#: alpha -> (drops, values): values holds the prefix minimum M[K] = min of
-#: v_min(k) over 0 <= k <= K once per drop, starting from M[0] = v_min(0) = 1,
-#: and drops[K] is the number of K' <= K with M[K'] < M[K' - 1], so
-#: M[K] = values[drops[K]], filled upward in K.  M is nonincreasing, so
-#: M[K] = M[K'] exactly when drops[K] = drops[K'].  Both depend on alpha
-#: alone, not on N, so every spec on an equal alpha shares one entry; an entry
-#: lives as long as its alpha.  The reduced alpha is kept on the spec, not
-#: here: for a reduced alpha it is alpha itself, and an entry that held its
-#: own key would never die.
-_V_MIN_TABLES = weakref.WeakKeyDictionary()
-
-
 @dataclass
 class RotationMatrixSpec:
     """Upper-triangular determinant-1 matrix with diagonal (1/t, t) and shear t*alpha.
 
     The gap identity for the orbit of length N uses t = N + 1/2, the property
-    `t`.  The prefix minima M of the shortest vectors `v_min(k)`, as one drop
-    index per radius into the values M takes, are kept in one table per
-    alpha, which every spec on an equal alpha that is still alive shares.  The
-    reduced alpha they are computed from lives on the spec, made by `reduce`
-    when the spec first grows the table or calls `v_min`: a spec that only
-    reads the table reduces nothing, and a reduced alpha, such as the one
-    `lattice-check` passes, is its own reduction.  The drops are found on the
-    integer kernel, and each value at a drop comes from `v_min`.
+    `t`.  The prefix minima M[K] = min of `v_min(k)` over 0 <= k <= K are kept
+    as a table (drops, values): values holds each minimum once, starting from
+    M[0] = v_min(0) = 1, and drops[K] counts the K' <= K with
+    M[K'] < M[K' - 1], so M[K] = values[drops[K]], filled upward in K.  M is
+    nonincreasing, so M[K] = M[K'] exactly when drops[K] = drops[K'].  The
+    table depends on alpha alone, not on N, so it is kept on the alpha object,
+    outside its fields, and every spec on that object shares it; it is dropped
+    with the object.  The reduced alpha it is computed from lives on the spec,
+    made by `reduce` when the spec first grows the table or calls `v_min`: a
+    spec that only reads the table reduces nothing, and a reduced alpha, such
+    as the one `lattice-check` passes, is its own reduction.  The drops are
+    found on the integer kernel, and each value at a drop comes from `v_min`.
     """
 
     alpha: AdelePoint
     N: int
-    _drops: list[int] = field(init=False, repr=False, compare=False)
-    _values: list[Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
         # a new table holds v_min(0) = 1, the norm of the shortest nonzero element of Gamma_P
-        self._drops, self._values = _V_MIN_TABLES.setdefault(self.alpha, ([0], [Fraction(1)]))
+        self._drops, self._values = vars(self.alpha).setdefault("_v_min_table", ([0], [Fraction(1)]))
 
     @property
     def t(self) -> Fraction:

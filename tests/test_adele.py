@@ -214,24 +214,19 @@ class TestMakePoint:
         assert hash(torus) == hash(adele_point)
         assert torus != AdelePoint(Fraction(1, 3), 0, {11: 1, 13: 0}, primes)
 
-    def test_hash_is_computed_once_and_stays_out_of_the_fields(self):
-        class Counted(Fraction):
-            hashes = 0
-
-            def __hash__(self):
-                Counted.hashes += 1
-                return super().__hash__()
-
+    def test_caches_stay_out_of_the_fields(self):
+        """A point that carries its caches, the integer pairs and the lattice
+        table, reads as a fresh equal twin in repr, str, fields, equality and hash."""
         primes = PrimeSet.all_except(2)
-        point = AdelePoint._trusted(Counted(1, 3), Fraction(5), {3: Fraction(1, 9)}, primes)
-        before = (repr(point), str(point), dataclasses.fields(point))
+        point = AdelePoint(Fraction(1, 3), 5, {3: Fraction(1, 9)}, primes)
         twin = AdelePoint(Fraction(1, 3), 5, {3: Fraction(1, 9)}, primes)
-        first = hash(point)
-        assert Counted.hashes == 1
-        assert hash(point) == first == hash(twin)
-        assert Counted.hashes == 1
-        assert (repr(point), str(point), dataclasses.fields(point)) == before
-        assert point == twin and twin == point
+        assert lattice.delta_via_lattice(point, 20, 1) == gap_report(point, 20).deltas[0]
+        point._pairs  # builds the pairs cache
+        assert {"_pairs", "_v_min_table"} <= vars(point).keys()
+        assert not vars(twin).keys() & {"_pairs", "_v_min_table"}
+        assert (repr(point), str(point), dataclasses.fields(point)) == \
+            (repr(twin), str(twin), dataclasses.fields(twin))
+        assert point == twin and twin == point and hash(point) == hash(twin)
         assert point != AdelePoint(Fraction(1, 3), 5, {3: Fraction(2, 9)}, primes)
 
     def test_overrides_are_read_only(self):

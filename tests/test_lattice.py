@@ -1,7 +1,5 @@
-import gc
 import json
 import random
-import weakref
 from collections import Counter
 from fractions import Fraction
 from math import floor
@@ -50,7 +48,14 @@ from oracles import (
 P2 = PrimeSet.of(2)
 P3 = PrimeSet.of(3)
 
-F1_ALPHA = AdelePoint(Fraction(351, 100), 0, {2: 1}, P2)
+
+def f1_alpha() -> AdelePoint:
+    """A new F1 alpha object: its lattice table starts cold, whatever earlier
+    tests computed on `F1_ALPHA`."""
+    return AdelePoint(Fraction(351, 100), 0, {2: 1}, P2)
+
+
+F1_ALPHA = f1_alpha()
 F2_ALPHA = AdelePoint(Fraction(16, 5), 0, {3: 1}, P3)
 
 
@@ -215,16 +220,12 @@ class TestVMinTable:
             return min_positive_diagonal_distance(x)
 
         monkeypatch.setattr(lattice, "min_positive_diagonal_distance", recording)
-        # start empty: this module's F1_ALPHA is alive and its table is warm
-        tables = weakref.WeakKeyDictionary()
-        monkeypatch.setattr(lattice, "_V_MIN_TABLES", tables)
         argv = ["lattice-check", "--primes", "2", "--alpha", "inf=351/100;default=0;2=1",
                 "--N", "52"]
         assert main(argv) == 0
         first = len(calls)
         assert first <= 53  # one per |k| <= N
-        # the table dies with alpha: a second call starts from an empty table
-        assert len(tables) == 0
+        # each call parses its own alpha, so a second call starts from a cold table
         assert main(argv) == 0
         assert len(calls) == 2 * first
         assert capsys.readouterr().out.count("52/52 match") == 2
@@ -256,7 +257,6 @@ class TestVMinTable:
 
         monkeypatch.setattr(RotationMatrixSpec, "v_min", recording)
         monkeypatch.setattr(lattice, "_raw_abs", norm)
-        monkeypatch.setattr(lattice, "_V_MIN_TABLES", weakref.WeakKeyDictionary())
         argv = ["lattice-check", "--primes", str(primes), "--alpha", str(alpha), "--N", str(N)]
         assert main(argv) == 0
         assert f"{N}/{N} match" in capsys.readouterr().out
@@ -293,7 +293,6 @@ class TestVMinTable:
         raw_abs = lattice._raw_abs
         monkeypatch.setattr(lattice, "_raw_abs", lambda x, primes, k, j, bound:
                             (1, 1) if k == 35 else raw_abs(x, primes, k, j, bound))
-        monkeypatch.setattr(lattice, "_V_MIN_TABLES", weakref.WeakKeyDictionary())
         argv = ["lattice-check", "--primes", "2", "--alpha", "inf=351/100;default=0;2=1",
                 "--N", "52"]
         assert main(argv) == 2
@@ -315,7 +314,6 @@ class TestVMinTable:
         monkeypatch.setattr(lattice, "_raw_abs", lambda x, primes, k, j, bound:
                             (1, 7) if k in faults else raw_abs(x, primes, k, j, bound))
         monkeypatch.setattr(RotationMatrixSpec, "v_min", lambda spec, k: faults.get(k) or v_min(spec, k))
-        monkeypatch.setattr(lattice, "_V_MIN_TABLES", weakref.WeakKeyDictionary())
         argv = ["lattice-check", "--primes", "2", "--alpha", "inf=351/100;default=0;2=1",
                 "--N", "52"]
         assert main(argv) == 2
@@ -325,7 +323,8 @@ class TestVMinTable:
         mismatches = [line for line in lines if "MISMATCH" in line]
         assert mismatches == [f"  MISMATCH n={n}: direct 3/20 != lattice 1/5"
                               for n in [*range(8, 14), *range(40, 46)]]
-        oracle = [(n, direct, delta_via_lattice(F1_ALPHA, 52, n))
+        alpha = f1_alpha()  # the oracle fills its own table under the same faults
+        oracle = [(n, direct, delta_via_lattice(alpha, 52, n))
                   for n, direct in enumerate(gap_report(F1_ALPHA, 52).deltas, 1)]
         assert mismatches == [f"  MISMATCH n={n}: direct {direct} != lattice {via_lattice}"
                               for n, direct, via_lattice in oracle if direct != via_lattice]
@@ -360,7 +359,6 @@ class TestVMinTable:
                             counting(counts, "TorusPoint", TorusPoint.__post_init__))
         monkeypatch.setattr(AdelePoint, "__post_init__",
                             counting(counts, "__post_init__", AdelePoint.__post_init__))
-        monkeypatch.setattr(lattice, "_V_MIN_TABLES", weakref.WeakKeyDictionary())
         cofinite = AdelePoint(Fraction(-7, 3), 10, {2: Fraction(1, 4), 3: 5}, PrimeSet.all_primes())
         for alpha in (F1_ALPHA, F2_ALPHA, cofinite):
             constructions = set()
@@ -374,37 +372,43 @@ class TestVMinTable:
                 constructions.add(counts["__post_init__"])
             assert len(constructions) == 1, (str(alpha), constructions)
 
-    def test_table_dies_with_a_reduced_alpha(self, monkeypatch):
-        """The reduced alpha lives on the spec, not in the table: a table keyed
-        by a TorusPoint, which is its own reduction, dies with it."""
-        tables = weakref.WeakKeyDictionary()
-        monkeypatch.setattr(lattice, "_V_MIN_TABLES", tables)
-        xbar = reduce(F1_ALPHA)[0]
-        assert delta_via_lattice(xbar, 52, 18) == Fraction(4, 25)
-        spec = RotationMatrixSpec(xbar, 52)
-        assert scan_G(spec).distinct_count == 3 and spec.v_min(35) == Fraction(3, 20)
-        assert len(tables) == 1
-        del xbar, spec
-        gc.collect()
-        assert len(tables) == 0
+    def test_table_lives_on_the_alpha_object(self, monkeypatch):
+        """Every spec on one alpha object shares its table, so a later spec on it
+        computes v_min only past the radii already filled; an equal alpha that
+        is another object starts cold and computes v_min again at each drop."""
+        calls = []
+        v_min = RotationMatrixSpec.v_min
+        monkeypatch.setattr(RotationMatrixSpec, "v_min",
+                            lambda spec, k: calls.append(k) or v_min(spec, k))
+        for alpha in (f1_alpha(), reduce(F1_ALPHA)[0]):
+            assert scan_G(RotationMatrixSpec(alpha, 52)).distinct_count == 3
+            assert calls == [1, 3, 8, 16, 35, 51]
+            assert delta_via_lattice(alpha, 52, 18) == Fraction(4, 25)
+            assert G_N_value(RotationMatrixSpec(alpha, 13000)) == gap_report(alpha, 13000).gap_count == 2
+            assert calls == [1, 3, 8, 16, 35, 51, 12800]  # D[12800] = 1/128
+            twin = AdelePoint(alpha.at_infinity, alpha.default_value, alpha.overrides, P2)
+            assert twin == alpha and twin is not alpha
+            calls.clear()
+            assert scan_G(RotationMatrixSpec(twin, 52)).distinct_count == 3
+            assert calls == [1, 3, 8, 16, 35, 51]
+            calls.clear()
 
     def test_reading_the_table_reduces_nothing(self, monkeypatch):
         """A spec reduces its alpha only when it grows the table."""
         counts = Counter()
         monkeypatch.setattr(lattice, "reduce", counting(counts, "reduce", reduce))
-        monkeypatch.setattr(lattice, "_V_MIN_TABLES", weakref.WeakKeyDictionary())
-        assert delta_via_lattice(F1_ALPHA, 52, 1) == Fraction(1, 100)
+        alpha = f1_alpha()
+        assert delta_via_lattice(alpha, 52, 1) == Fraction(1, 100)
         assert counts["reduce"] == 1
         for n in range(1, 53):
-            delta_via_lattice(F1_ALPHA, 52, n)
+            delta_via_lattice(alpha, 52, n)
         assert counts["reduce"] == 1
 
 
 class TestRealBoundSkip:
-    def test_table_matches_prefix_minima_of_every_v_min(self, monkeypatch):
+    def test_table_matches_prefix_minima_of_every_v_min(self):
         """The table's prefix minima and drop counts, filled with the real-bound
         skip, against those of v_min at every k; the values hold each minimum once."""
-        monkeypatch.setattr(lattice, "_V_MIN_TABLES", weakref.WeakKeyDictionary())
         for alpha, K in real_bound_draws(20261019, 28, 400):
             spec = RotationMatrixSpec(alpha, K)
             spec._fill(K)

@@ -6,6 +6,7 @@ import pytest
 
 from adelic_gaps import (
     AdelePoint,
+    GapReport,
     PrimeSet,
     default_instances,
     gap_report,
@@ -14,6 +15,7 @@ from adelic_gaps import (
 )
 from adelic_gaps.paper_examples import reproduce_instance
 
+from conftest import within_seconds
 from oracles import pairwise_deltas
 
 
@@ -103,6 +105,21 @@ class TestReproduction:
         )
         rows = reproduce_instance(perturbed)
         assert any(not r.ok for r in rows)
+
+    def test_pinned_deltas_are_read_off_the_runs(self, monkeypatch):
+        """F3 on the first 15 primes has N = 2*3*...*47 + 1, about 6.1 * 10**17:
+        each pinned delta_n is read off the report's runs, and a spy fails any
+        read of the N deltas."""
+        def unread_deltas(report):
+            raise AssertionError("GapReport.deltas was read")
+
+        monkeypatch.setattr(GapReport, "deltas", property(unread_deltas))
+        inst = sharp_instance(PrimeSet.of(*PrimeSet.all_primes().first_members(15)))
+        assert inst.N > 6 * 10**17
+        with within_seconds(1):
+            rows = reproduce_instance(inst)
+        assert all(r.ok for r in rows), [r for r in rows if not r.ok]
+        assert [r.computed for r in rows if r.quantity == "g_N"] == ["3"]
 
     def test_closed_form_families_across_prime_sets(self):
         # F3 and I4 expected values are generated from formulas; confirm the
