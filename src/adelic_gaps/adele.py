@@ -58,13 +58,15 @@ class PrimeSet:
             return p in self.listed
         return is_prime(p) and p not in self.listed
 
-    def members(self) -> Iterator[int]:
-        """The set's primes in increasing order: `listed` when finite; when cofinite,
-        a `next_prime` walk past the exclusions that never ends, so take a prefix."""
+    def members(self, above: int = 1) -> Iterator[int]:
+        """The set's primes greater than `above`, in increasing order: the listed
+        ones when finite; when cofinite, a `next_prime` walk from `above` past the
+        exclusions that never ends, so take a prefix.  A walk that stopped at p
+        resumes with `members(p)`, not from 2."""
         if self.finite:
-            yield from self.listed
+            yield from (p for p in self.listed if p > above)
             return
-        p = 2
+        p = next_prime(above)
         while True:
             if p not in self.listed:
                 yield p
@@ -73,9 +75,11 @@ class PrimeSet:
     def smallest(self) -> int:
         return next(self.members())
 
-    def smallest_outside(self, avoid) -> int | None:
-        """Smallest member not in `avoid`; None if the finite set is exhausted."""
-        return next((p for p in self.members() if p not in avoid), None)
+    def smallest_outside(self, avoid, above: int = 1) -> int | None:
+        """Smallest member greater than `above` and not in `avoid`; None if the
+        finite set is exhausted.  A walk steps with p = smallest_outside(avoid, p),
+        so each call resumes at the last prime and visits each member once."""
+        return next((p for p in self.members(above) if p not in avoid), None)
 
     def first_members(self, k: int) -> list[int]:
         """The k smallest primes of the set (fewer if the set is smaller)."""
@@ -338,7 +342,9 @@ def _raw_abs(x: Pairs, primes: PrimeSet, k: int, j: int, bound: Pair = (1, 0)) -
     Walking the set's primes outside `coords` upward, each p that divides the
     default's numerator adds its term, and the first p that does not adds 1/p
     and ends the walk: every later term is at most 1/p' < 1/p.  The walk
-    visits at most one prime more than the numerator has prime factors.
+    visits at most one prime more than the numerator has prime factors, and
+    each step resumes the prime search at the last p, so it tests each
+    integer up to its last prime for primality once.
 
     The norm is a running max: it returns the first term that reaches
     `bound`, so a result below the bound is the exact norm.  The default
@@ -360,9 +366,9 @@ def _raw_abs(x: Pairs, primes: PrimeSet, k: int, j: int, bound: Pair = (1, 0)) -
     num = k * default[0] - j * default[1]
     if primes.finite or not num:
         return best_num, best_den
-    avoid = set(coords)
+    p = 1
     while True:
-        p = primes.smallest_outside(avoid)
+        p = primes.smallest_outside(coords, p)
         if num % p:
             return (1, p) if best_den > best_num * p else (best_num, best_den)
         term_den = p ** (split_power(num, p)[0] + 1)
@@ -370,7 +376,6 @@ def _raw_abs(x: Pairs, primes: PrimeSet, k: int, j: int, bound: Pair = (1, 0)) -
             best_num, best_den = 1, term_den
             if bound_den >= bound_num * term_den:
                 return best_num, best_den
-        avoid.add(p)
 
 
 def _fractional_p_part(v: Fraction, p: int) -> Fraction:

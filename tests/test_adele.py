@@ -20,6 +20,7 @@ from adelic_gaps import (
 from adelic_gaps import adele, lattice
 from adelic_gaps.adele import _prime_factors
 from adelic_gaps.cli import main
+from adelic_gaps.torus_gaps import _records
 
 from conftest import (
     ORACLE_PRIMESETS,
@@ -78,13 +79,31 @@ class TestPrimeSet:
         primes_below = [n for n in range(2, bound) if prime_factors(n) == [n]]
         return [n for n in primes_below if (n in primes.listed) == primes.finite]
 
+    @staticmethod
+    def draw_above(rng):
+        """A start for the walk, from one of three bands: below the least prime,
+        among the primes below 300 that the first lists cover, or past them up to
+        1500, which is also past every listed prime of a finite set.  The lists
+        these draws are checked against run to 2000."""
+        return rng.choice((rng.randint(-3, 1), rng.randint(2, 299), rng.randint(300, 1500)))
+
     def test_members_in_increasing_order(self):
+        rng = random.Random(20261021)
         for primes in self.COFINITE:
             expected = self.trial_division_members(primes, 300)[:40]
             assert len(expected) == 40
             assert list(islice(primes.members(), 40)) == expected == primes.first_members(40)
+            members = self.trial_division_members(primes, 2000)
+            for _ in range(30):
+                above = self.draw_above(rng)
+                expected = [p for p in members if p > above][:40]
+                assert len(expected) == 40
+                assert list(islice(primes.members(above), 40)) == expected, (str(primes), above)
         finite = PrimeSet.of(3, 5, 11)
         assert list(finite.members()) == [3, 5, 11] == finite.first_members(40)
+        for _ in range(30):
+            above = self.draw_above(rng)
+            assert list(finite.members(above)) == [p for p in (3, 5, 11) if p > above], above
 
     def test_smallest_outside_matches_brute_force(self):
         rng = random.Random(20261022)
@@ -96,7 +115,16 @@ class TestPrimeSet:
                     avoid = set(sorted(avoid)[: rng.randint(0, 25)])
                 expected = min((p for p in members if p not in avoid), default=None)
                 assert primes.smallest_outside(avoid) == expected, (str(primes), sorted(avoid))
+            members = self.trial_division_members(primes, 2000)
+            for _ in range(40):
+                above = self.draw_above(rng)
+                later = [p for p in members if p > above]
+                avoid = set(rng.sample(members, rng.randint(0, min(25, len(members)))))
+                avoid |= set(later[: rng.randint(0, 25)])  # skip a run of the members above
+                expected = min((p for p in later if p not in avoid), default=None)
+                assert primes.smallest_outside(avoid, above) == expected, (str(primes), above, sorted(avoid))
         assert PrimeSet.of(2, 5, 7).smallest_outside({2, 5, 7, 11}) is None
+        assert PrimeSet.of(2, 5, 7).smallest_outside(set(), 7) is None
 
 
 class TestMakePoint:
@@ -450,7 +478,7 @@ class TestIntegerKernel:
         steps = []
         smallest_outside = PrimeSet.smallest_outside
         monkeypatch.setattr(PrimeSet, "smallest_outside",
-                            lambda primes, avoid: steps.append(1) or smallest_outside(primes, avoid))
+                            lambda primes, *args: steps.append(1) or smallest_outside(primes, *args))
         rng = random.Random(20261020)
         seen, near = Counter(), Fraction(1, 10**12)
         for i in range(35):
@@ -479,6 +507,30 @@ class TestIntegerKernel:
                             seen["at or above the bound"] += 1
                             seen["stopped inside the cofinite tail"] += 0 < len(steps) < walked
         assert min(seen.values()) >= 20, seen
+
+    def test_cofinite_tail_walk_is_linear(self, monkeypatch):
+        """Each step of the cofinite tail walk resumes the prime search at the last
+        prime, so one norm tests each integer up to its last prime once: at most
+        one `next_prime` call per step, per excluded prime and per `coords` key,
+        plus the first.  A walk that restarted at 2 at every step made 8113 calls
+        for the 122 steps at the last record below 10^300 of the CI cofinite
+        alpha, and 7626 for the 124 of `all`."""
+        counts = Counter()
+        monkeypatch.setattr(adele, "next_prime", counting(counts, "next_prime", adele.next_prime))
+        monkeypatch.setattr(PrimeSet, "smallest_outside",
+                            counting(counts, "steps", PrimeSet.smallest_outside))
+        for alpha in (AdelePoint(Fraction(-7, 3), 10, {11: Fraction(1, 4), 13: 5},
+                                 PrimeSet.all_except(2, 3, 5, 7)),
+                      AdelePoint(Fraction(1, 3), 1, {}, PrimeSet.all_primes())):
+            ks, values = _records(alpha, 10**300)
+            xbar = reduce(alpha)[0]
+            (a, b), _, coords = x = xbar._pairs
+            counts.clear()
+            norm = adele._raw_abs(x, alpha.primes, ks[-1], ks[-1] * a // b)
+            assert Fraction(*norm) == values[-1], str(alpha)
+            assert counts["steps"] > 100, (str(alpha), counts)
+            assert counts["next_prime"] <= (counts["steps"] + len(alpha.primes.listed)
+                                            + len(coords) + 1), (str(alpha), counts)
 
     def test_torus_distance_on_unreduced_pairs(self):
         rng = random.Random(20261020)
