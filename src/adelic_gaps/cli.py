@@ -38,9 +38,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 ERROR_MESSAGE_CHARS = 200
-#: The largest N whose deltas `gaps --format json|csv` lists: the listing is
-#: O(N) in time and memory (at this N, about 0.4 s for JSON and 2 s for CSV,
-#: each near 0.3 GB), where plain `gaps` answers any N from the records.
+#: The largest N for the commands whose work is O(N), where plain `gaps`
+#: answers any N from the records: `gaps --format json|csv` lists every delta
+#: (at this N, about 0.4 s for JSON and 2 s for CSV, each near 0.3 GB), and
+#: `lattice-check` walks every radius up to N in O(drops) memory (at this N,
+#: 3.3-5 s on F1 and 12-15 s on `all`, Python 3.11).
 LISTING_LIMIT = 10**7
 
 
@@ -269,14 +271,18 @@ def cmd_lattice_check(args) -> int:
     N = args.N
     if N < 1:
         raise CliError(f"N must be >= 1, got {N}")
+    if N > LISTING_LIMIT:
+        raise CliError(f"lattice-check walks every radius up to N, so it takes N <= "
+                       f"{LISTING_LIMIT}; plain gaps answers any N")
     # both sides start from the one reduced alpha, whose object carries the
     # lattice table that every spec here reads, and are compared run by run.
     # The lattice delta_n is the table's prefix minimum at the radius
     # max(n - 1, N - n), which is monotone in n on each side of ceil(N/2), and
-    # no run of the report crosses it; a radius's minimum is values[drops[K]],
-    # so a run matches at every n when the drop count is equal at its two end
-    # radii and delta_via_lattice at one end equals its value.  A run that
-    # fails is compared n by n, so every mismatch is listed, in n order.
+    # no run of the report crosses it; a radius's minimum is the table's value
+    # at its drop count, so a run matches at every n when the drop count is
+    # equal at its two end radii and delta_via_lattice at one end equals its
+    # value.  A run that fails is compared n by n, so every mismatch is
+    # listed, in n order.
     alpha_bar = reduce(alpha)[0]
     report = gap_report(alpha_bar, N)
     spec = RotationMatrixSpec(alpha_bar, N)

@@ -9,12 +9,14 @@ so everything is a finite exact scan.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from types import SimpleNamespace
 
 from .adele import AdelePoint, TorusPoint, _raw_abs, reduce, torus_distance, zero_point
+from .torus_gaps import _expanded, record_runs
 
 
 def min_positive_diagonal_distance(x: AdelePoint) -> Fraction:
@@ -35,11 +37,14 @@ class RotationMatrixSpec:
 
     The gap identity for the orbit of length N uses t = N + 1/2, the property
     `t`.  The prefix minima M[K] = min of `v_min(k)` over 0 <= k <= K are kept
-    as a table (drops, values): values holds each minimum once, starting from
-    M[0] = v_min(0) = 1, and drops[K] counts the K' <= K with
-    M[K'] < M[K' - 1], so M[K] = values[drops[K]], filled upward in K.  M is
-    nonincreasing, so M[K] = M[K'] exactly when drops[K] = drops[K'].  The
-    table depends on alpha alone, not on N, so it is kept on the alpha object,
+    as a table in the form of `GapReport.records`, filled upward through the
+    radius `through`: ks = [0, k_1, ...] are the radii at which M drops and
+    values = [1, M[k_1], ...] its value at each, starting from
+    M[0] = v_min(0) = 1, so the table holds O(drops) items, not one per
+    radius.  M[K] = values[i] for the last i with ks[i] <= K, i being the
+    drop count of K (`drop_count`); M is nonincreasing, so M[K] = M[K']
+    exactly when K and K' have one drop count.  The table depends on alpha
+    alone, not on N, so it is kept on the alpha object,
     outside its fields, and every spec on that object shares it; it is dropped
     with the object.  The reduced alpha it is computed from lives on the spec,
     made by `reduce` when the spec first grows the table or calls `v_min`: a
@@ -55,7 +60,8 @@ class RotationMatrixSpec:
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
         # a new table holds v_min(0) = 1, the norm of the shortest nonzero element of Gamma_P
-        self._drops, self._values = vars(self.alpha).setdefault("_v_min_table", ([0], [Fraction(1)]))
+        self._table = vars(self.alpha).setdefault(
+            "_v_min_table", SimpleNamespace(ks=[0], values=[Fraction(1)], through=0))
 
     @property
     def t(self) -> Fraction:
@@ -77,14 +83,14 @@ class RotationMatrixSpec:
         return min_positive_diagonal_distance(self._alpha_bar._multiple(abs(k)))
 
     def drop_count(self, K: int) -> int:
-        """drops[K], the number of drops of the prefix minimum M over radii
-        1..K, filling the table through K.  M[K] = values[drops[K]], so two
-        radii with equal drop counts have one M."""
+        """The number of drops of the prefix minimum M over radii 1..K, filling
+        the table through K: the index of M[K] in the table's values, found by
+        bisecting its drop radii.  Two radii with equal drop counts have one M."""
         self._fill(K)
-        return self._drops[K]
+        return bisect_right(self._table.ks, K) - 1
 
     def _fill(self, K: int) -> None:
-        """Grow the table's drop indices through radius K, adding a value at each drop.
+        """Grow the table through radius K, adding a radius and a value at each drop.
 
         The last minimum L is at most 1, since v_min(0) = 1, so v_min(k) < L
         exactly when some integer j has 0 < |k*alpha - j| < L: any other
@@ -97,33 +103,38 @@ class RotationMatrixSpec:
         Only at a drop is `v_min(k)` computed, and its value is the one kept,
         so the table's values come from the point path.
         """
-        drops, values = self._drops, self._values
-        if len(drops) > K:
+        table = self._table
+        if table.through >= K:
             return
         xbar = self._alpha_bar
         x, primes = xbar._pairs, xbar.primes
         a, b = x[0]
-        low_num, low_den = values[-1].numerator, values[-1].denominator
-        while len(drops) <= K:
-            k = len(drops)
+        low_num, low_den = table.values[-1].numerator, table.values[-1].denominator
+        for k in range(table.through + 1, K + 1):
             m, r = divmod(k * a, b)
             for j, real in ((m, r), (m + 1, b - r)):
                 if real * low_den < low_num * b:
                     num, den = _raw_abs(x, primes, k, j, (low_num, low_den))
                     if 0 < num and num * low_den < low_num * den:
                         v = self.v_min(k)
-                        values.append(v)
+                        table.ks.append(k)
+                        table.values.append(v)
                         low_num, low_den = v.numerator, v.denominator
                         break
-            drops.append(len(values) - 1)
+        table.through = K
 
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Piecewise-constant profile of t -> F over (0,1)."""
+    """Piecewise-constant profile of t -> F over (0,1), one F per open interval
+    between the breakpoints j/(2N + 1), as runs (F, count) in t order:
+    O(drops) of them.  `interval_values`, the runs expanded, is built on
+    first read, as `GapReport.deltas` is."""
 
-    interval_values: list[Fraction]
+    runs: list[tuple[Fraction, int]]
     distinct_count: int
+
+    interval_values = cached_property(_expanded)
 
 
 def _radius(m: int, a: int, b: int) -> int:
@@ -146,27 +157,27 @@ def F_value(spec: RotationMatrixSpec, t) -> Fraction:
     The p-adic window constraint restricts u-coordinates to k / spec.t with k
     an integer, so the minimum ranges over -t*spec.t < k < (1-t)*spec.t.
     The window always contains k = 0 and v_min is symmetric in +-k, so the
-    minimum is spec.t times the prefix minimum M[K] = values[drops[K]] of
-    v_min over |k| <= K = max(-k_lo, k_hi).
+    minimum is spec.t times the prefix minimum M[K] of v_min over
+    |k| <= K = max(-k_lo, k_hi), the table's value at the drop count of K.
     """
     t = Fraction(t)
     K = _radius(2 * spec.N + 1, t.numerator, t.denominator)
-    return spec.t * spec._values[spec.drop_count(K)]
+    return spec.t * spec._table.values[spec.drop_count(K)]
 
 
 def delta_via_lattice(alpha: AdelePoint, N: int, n: int) -> Fraction:
     """Nearest-neighbor distance computed through the lattice identity.
 
     It is F_value(spec, n / spec.t) / spec.t with spec.t = N + 1/2, that is
-    the prefix minimum M[K] = values[drops[K]] of v_min at the window radius
-    of t = n / spec.t, which in closed form is K = max(n - 1, N - n); it is
-    read from the table with no product and no division.  delta_n and
+    the prefix minimum M[K] of v_min at the window radius of t = n / spec.t,
+    which in closed form is K = max(n - 1, N - n); it is read from the table,
+    at the drop count of K, with no product and no division.  delta_n and
     delta_{N+1-n} share their radius, so they are one lookup.
     """
     if not 1 <= n <= N:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
     spec = RotationMatrixSpec(alpha, N)
-    return spec._values[spec.drop_count(max(n - 1, N - n))]
+    return spec._table.values[spec.drop_count(max(n - 1, N - n))]
 
 
 def G_N_value(spec: RotationMatrixSpec) -> int:
@@ -183,7 +194,7 @@ def G_N_value(spec: RotationMatrixSpec) -> int:
 
 
 def scan_G(spec: RotationMatrixSpec) -> ScanResult:
-    """Exact piecewise-constant scan of t -> F over (0,1).
+    """Exact piecewise-constant scan of t -> F over (0,1), as runs.
 
     The admissible k-set changes only when t crosses k/t0 or 1 - k/t0
     (t0 = spec.t = m/2 with m = 2N + 1, 1 <= k <= N), so F is constant on the
@@ -191,19 +202,23 @@ def scan_G(spec: RotationMatrixSpec) -> ScanResult:
     subinterval determines it.  The cuts 2k/m and (m - 2k)/m are together
     every j/m with 0 < j < m, so the breakpoints are those and the midpoints
     are (2j + 1)/(2m), 0 <= j < m, whose window radius is, in closed form,
-    K_j = max(j // 2, N - ceil(j / 2)): (2N - j) // 2 for j <= N and j // 2
-    above.  So the midpoints' drop counts are two slices of the drop counts
-    at radii 0..N, each listed twice, and are read with no Python-level loop.
-    Two midpoints have equal F exactly when the prefix minimum has dropped
-    equally often at their window radii, so `distinct_count` counts drop
-    counts, and F_value runs once per distinct drop count, at its first
-    midpoint.
+    K_j = max(j // 2, N - ceil(j / 2)) = max(j, 2N - j) // 2.  Now
+    max(j, 2N - j) is the radius max(n - 1, m - n) of delta_n, n = j + 1, for
+    m points, and K_j >= k exactly when max(j, 2N - j) >= 2k.  So the prefix
+    minimum M[K_j] is the record in force at that radius among the table's
+    drops through N with their radii doubled, and the midpoints' profile is
+    `record_runs` on those doubled radii and m: O(drops) runs, with no list
+    over j, each run's value read as its drop count.  Each distinct drop
+    count is one distinct F, since F = spec.t * M, so `distinct_count` counts
+    the drop counts in the runs, and F_value runs once per distinct drop
+    count, at its first midpoint, in t order.
     """
-    N = spec.N
-    m = 2 * N + 1
+    N, m = spec.N, 2 * spec.N + 1
     spec._fill(N)  # K_0 = N, the largest radius
-    drops = spec._drops[:N + 1]
-    twice = list(chain.from_iterable(zip(drops, drops)))  # twice[i] = drops[i // 2]
-    counts = twice[2 * N:N - 1:-1] + twice[N + 1:m]
-    value = {c: F_value(spec, Fraction(2 * counts.index(c) + 1, 2 * m)) for c in dict.fromkeys(counts)}
-    return ScanResult(list(map(value.__getitem__, counts)), len(value))
+    ks, F, j, runs = spec._table.ks, {}, 0, []
+    for drops, count in record_runs([2 * k for k in ks if k <= N], range(len(ks)), m):
+        if drops not in F:  # j is its first midpoint
+            F[drops] = F_value(spec, Fraction(2 * j + 1, 2 * m))
+        runs.append((F[drops], count))
+        j += count
+    return ScanResult(runs, len(F))

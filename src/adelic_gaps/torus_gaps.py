@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 
 from .adele import AdelePoint, TorusPoint, _multiple_distance, _reduced_distance, reduce, zero_point
 
@@ -14,6 +14,34 @@ from .adele import AdelePoint, TorusPoint, _multiple_distance, _reduced_distance
 class DegenerateOrbitError(ValueError):
     """Raised when no orbit point has a nearest neighbor at positive distance, so
     no gap is defined: every pairwise distance is zero, or N = 1."""
+
+
+def record_runs(ks: list[int], values: Iterable, N: int) -> list[tuple[object, int]]:
+    """delta_1, ..., delta_N as runs (value, count) in n order, where delta_n is
+    the record in force at radius max(n-1, N-n).
+
+    Record i, (ks[i], values[i]), ks ascending and below N, is in force on the
+    radii ks[i] <= r < ends[i], ends = ks[1:] + [N].  With h = (N+1)//2, the
+    n <= h take the radii N-1 down to N-h, so record i covers
+    [max(ks[i], N-h), ends[i]) there, last record first; the n > h take the
+    radii h up to N-1, so record i covers [max(ks[i], h), ends[i]), ascending.
+    A record with no radius in a range has no run in it.  The runs are
+    O(records), each value one of the objects `values` holds; values past
+    the last record are not read.
+    """
+    h = (N + 1) // 2
+    first, second = [], []  # the runs of the n <= h, last record first, and of the n > h
+    for k, end, value in zip(ks, ks[1:] + [N], values):
+        if end > N - h:
+            first.append((value, end - max(k, N - h)))
+        if end > h:
+            second.append((value, end - max(k, h)))
+    return first[::-1] + second
+
+
+def _expanded(self) -> list:
+    """The values of `self.runs`, each repeated its count of times, in order."""
+    return list(chain.from_iterable(repeat(value, count) for value, count in self.runs))
 
 
 @dataclass(frozen=True)
@@ -29,34 +57,13 @@ class GapReport:
     @cached_property
     def runs(self) -> list[tuple[Fraction, int]]:
         """delta_1, ..., delta_N as runs (value, count) in n order, read off the
-        records: O(records) of them, each value one of the objects records holds.
+        records by `record_runs`: O(records) of them, each value one of the
+        objects records holds."""
+        return record_runs(*self.records, self.N)
 
-        delta_n is the record in force at radius max(n-1, N-n) (see
-        `gap_report`), and record i is in force on the radii
-        ks[i] <= r < ends[i], ends = ks[1:] + [N].  With h = (N+1)//2, the
-        n <= h take the radii N-1 down to N-h, so record i covers
-        [max(ks[i], N-h), ends[i]) there, last record first; the n > h take
-        the radii h up to N-1, so record i covers [max(ks[i], h), ends[i]),
-        ascending.  A record with no radius in a range has no run in it.
-        """
-        ks, values = self.records
-        N, h = self.N, (self.N + 1) // 2
-        first, second = [], []  # the runs of the n <= h, last record first, and of the n > h
-        for k, end, value in zip(ks, ks[1:] + [N], values):
-            if end > N - h:
-                first.append((value, end - max(k, N - h)))
-            if end > h:
-                second.append((value, end - max(k, h)))
-        return first[::-1] + second
-
-    @cached_property
-    def deltas(self) -> list[Fraction]:
-        """deltas[n-1] is delta_n, the expansion of `runs`, built on first read:
-        the one part of a report whose size grows with N."""
-        deltas = []
-        for value, count in self.runs:
-            deltas += [value] * count
-        return deltas
+    #: deltas[n-1] is delta_n, the expansion of `runs`, built on first read:
+    #: the one part of a report whose size grows with N
+    deltas = cached_property(_expanded)
 
     @property
     def distinct_gaps(self) -> list[Fraction]:

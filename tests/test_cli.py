@@ -401,23 +401,29 @@ class TestBoundedWork:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fmt, N", [("json", None), ("csv", None), ("json", 2**63)])
-    def test_listing_above_its_limit_is_refused(self, fmt, N, monkeypatch, capsys):
-        """A JSON or CSV listing holds all N deltas, so above `LISTING_LIMIT` (N None
-        stands for the limit + 1) it is refused before any record is computed, with
-        one line that points to plain `gaps`; at 2^63 the JSON listing would
-        otherwise overflow `itertools.repeat`."""
+    @pytest.mark.parametrize("command, fmt, N", [
+        ("gaps", "json", None), ("gaps", "csv", None), ("gaps", "json", 2**63),
+        ("lattice-check", "plain", None), ("lattice-check", "json", None),
+    ], ids=["json-None", "csv-None", f"json-{2**63}", "lattice-check-plain", "lattice-check-json"])
+    def test_listing_above_its_limit_is_refused(self, command, fmt, N, monkeypatch, capsys):
+        """A JSON or CSV listing holds all N deltas, and lattice-check walks every
+        radius up to N, so above `LISTING_LIMIT` (N None stands for the limit + 1)
+        each is refused before any record is computed, with one line that points
+        to plain `gaps`; at 2^63 the JSON listing would otherwise overflow
+        `itertools.repeat`."""
         def no_report(alpha, N):
             raise AssertionError("gap_report ran")
 
         monkeypatch.setattr(cli, "gap_report", no_report)
         N = N or cli.LISTING_LIMIT + 1
         with within_seconds(2):
-            code = main(["gaps", *F1[:4], "--N", str(N), "--format", fmt])
+            code = main([command, *F1[:4], "--N", str(N), "--format", fmt])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: --format {fmt} lists every delta_n, so it takes "
+        work = (f"--format {fmt} lists every delta_n" if command == "gaps"
+                else "lattice-check walks every radius up to N")
+        assert captured.err == (f"error: {work}, so it takes "
                                 f"N <= {cli.LISTING_LIMIT}; plain gaps answers any N\n")
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import floor
@@ -350,6 +351,26 @@ class TestVMinTable:
         assert f"{N}/{N} match" in capsys.readouterr().out
         assert 1 <= counts["delta_via_lattice"] <= 2 * runs, (counts, runs)
 
+    def test_lattice_check_memory_does_not_grow_with_N(self, monkeypatch, capsys):
+        """The table keeps only its drops and the scan only its runs, so F1's
+        lattice-check at N = 200000 (10 drops) stays within 1 MB of traced
+        allocations, where one item per radius or per midpoint takes over 13 MB,
+        and it never expands the scan's interval values."""
+        def expanded(scan):
+            raise AssertionError("lattice-check expanded the scan's interval values")
+
+        monkeypatch.setattr(lattice.ScanResult, "interval_values", property(expanded))
+        argv = ["lattice-check", "--primes", "2", "--alpha", "inf=351/100;default=0;2=1",
+                "--N", "200000"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "200000/200000 match" in capsys.readouterr().out
+        assert peak < 10**6, peak
+
     def test_lattice_check_validates_one_reduction(self, monkeypatch, capsys):
         """One lattice-check reduces alpha once, and both sides start from that
         reduced alpha: `reduce` passes a TorusPoint through, so one TorusPoint
@@ -408,14 +429,18 @@ class TestVMinTable:
 class TestRealBoundSkip:
     def test_table_matches_prefix_minima_of_every_v_min(self):
         """The table's prefix minima and drop counts, filled with the real-bound
-        skip, against those of v_min at every k; the values hold each minimum once."""
+        skip, against those of v_min at every k; the values hold each minimum once.
+        The table is first filled through K // 2, so the reads below it bisect
+        a table filled past them and the reads above it grow the table."""
         for alpha, K in real_bound_draws(20261019, 28, 400):
             spec = RotationMatrixSpec(alpha, K)
-            spec._fill(K)
+            spec.drop_count(K // 2)
+            counts = [spec.drop_count(k) for k in range(K + 1)]
+            values = spec._table.values
             minima, drops = prefix_minima_and_drops(spec.v_min(k) for k in range(K + 1))
-            assert [spec._values[d] for d in spec._drops] == minima, (str(alpha), K)
-            assert spec._drops == drops, (str(alpha), K)
-            assert spec._values == sorted(set(minima), reverse=True), (str(alpha), K)
+            assert [values[c] for c in counts] == minima, (str(alpha), K)
+            assert counts == drops, (str(alpha), K)
+            assert values == sorted(set(minima), reverse=True), (str(alpha), K)
 
 
 class TestClosedFormRadii:
