@@ -60,7 +60,7 @@ class RotationMatrixSpec:
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
         # a new table holds v_min(0) = 1, the norm of the shortest nonzero element of Gamma_P
-        self._table = vars(self.alpha).setdefault(
+        self._table = (attrs := vars(self.alpha)).get("_v_min_table") or attrs.setdefault(
             "_v_min_table", SimpleNamespace(ks=[0], values=[Fraction(1)], through=0))
 
     @property

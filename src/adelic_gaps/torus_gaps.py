@@ -51,19 +51,30 @@ class GapReport:
     N: int
     # (ks, values): the records of D[k] = d(k*alpha, 0) over 1 <= k <= N - 1 (`_records`)
     records: tuple[list[int], list[Fraction]]
-    # gap value -> the least index n attaining it, ascending; the objects records holds
-    witnesses: dict[Fraction, int]
 
     @cached_property
     def runs(self) -> list[tuple[Fraction, int]]:
         """delta_1, ..., delta_N as runs (value, count) in n order, read off the
         records by `record_runs`: O(records) of them, each value one of the
-        objects records holds."""
+        objects records holds.  The metric is translation-invariant, so delta_n
+        is the least positive D[k], k <= max(n-1, N-n): the record in force there."""
         return record_runs(*self.records, self.N)
 
     #: deltas[n-1] is delta_n, the expansion of `runs`, built on first read:
     #: the one part of a report whose size grows with N
     deltas = cached_property(_expanded)
+
+    @cached_property
+    def witnesses(self) -> dict[Fraction, int]:
+        """Gap value -> the least index n attaining it, ascending; the objects
+        records holds.  `runs` lists the n <= ceil(N/2) first, smallest gap
+        first, and every later n repeats one of their radii, so each value's
+        first run starts at its least witness and the values come ascending."""
+        witnesses, n = {}, 1
+        for value, count in self.runs:
+            witnesses.setdefault(value, n)
+            n += count
+        return witnesses
 
     @property
     def distinct_gaps(self) -> list[Fraction]:
@@ -201,25 +212,13 @@ def _records(alpha: AdelePoint, K: int) -> tuple[list[int], list[Fraction]]:
 
 
 def gap_report(alpha: AdelePoint, N: int) -> GapReport:
-    """The records of D[k] up to N - 1, and each distinct gap with its least witness.
+    """The report of the N-point orbit of alpha: the records of D[k] up to N - 1.
 
-    The quotient metric is translation-invariant, so d(n*alpha, m*alpha) =
-    D[|n-m|], and delta_n is the least positive D[k] over
-    1 <= k <= max(n-1, N-n): the record of `_records(alpha, N - 1)` in force
-    at that radius (`GapReport.runs`).  Record i is in force on the radii
-    ks[i] <= r < ends[i], ends = ks[1:] + [N].  With h = (N+1)//2, the radii
-    of n <= h are N-1 down to N-h, and later n repeat radii of [N-h, N-1].
-    So the distinct gaps are the values in force there, ascending from the
-    last record, and record i's least witness is the least n <= h with radius
-    below ends[i]: N - ends[i] + 1.  The cost is that of the records; only
-    reading `GapReport.deltas`, the runs expanded, grows with N.
+    Raises ValueError when N < 1, and DegenerateOrbitError when N = 1 or alpha
+    lies in Gamma_P, where no orbit point has a neighbor at positive distance.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if N == 1:
         raise DegenerateOrbitError("N = 1: a single orbit point has no nearest neighbor")
-    records = ks, values = _records(alpha, N - 1)
-    ends = ks[1:] + [N]
-    h = (N + 1) // 2
-    witnesses = {v: N - end + 1 for v, end in zip(values[::-1], ends[::-1]) if end > N - h}
-    return GapReport(N, records, witnesses)
+    return GapReport(N, _records(alpha, N - 1))

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -209,11 +208,8 @@ class TestVerifyCommand:
         # --max-height 30; gap_report raises here if that draw were degenerate
         alpha, N = random_instance(random.Random(7), parse_primes("all-except:2"), 20, 30)
         gap_report(alpha, N)
-        real_gap_report = cli.gap_report
         four = {Fraction(1, g): g for g in range(1, 5)}
-        monkeypatch.setattr(
-            cli, "gap_report", lambda a, n: dataclasses.replace(real_gap_report(a, n), witnesses=four)
-        )
+        monkeypatch.setattr(GapReport, "witnesses", property(lambda report: four))
         code = main(["verify", "--primes", "all-except:2", "--seed", "7", "--samples", "5"])
         assert code == 2
         err = capsys.readouterr().err
@@ -229,11 +225,8 @@ class TestVerifyCommand:
         witnesses, not the N deltas, so a failing sample at N near 10**12 is
         reported at once; a spy fails any read of the deltas before it could
         build them."""
-        real_gap_report = cli.gap_report
         four = {Fraction(1, g): g for g in range(1, 5)}
-        monkeypatch.setattr(
-            cli, "gap_report", lambda a, n: dataclasses.replace(real_gap_report(a, n), witnesses=four)
-        )
+        monkeypatch.setattr(GapReport, "witnesses", property(lambda report: four))
         monkeypatch.setattr(GapReport, "deltas", property(unread_deltas))
         with within_seconds(5):
             code = main(["verify", "--primes", "all-except:2", "--seed", "7", "--samples", "5",

@@ -425,6 +425,27 @@ class TestVMinTable:
             delta_via_lattice(alpha, 52, n)
         assert counts["reduce"] == 1
 
+    def test_a_warm_alpha_builds_no_table(self, monkeypatch):
+        """A spec builds a table only when its alpha has none: the first spec on
+        an alpha builds one, and a second spec or a `delta_via_lattice` call on
+        it builds none."""
+        built = []
+        namespace = lattice.SimpleNamespace
+
+        def counted(**fields):
+            built.append(fields)
+            return namespace(**fields)
+
+        monkeypatch.setattr(lattice, "SimpleNamespace", counted)
+        alpha = f1_alpha()
+        first = RotationMatrixSpec(alpha, 52)
+        assert len(built) == 1
+        assert delta_via_lattice(alpha, 52, 18) == Fraction(4, 25)
+        second = RotationMatrixSpec(alpha, 200)
+        assert delta_via_lattice(alpha, 200, 1) == Fraction(1, 100)
+        assert len(built) == 1
+        assert second._table is first._table is vars(alpha)["_v_min_table"]
+
 
 class TestRealBoundSkip:
     def test_table_matches_prefix_minima_of_every_v_min(self):

@@ -8,6 +8,7 @@ import pytest
 from adelic_gaps import (
     AdelePoint,
     DegenerateOrbitError,
+    GapReport,
     PrimeSet,
     TorusPoint,
     add_diagonal,
@@ -298,6 +299,26 @@ class TestGapReport:
             assert report.gap_count == len(first)
             checked += 1
         assert checked > 100
+
+    def test_witnesses_gaps_and_count_on_synthetic_records(self):
+        """On seeded records, ks rising from 1 below N and values falling, the
+        witnesses, distinct gaps and g_N read off the runs match the expanded
+        deltas: each value's first n, ascending; the sorted distinct values; and
+        one gap per record in force at the radii N // 2 .. N - 1."""
+        rng = random.Random(20261020)
+        for _ in range(500):
+            N = rng.randint(2, 300)
+            ks = [1] + sorted(rng.sample(range(2, N), rng.randint(0, min(N - 2, 12))))
+            values = [Fraction(rng.randint(1, 10**4), rng.randint(1, 10**4))]
+            for _ in ks[1:]:
+                values.append(values[-1] * Fraction(rng.randint(1, 99), 100))
+            report = GapReport(N, (ks, values))
+            first = {}
+            for n, d in enumerate(report.deltas, start=1):
+                first.setdefault(d, n)
+            assert list(report.witnesses.items()) == sorted(first.items()), (ks, N)
+            assert report.distinct_gaps == sorted(set(report.deltas)), (ks, N)
+            assert report.gap_count == 1 + sum(N // 2 < k <= N - 1 for k in ks), (ks, N)
 
     def test_invariant_under_reduction(self, rng):
         for _ in range(20):
