@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
-from math import floor
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -93,6 +92,15 @@ class PrimeSet:
         return "all-except:" + ",".join(str(p) for p in self.listed)
 
 
+def _fraction(value) -> Fraction:
+    """value itself when its type is exactly Fraction, else Fraction(value).
+
+    A Fraction is immutable, so points may share one; an int, a string or a
+    Fraction subclass becomes a new Fraction of the base type.
+    """
+    return value if type(value) is Fraction else Fraction(value)
+
+
 @dataclass(frozen=True)
 class AdelePoint:
     """Element of A_P with finite data.
@@ -100,11 +108,12 @@ class AdelePoint:
     Coordinates: `at_infinity` at the real place; at a prime p of the set,
     `overrides[p]` if present, else `default_value`.  The restricted-product
     condition forces the default to be p-integral wherever it applies.
-    The constructor stores `overrides` as a read-only sorted copy, so a point
-    is immutable and hashable.  A point may keep caches in its `__dict__`:
-    `_pairs`, its coordinates as integer pairs, and `_v_min_table`, the lattice
-    table of `RotationMatrixSpec`.  They are not fields, so they never enter
-    `repr`, equality or the hash.
+    The constructor stores `overrides` as a read-only sorted copy, and every
+    coordinate as a Fraction (`_fraction`: a Fraction given is kept, not
+    copied), so a point is immutable and hashable.  A point may keep caches
+    in its `__dict__`: `_pairs`, its coordinates as integer pairs, and
+    `_v_min_table`, the lattice table of `RotationMatrixSpec`.  They are not
+    fields, so they never enter `repr`, equality or the hash.
     """
 
     at_infinity: Fraction
@@ -113,10 +122,10 @@ class AdelePoint:
     primes: PrimeSet
 
     def __post_init__(self):
-        object.__setattr__(self, "at_infinity", Fraction(self.at_infinity))
-        object.__setattr__(self, "default_value", Fraction(self.default_value))
+        object.__setattr__(self, "at_infinity", _fraction(self.at_infinity))
+        object.__setattr__(self, "default_value", _fraction(self.default_value))
         object.__setattr__(self, "overrides", MappingProxyType(
-            {p: Fraction(v) for p, v in sorted(self.overrides.items())}
+            {p: _fraction(v) for p, v in sorted(self.overrides.items())}
         ))
         for p in self.overrides:
             if p not in self.primes:
@@ -202,7 +211,8 @@ class TorusPoint(AdelePoint):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0 <= self.at_infinity < 1:
+        inf = self.at_infinity
+        if not 0 <= inf.numerator < inf.denominator:
             raise ValueError(f"coordinate at infinity {self.at_infinity} not in [0,1)")
         for p, v in self.overrides.items():
             if padic_abs(v, p) > 1:
@@ -291,7 +301,7 @@ def add_diagonal(x: AdelePoint, gamma) -> AdelePoint:
     The sum is built without re-validation: x is valid, and every prime of
     gamma's denominator becomes an override key.
     """
-    gamma = Fraction(gamma)
+    gamma = _fraction(gamma)
     den = gamma.denominator
     keys = set(x.overrides)
     for p in x.primes.listed if x.primes.finite else x.overrides:
@@ -378,18 +388,17 @@ def _raw_abs(x: Pairs, primes: PrimeSet, k: int, j: int, bound: Pair = (1, 0)) -
                 return best_num, best_den
 
 
-def _fractional_p_part(v: Fraction, p: int) -> Fraction:
-    """c/p^k with 0 <= c < p^k such that v - c/p^k is p-integral.
+def _fractional_p_part(v: Fraction, p: int) -> Pair:
+    """(c, p^k) with 0 <= c < p^k such that v - c/p^k is p-integral.
 
     v is in lowest terms, so k, the exponent of p in its denominator, is
     -v_p(v) when that is positive and 0 otherwise, v = 0 included.
     """
     k, b = split_power(v.denominator, p)  # b: the p-free part of the denominator
     if k == 0:
-        return Fraction(0)
+        return 0, 1
     pk = p**k
-    c = (v.numerator * pow(b, -1, pk)) % pk
-    return Fraction(c, pk)
+    return v.numerator * pow(b, -1, pk) % pk, pk
 
 
 def reduce(x: AdelePoint) -> tuple[TorusPoint, Fraction]:
@@ -403,15 +412,21 @@ def reduce(x: AdelePoint) -> tuple[TorusPoint, Fraction]:
     coordinate is not p-integral, subtract its fractional p-part diagonally
     (this leaves every other prime coordinate's integrality untouched, by the
     strong triangle inequality); finish by subtracting the floor of the
-    coordinate at infinity.  The result is validated once, by the `TorusPoint`
-    constructor; `add_diagonal` checks only that gamma lies in Gamma_P.
+    coordinate at infinity.  gamma is summed as one integer pair c/d: the
+    parts' denominators are powers of distinct primes, so d is their product,
+    and it is made a Fraction once.  The result is validated once, by the
+    `TorusPoint` constructor; `add_diagonal` checks only that gamma lies in
+    Gamma_P.
     """
     if isinstance(x, TorusPoint):
         return x, _ZERO
-    gamma = Fraction(0)
+    c, d = 0, 1
     for p, v in x.overrides.items():
-        gamma += _fractional_p_part(v, p)
-    gamma += floor(x.at_infinity - gamma)
+        part, pk = _fractional_p_part(v, p)
+        c, d = c * pk + part * d, d * pk
+    a, b = x.at_infinity.numerator, x.at_infinity.denominator
+    c += (a * d - c * b) // (b * d) * d  # the floor of x_inf - c/d
+    gamma = Fraction(c, d)
     reduced = add_diagonal(x, -gamma)
     point = TorusPoint(
         reduced.at_infinity, reduced.default_value, reduced.overrides, reduced.primes

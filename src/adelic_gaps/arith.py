@@ -87,9 +87,11 @@ def valuation(r: Fraction | int, p: int) -> int:
     """p-adic valuation v_p(r) of a nonzero r; raises ValueError for r = 0.
 
     Writes r = p^v * (a/b) with p dividing neither a nor b and returns v.
+    An int or a Fraction is read as it is, any other r through Fraction(r).
     """
     _check_prime(p)
-    r = Fraction(r)
+    if not isinstance(r, (int, Fraction)):
+        r = Fraction(r)
     return split_power(r.numerator, p)[0] - split_power(r.denominator, p)[0]
 
 
@@ -98,4 +100,5 @@ def padic_abs(r: Fraction | int, p: int) -> Fraction:
     if r == 0:
         _check_prime(p)
         return Fraction(0)
-    return Fraction(p) ** (-valuation(r, p))
+    v = valuation(r, p)
+    return Fraction(1, p**v) if v >= 0 else Fraction(p**-v)

@@ -27,7 +27,6 @@ import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
 
 from .adele import AdelePoint, PrimeSet, reduce
 from .lattice import RotationMatrixSpec, G_N_value, delta_via_lattice, scan_G
@@ -40,10 +39,13 @@ EXIT_VERIFICATION = 2
 ERROR_MESSAGE_CHARS = 200
 #: The largest N for the commands whose work is O(N), where plain `gaps`
 #: answers any N from the records: `gaps --format json|csv` lists every delta
-#: (at this N, about 0.4 s for JSON and 2 s for CSV, each near 0.3 GB), and
+#: (at this N, about 0.1 s for JSON and 2 s for CSV, streamed in
+#: `LISTING_CHUNK` items, so memory stays near the interpreter's own size), and
 #: `lattice-check` walks every radius up to N in O(drops) memory (at this N,
 #: 3.3-5 s on F1 and 12-15 s on `all`, Python 3.11).
 LISTING_LIMIT = 10**7
+#: The most listing items `_emit` holds as text at once (about 60 kB of text on F1).
+LISTING_CHUNK = 1 << 12
 
 
 class CliError(Exception):
@@ -142,21 +144,28 @@ def _emit(fmt: str, record: dict, lines: list[str], rows: Iterable[Sequence] = (
     CSV) as CSV, else `lines`.
 
     `deltas`, if given, is the listing delta_1, ..., delta_N as runs (text,
-    count) in order, and is written in one `str.join` per run, in the bytes
-    that json.dumps(indent=2) and csv.writer write item by item.  In JSON it
-    is the array record["deltas"], and the record holds [] in its place: each
-    distinct text is encoded once and the items are joined in one `str.join`.
-    In CSV it is the rows n,text after `rows`, n counting from 1; a rational's
-    text holds nothing that csv.writer would quote.  The pieces are printed
-    one after another, so the text is never copied whole.
+    count) in order, and is written in the bytes that json.dumps(indent=2)
+    and csv.writer write item by item, at most LISTING_CHUNK items at a time,
+    so the memory it takes does not grow with N.  In JSON it is the array
+    record["deltas"], and the record holds [] in its place: each distinct
+    text is encoded once, with the separator before it, and a chunk of a run
+    is that piece repeated.  In CSV it is the rows n,text after `rows`, n
+    counting from 1, and a chunk is one `str.join` of its row numbers; a
+    rational's text holds nothing that csv.writer would quote.
     """
     if fmt == "json":
         text = json.dumps(record, indent=2)
         if deltas:
             head, tail = text.split('"deltas": []', 1)
-            encoded = {t: json.dumps(t) for t in {t for t, _ in deltas}}
-            items = chain.from_iterable(repeat(encoded[t], count) for t, count in deltas)
-            print(head, '"deltas": [\n    ', ",\n    ".join(items), "\n  ]", tail, sep="")
+            encoded = {t: ",\n    " + json.dumps(t) for t in {t for t, _ in deltas}}
+            pieces = [(encoded[t], count) for t, count in deltas]
+            first, count = pieces[0]
+            pieces[0] = first, count - 1
+            print(head, '"deltas": [', first[1:], sep="", end="")  # the first item has no comma
+            for piece, count in pieces:
+                for done in range(0, count, LISTING_CHUNK):
+                    print(piece * min(LISTING_CHUNK, count - done), end="")
+            print("\n  ]", tail, sep="")
         else:
             print(text)
     elif fmt == "csv":
@@ -164,7 +173,9 @@ def _emit(fmt: str, record: dict, lines: list[str], rows: Iterable[Sequence] = (
         n = 1
         for text, count in deltas:
             row_end = f",{text}\n"
-            print(row_end.join(map(str, range(n, n + count))), end=row_end)
+            for start in range(n, n + count, LISTING_CHUNK):
+                stop = min(start + LISTING_CHUNK, n + count)
+                print(row_end.join(map(str, range(start, stop))), end=row_end)
             n += count
     else:
         print("\n".join(lines))
@@ -183,7 +194,8 @@ def cmd_gaps(args) -> int:
     # made once and found by identity: hashing a Fraction costs more than
     # printing it; the listing is written from the runs, never item by item
     text = {id(g): _text(g) for g in report.distinct_gaps}
-    runs = [] if args.format == "plain" else [(text[id(v)], count) for v, count in report.runs]
+    plain = args.format == "plain"
+    runs = [] if plain else [(text[id(v)], count) for v, count in report.runs]
     record = {
         "N": report.N,
         "deltas": [],
@@ -194,10 +206,10 @@ def cmd_gaps(args) -> int:
         "primes": str(primes),
     }
     lines = [
-        f"alpha = {alpha}   primes = {primes}   N = {args.N}",
+        f"alpha = {record['alpha']}   primes = {record['primes']}   N = {args.N}",
         f"distinct gaps ({report.gap_count}): " + ", ".join(record["distinct_gaps"]),
         "witnesses: " + ", ".join(f"delta_{n} = {g}" for g, n in record["witnesses"].items()),
-    ]
+    ] if plain else []
     _emit(args.format, record, lines, [("n", "delta")], runs)
     return EXIT_OK
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from types import SimpleNamespace
 
-from .adele import AdelePoint, TorusPoint, _raw_abs, reduce, torus_distance, zero_point
+from .adele import AdelePoint, TorusPoint, _fraction, _raw_abs, reduce, torus_distance, zero_point
 from .torus_gaps import _expanded, record_runs
 
 
@@ -160,7 +160,7 @@ def F_value(spec: RotationMatrixSpec, t) -> Fraction:
     minimum is spec.t times the prefix minimum M[K] of v_min over
     |k| <= K = max(-k_lo, k_hi), the table's value at the drop count of K.
     """
-    t = Fraction(t)
+    t = _fraction(t)
     K = _radius(2 * spec.N + 1, t.numerator, t.denominator)
     return spec.t * spec._table.values[spec.drop_count(K)]
 

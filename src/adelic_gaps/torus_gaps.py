@@ -69,12 +69,15 @@ class GapReport:
         """Gap value -> the least index n attaining it, ascending; the objects
         records holds.  `runs` lists the n <= ceil(N/2) first, smallest gap
         first, and every later n repeats one of their radii, so each value's
-        first run starts at its least witness and the values come ascending."""
-        witnesses, n = {}, 1
+        first run starts at its least witness and the values come ascending.
+        The runs of one record share its value object and distinct records
+        have distinct values, so runs are matched by identity and each gap is
+        hashed once, by the dict returned."""
+        firsts, n = {}, 1
         for value, count in self.runs:
-            witnesses.setdefault(value, n)
+            firsts.setdefault(id(value), (value, n))
             n += count
-        return witnesses
+        return dict(firsts.values())
 
     @property
     def distinct_gaps(self) -> list[Fraction]:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -32,6 +33,7 @@ from conftest import (
     within_seconds,
 )
 from oracles import (
+    _padic_abs,
     brute_force_torus_distance,
     multiple,
     point_difference,
@@ -140,6 +142,41 @@ class TestMakePoint:
         point = AdelePoint(Fraction(1, 9), 0, {3: 1}, PrimeSet.all_except(2))
         assert point.coordinate(3) == 1
         assert point.coordinate(7) == 0
+
+    def test_coordinates_are_stored_as_exact_fractions(self):
+        """A Fraction is stored as the object given; an int, a string and a
+        Fraction subclass are stored as Fractions of the base type."""
+        class Sub(Fraction):
+            pass
+
+        primes = PrimeSet.of(2, 3)
+        for cls in (AdelePoint, TorusPoint):
+            inf, default, override = Fraction(1, 3), Fraction(5), Fraction(7, 5)
+            point = cls(inf, default, {3: override}, primes)
+            assert point.at_infinity is inf and point.default_value is default
+            assert point.overrides[3] is override
+            point = cls(Sub(1, 3), "5", {2: 7, 3: Sub(1, 5)}, primes)
+            coordinates = [point.at_infinity, point.default_value, *point.overrides.values()]
+            assert [type(c) for c in coordinates] == [Fraction] * 4
+            assert coordinates == [Fraction(1, 3), 5, 7, Fraction(1, 5)]
+
+    def test_rejects_each_invalid_coordinate(self):
+        """The checks on every coordinate: override keys, the default, x_inf of a
+        TorusPoint in [0, 1) (read off its numerator and denominator), and the
+        p-integrality of a TorusPoint's overrides."""
+        with pytest.raises(ValueError, match="not a prime of the prime set"):
+            AdelePoint(Fraction(0), Fraction(0), {3: Fraction(1)}, P2)
+        with pytest.raises(ValueError, match="not 2-integral"):
+            AdelePoint(Fraction(0), Fraction(1, 2), {}, P2)
+        for inf in (Fraction(1), Fraction(-1, 10**9), Fraction(7, 3), -1, "1"):
+            with pytest.raises(ValueError, match=r"not in \[0,1\)"):
+                TorusPoint(inf, 0, {}, P2)
+        for inf in (0, Fraction(10**9 - 1, 10**9)):
+            assert TorusPoint(inf, 0, {}, P2).at_infinity == inf
+        with pytest.raises(ValueError, match="at prime 2 is not p-integral"):
+            TorusPoint(Fraction(1, 3), 0, {2: Fraction(1, 2)}, P2)
+        with pytest.raises(ValueError, match="at prime 3 is not p-integral"):
+            TorusPoint(Fraction(1, 3), 0, {3: Fraction(2, 9)}, PrimeSet.all_primes())
 
     def test_rejects_override_outside_primes(self):
         with pytest.raises(ValueError, match="not a prime of the prime set"):
@@ -578,6 +615,10 @@ class TestReduce:
             assert again == point
 
     def test_fractional_p_part(self):
+        assert adele._fractional_p_part(Fraction(1, 2), 2) == (1, 2)
+        assert adele._fractional_p_part(Fraction(5, 12), 2) == (3, 4)  # 5/12 - 3/4 = -1/3
+        assert adele._fractional_p_part(Fraction(-7, 3), 2) == (0, 1)
+        assert adele._fractional_p_part(Fraction(0), 5) == (0, 1)
         x = AdelePoint(0, 0, {2: Fraction(1, 2)}, P2)
         point, gamma = reduce(x)
         assert gamma == Fraction(-1, 2)
@@ -585,6 +626,25 @@ class TestReduce:
         assert point.default_value == Fraction(1, 2)
         # xbar = x - gamma exactly, coordinate by coordinate
         assert point == add_diagonal(x, -gamma)
+
+    def test_gamma_matches_a_fraction_oracle(self):
+        """gamma, summed as integers, equals the sum of the fractional p-parts,
+        each the c in [0, p^k) found by search with Fraction arithmetic, plus
+        the floor of x_inf less that sum; and the point is x - gamma.  Seeded
+        `unreduced_point` draws over `ORACLE_PRIMESETS`."""
+        rng = random.Random(20261125)
+        for i in range(700):
+            x = unreduced_point(rng, ORACLE_PRIMESETS[i % len(ORACLE_PRIMESETS)], 30)
+            parts = Fraction(0)
+            for p, v in x.overrides.items():
+                pk = 1
+                while v.denominator % (pk * p) == 0:
+                    pk *= p
+                parts += next(Fraction(c, pk) for c in range(pk)
+                              if _padic_abs(v - Fraction(c, pk), p) <= 1)
+            point, gamma = reduce(x)
+            assert gamma == parts + math.floor(x.at_infinity - parts), str(x)
+            assert point == add_diagonal(x, -gamma), str(x)
 
     def test_validates_its_result_once(self, monkeypatch):
         """`add_diagonal` checks only gamma, so one reduce runs the point

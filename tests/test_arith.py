@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import within_seconds
+from oracles import _padic_abs
 
 from adelic_gaps.arith import (
     PRIMALITY_LIMIT,
@@ -103,6 +104,26 @@ def test_padic_abs_examples():
         assert padic_abs(Fraction(1), p) == 1
     assert padic_abs(Fraction(-128), 2) == Fraction(1, 128)
     assert padic_abs(Fraction(0), 5) == 0
+
+
+def test_padic_abs_and_valuation_match_the_counting_oracle():
+    """Seeded Fractions u * p^k, k in [-6, 6], and ints n * p^k, k in [0, 6],
+    against `oracles._padic_abs`, which counts the factors p one at a time;
+    every result is an exact Fraction, and the draws cover negative, zero
+    and positive valuations (ints have no negative one)."""
+    rng = random.Random(20261024)
+    signs = set()
+    for _ in range(1000):
+        p, k = rng.choice(SMALL_PRIMES), rng.randint(-6, 6)
+        unit = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**4), rng.randint(1, 10**4))
+        n = rng.choice((-1, 1)) * rng.randint(1, 10**6) * p ** abs(k)
+        for r in (unit * Fraction(p) ** k, n):
+            expected = _padic_abs(Fraction(r), p)
+            result = padic_abs(r, p)
+            assert result == expected and type(result) is Fraction, (r, p)
+            assert Fraction(p) ** -valuation(r, p) == expected, (r, p)
+            signs.add((type(r), (expected < 1) - (expected > 1)))  # the sign of v_p(r)
+    assert signs == {(Fraction, -1), (Fraction, 0), (Fraction, 1), (int, 0), (int, 1)}
 
 
 def test_is_prime_small():

@@ -185,6 +185,33 @@ class TestGapsListing:
         assert output_digest(argv, capsys) == digest
 
 
+class TestStreamedListing:
+    """`_emit` writes a listing at most LISTING_CHUNK items at a time.  With a
+    chunk of 3, the lists hold runs shorter than a chunk, longer than one and
+    ending on a chunk boundary, also when counted after the first item, which
+    JSON writes on its own; the bytes must equal what json.dumps(indent=2)
+    and csv.writer write item by item."""
+
+    LISTINGS = [
+        [("1/5", 2), ("1/7", 7), ("1/3", 3), ("2/11", 1), ("1/5", 6), ("1/7", 4)],
+        [("1/2", 4), ("1/3", 3)],
+        [("1/2", 3)],
+        [("1/2", 1)],
+    ]
+
+    @pytest.mark.parametrize("runs", LISTINGS)
+    def test_bytes_equal_item_by_item_serialisation(self, runs, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "LISTING_CHUNK", 3)
+        deltas = [text for text, count in runs for _ in range(count)]
+        record = {"N": len(deltas), "deltas": [], "gap_count": len(set(deltas)), "primes": "2"}
+        cli._emit("json", record, [], deltas=runs)
+        assert capsys.readouterr().out == json.dumps({**record, "deltas": deltas}, indent=2) + "\n"
+        cli._emit("csv", record, [], [("n", "delta")], runs)
+        rows = io.StringIO()
+        csv.writer(rows, lineterminator="\n").writerows([("n", "delta"), *enumerate(deltas, start=1)])
+        assert capsys.readouterr().out == rows.getvalue()
+
+
 class TestVerifyCommand:
     def test_sweep_histogram_totals(self, capsys):
         code = main(["verify", "--primes", "2", "--seed", "42", "--samples", "200",
