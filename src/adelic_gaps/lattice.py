@@ -16,7 +16,7 @@ from functools import cached_property
 from types import SimpleNamespace
 
 from .adele import AdelePoint, TorusPoint, _fraction, _raw_abs, reduce, torus_distance, zero_point
-from .torus_gaps import _expanded, record_runs
+from .torus_gaps import record_runs
 
 
 def min_positive_diagonal_distance(x: AdelePoint) -> Fraction:
@@ -100,8 +100,11 @@ class RotationMatrixSpec:
         at any other j.  So the walk asks `_raw_abs`, with L as the bound,
         for the norm of k*alpha - j only at the j whose real term is below L,
         m first, and the norm stops at the first place whose term reaches L.
-        Only at a drop is `v_min(k)` computed, and its value is the one kept,
-        so the table's values come from the point path.
+        Once L <= 1/b, a k that is not a multiple of b has r and b - r at
+        least 1, so neither real term is below L: the walk steps from there
+        to the next multiple of b.  Only at a drop is `v_min(k)` computed, and
+        its value is the one kept, so the table's values come from the point
+        path.
         """
         table = self._table
         if table.through >= K:
@@ -110,7 +113,9 @@ class RotationMatrixSpec:
         x, primes = xbar._pairs, xbar.primes
         a, b = x[0]
         low_num, low_den = table.values[-1].numerator, table.values[-1].denominator
-        for k in range(table.through + 1, K + 1):
+        k = table.through
+        # one step, or to the next multiple of b (b - k % b) once L <= 1/b
+        while (k := k + (1 if low_num * b > low_den else b - k % b)) <= K:
             m, r = divmod(k * a, b)
             for j, real in ((m, r), (m + 1, b - r)):
                 if real * low_den < low_num * b:
@@ -128,13 +133,10 @@ class RotationMatrixSpec:
 class ScanResult:
     """Piecewise-constant profile of t -> F over (0,1), one F per open interval
     between the breakpoints j/(2N + 1), as runs (F, count) in t order:
-    O(drops) of them.  `interval_values`, the runs expanded, is built on
-    first read, as `GapReport.deltas` is."""
+    O(drops) of them."""
 
     runs: list[tuple[Fraction, int]]
     distinct_count: int
-
-    interval_values = cached_property(_expanded)
 
 
 def _radius(m: int, a: int, b: int) -> int:

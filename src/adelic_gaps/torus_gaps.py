@@ -6,7 +6,8 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
+from math import gcd
 
 from .adele import AdelePoint, TorusPoint, _multiple_distance, _reduced_distance, reduce, zero_point
 
@@ -39,11 +40,6 @@ def record_runs(ks: list[int], values: Iterable, N: int) -> list[tuple[object, i
     return first[::-1] + second
 
 
-def _expanded(self) -> list:
-    """The values of `self.runs`, each repeated its count of times, in order."""
-    return list(chain.from_iterable(repeat(value, count) for value, count in self.runs))
-
-
 @dataclass(frozen=True)
 class GapReport:
     """Nearest-neighbor distances of one (alpha, N) instance."""
@@ -59,10 +55,6 @@ class GapReport:
         objects records holds.  The metric is translation-invariant, so delta_n
         is the least positive D[k], k <= max(n-1, N-n): the record in force there."""
         return record_runs(*self.records, self.N)
-
-    #: deltas[n-1] is delta_n, the expansion of `runs`, built on first read:
-    #: the one part of a report whose size grows with N
-    deltas = cached_property(_expanded)
 
     @cached_property
     def witnesses(self) -> dict[Fraction, int]:
@@ -114,8 +106,11 @@ def _first_near_zero(A: int, M: int, H: int) -> int:
     of the second kind of A/M: a convergent denominator.  Euclid's algorithm
     on (M, A mod M) yields them as q, with the remainders r = |q*A - p*M|
     falling, and the answer is the first q with r <= H.  The last r is 0, at
-    q = M / gcd(A, M), so there is one, after O(log M) steps.
+    q = M / gcd(A, M), so there is one, after O(log M) steps; at H = 0 it is
+    that last q, taken from one gcd.
     """
+    if not H:
+        return M // gcd(A, M)
     r0, r1, q0, q1 = M, A % M, 0, 1
     while r1 > H:
         a = r0 // r1

@@ -248,6 +248,13 @@ def prefix_min_deltas(alpha: AdelePoint, N: int) -> list[Fraction]:
     return [least[max(n - 1, N - n) - 1] for n in range(1, N + 1)]
 
 
+def expanded(runs) -> list:
+    """The values of `runs`, pairs (value, count), each repeated its count of
+    times, in order: delta_1, ..., delta_N from `GapReport.runs`, or one F per
+    interval from `ScanResult.runs`."""
+    return [value for value, count in runs for _ in range(count)]
+
+
 def real_bound(alpha: AdelePoint, k: int) -> Fraction:
     """||k * abar_inf||: the distance from k times the reduced real coordinate
     to the nearest integer, which d(k*alpha, 0) is at least."""

@@ -32,6 +32,7 @@ from adelic_gaps.cli import random_instance, random_rational
 from conftest import ORACLE_PRIMESETS, random_point, real_bound_draws, unreduced_point
 from oracles import (
     brute_force_torus_distance,
+    expanded,
     multiple,
     pairwise_deltas,
     point_sum,
@@ -130,9 +131,7 @@ def test_criterion_3_dual_path_identity():
         alpha, N, _ = _sample_instance(rng, max_N=20, height=30)
         instances.append((alpha, N))
     for alpha, N in instances:
-        report = gap_report(alpha, N)
-        for n in range(1, N + 1):
-            direct = report.deltas[n - 1]
+        for n, direct in enumerate(expanded(gap_report(alpha, N).runs), 1):
             lattice = delta_via_lattice(alpha, N, n)
             if direct != lattice:
                 mismatches.append(f"alpha={alpha}, N={N}, n={n}: {direct} != {lattice}")
@@ -238,7 +237,7 @@ def test_criterion_8_gap_engine_vs_pairwise_oracle():
         primes = rng.choice(ORACLE_PRIMESETS)
         alpha = _oracle_point(rng, primes, 30)
         N = rng.randint(1, 12)
-        engine = _deltas_or_degenerate(lambda: gap_report(alpha, N).deltas)
+        engine = _deltas_or_degenerate(lambda: expanded(gap_report(alpha, N).runs))
         oracle = _deltas_or_degenerate(lambda: pairwise_deltas(alpha, N))
         if engine != oracle:
             mismatches.append(f"alpha={alpha}, primes={primes}, N={N}: {engine} != {oracle}")

@@ -1,5 +1,5 @@
 import adelic_gaps
-from adelic_gaps import adele
+from adelic_gaps import adele, lattice, torus_gaps
 
 PUBLIC_NAMES = {
     "AdelePoint",
@@ -47,3 +47,10 @@ def test_pointwise_arithmetic_lives_with_the_tests():
     # k * x, x + y and x - y as points are test helpers in `oracles`
     for name in ("add", "negate", "sub", "scale_by_integer"):
         assert not hasattr(adele, name), name
+
+
+def test_runs_expand_only_in_the_tests():
+    # a report and a scan hold their runs; the expanded lists are `oracles.expanded`
+    assert not hasattr(torus_gaps.GapReport, "deltas")
+    assert not hasattr(lattice.ScanResult, "interval_values")
+    assert not hasattr(torus_gaps, "_expanded")

@@ -12,7 +12,6 @@ from adelic_gaps import (
     DegenerateOrbitError,
     F_value,
     G_N_value,
-    GapReport,
     PrimeSet,
     RotationMatrixSpec,
     TorusPoint,
@@ -36,6 +35,7 @@ from conftest import (
     unreduced_point,
 )
 from oracles import (
+    expanded,
     gamma_elements,
     multiple,
     prefix_minima_and_drops,
@@ -200,16 +200,15 @@ class TestDeltaViaLattice:
             alpha = random_point(rng, primes, 30)
             N = rng.randint(2, 12)
             try:
-                report = gap_report(alpha, N)
+                deltas = expanded(gap_report(alpha, N).runs)
             except DegenerateOrbitError:
                 continue
-            for n in range(1, N + 1):
-                assert delta_via_lattice(alpha, N, n) == report.deltas[n - 1]
+            for n, direct in enumerate(deltas, 1):
+                assert delta_via_lattice(alpha, N, n) == direct
 
     def test_f2_full_dual_path(self):
-        report = gap_report(F2_ALPHA, 5)
-        for n in range(1, 6):
-            assert delta_via_lattice(F2_ALPHA, 5, n) == report.deltas[n - 1]
+        for n, direct in enumerate(expanded(gap_report(F2_ALPHA, 5).runs), 1):
+            assert delta_via_lattice(F2_ALPHA, 5, n) == direct
 
 
 class TestVMinTable:
@@ -326,7 +325,7 @@ class TestVMinTable:
                               for n in [*range(8, 14), *range(40, 46)]]
         alpha = f1_alpha()  # the oracle fills its own table under the same faults
         oracle = [(n, direct, delta_via_lattice(alpha, 52, n))
-                  for n, direct in enumerate(gap_report(F1_ALPHA, 52).deltas, 1)]
+                  for n, direct in enumerate(expanded(gap_report(F1_ALPHA, 52).runs), 1)]
         assert mismatches == [f"  MISMATCH n={n}: direct {direct} != lattice {via_lattice}"
                               for n, direct, via_lattice in oracle if direct != via_lattice]
 
@@ -336,16 +335,11 @@ class TestVMinTable:
     ], ids=["F1", "cofinite"])
     def test_lattice_check_compares_run_by_run(self, primes, alpha, N, monkeypatch, capsys):
         """lattice-check asks the lattice side at most twice per run of the
-        report, not once per radius, and never expands the listing."""
+        report, not once per radius."""
         runs = len(gap_report(parse_alpha(alpha, parse_primes(primes)), N).runs)
         counts = Counter()
         monkeypatch.setattr(cli, "delta_via_lattice",
                             counting(counts, "delta_via_lattice", delta_via_lattice))
-
-        def expanded(report):
-            raise AssertionError("lattice-check expanded the listing")
-
-        monkeypatch.setattr(GapReport, "deltas", property(expanded))
         argv = ["lattice-check", "--primes", primes, "--alpha", alpha, "--N", str(N)]
         assert main(argv) == 0
         assert f"{N}/{N} match" in capsys.readouterr().out
@@ -354,12 +348,7 @@ class TestVMinTable:
     def test_lattice_check_memory_does_not_grow_with_N(self, monkeypatch, capsys):
         """The table keeps only its drops and the scan only its runs, so F1's
         lattice-check at N = 200000 (10 drops) stays within 1 MB of traced
-        allocations, where one item per radius or per midpoint takes over 13 MB,
-        and it never expands the scan's interval values."""
-        def expanded(scan):
-            raise AssertionError("lattice-check expanded the scan's interval values")
-
-        monkeypatch.setattr(lattice.ScanResult, "interval_values", property(expanded))
+        allocations, where one item per radius or per midpoint takes over 13 MB."""
         argv = ["lattice-check", "--primes", "2", "--alpha", "inf=351/100;default=0;2=1",
                 "--N", "200000"]
         tracemalloc.start()
@@ -518,7 +507,7 @@ class TestDropCounts:
             assert G_N_value(spec) == len(set(samples)), (str(spec.alpha), N)
             scan = scan_G(spec)
             assert scan.distinct_count == len(set(midpoints)), (str(spec.alpha), N)
-            assert scan.interval_values == midpoints
+            assert expanded(scan.runs) == midpoints
             for n in range(1, N + 1):
                 assert delta_via_lattice(spec.alpha, N, n) == samples[n - 1] / spec.t
             sizes[N == 1, len(set(midpoints))] += 1
@@ -529,13 +518,14 @@ class TestScanG:
     def test_f2_scan(self):
         result = scan_G(RotationMatrixSpec(F2_ALPHA, 5))
         low, mid, high = Fraction(11, 10), Fraction(33, 10), Fraction(22, 5)
-        assert result.interval_values == [low] * 3 + [mid] * 2 + [high] + [mid] * 2 + [low] * 3
+        assert expanded(result.runs) == [low] * 3 + [mid] * 2 + [high] + [mid] * 2 + [low] * 3
         assert result.distinct_count == 3
 
     def test_f1_scan(self):
         result = scan_G(RotationMatrixSpec(F1_ALPHA, 52))
-        assert len(result.interval_values) == 105
-        assert set(result.interval_values) == {Fraction(21, 40), Fraction(42, 5), Fraction(63, 8)}
+        values = expanded(result.runs)
+        assert len(values) == 105
+        assert set(values) == {Fraction(21, 40), Fraction(42, 5), Fraction(63, 8)}
         assert result.distinct_count == 3
 
     def test_chain_on_paper_instances(self):
@@ -551,7 +541,7 @@ class TestScanG:
         result = scan_G(spec)
         # the cuts k/t and 1 - k/t (t = 11/2, 1 <= k <= 5) are the ten j/11
         edges = [Fraction(j, 11) for j in range(12)]
-        for (lo, hi), value in zip(zip(edges[:-1], edges[1:]), result.interval_values):
+        for (lo, hi), value in zip(zip(edges[:-1], edges[1:]), expanded(result.runs)):
             for frac in (Fraction(1, 3), Fraction(3, 4)):
                 t = lo + (hi - lo) * frac
                 assert F_value(spec, t) == value

@@ -32,6 +32,7 @@ from conftest import (
     within_seconds,
 )
 from oracles import (
+    expanded,
     least_positive_prefix,
     multiple,
     pairwise_deltas,
@@ -120,10 +121,10 @@ class TestOrbit:
 
 class TestNnDistance:
     def test_f1_values(self):
-        assert gap_report(F1_ALPHA, 52).deltas[2 - 1] == Fraction(3, 20)
+        assert expanded(gap_report(F1_ALPHA, 52).runs)[2 - 1] == Fraction(3, 20)
 
     def test_f2_values(self):
-        assert gap_report(F2_ALPHA, 5).deltas[3 - 1] == Fraction(4, 5)
+        assert expanded(gap_report(F2_ALPHA, 5).runs)[3 - 1] == Fraction(4, 5)
 
     def test_single_point_degenerate(self):
         with pytest.raises(DegenerateOrbitError):
@@ -148,14 +149,15 @@ class TestGapReport:
         alpha = AdelePoint(Fraction(2, 7), 0, {}, P2)
         report = gap_report(alpha, 3)
         assert report.gap_count == 1
-        assert set(report.deltas) == {Fraction(2, 7)}
+        assert set(expanded(report.runs)) == {Fraction(2, 7)}
 
     def test_invariants(self):
         report = gap_report(F2_ALPHA, 5)
         assert report.gap_count == len(report.distinct_gaps)
-        assert set(report.deltas) == set(report.distinct_gaps)
-        assert all(d > 0 for d in report.deltas)
-        assert all(report.deltas[n - 1] == g for g, n in report.witnesses.items())
+        deltas = expanded(report.runs)
+        assert set(deltas) == set(report.distinct_gaps)
+        assert all(d > 0 for d in deltas)
+        assert all(deltas[n - 1] == g for g, n in report.witnesses.items())
 
     def test_deltas_hold_the_distinct_gap_objects(self):
         """The CLI prints each distinct gap once and finds each run's string by
@@ -164,7 +166,7 @@ class TestGapReport:
             report = gap_report(alpha, N)
             ids = {id(g) for g in report.distinct_gaps}
             assert {id(v) for v, _ in report.runs} == ids
-            assert {id(d) for d in report.deltas} == ids
+            assert {id(d) for d in expanded(report.runs)} == ids
             assert {id(g) for g in report.witnesses} == ids
 
     def test_runs_are_read_off_the_records_at_any_n(self):
@@ -191,7 +193,7 @@ class TestGapReport:
         # positive distances remain and the gaps stay defined
         alpha = AdelePoint(Fraction(1, 3), Fraction(1, 3), {}, P2)
         report = gap_report(alpha, 4)
-        assert all(d > 0 for d in report.deltas)
+        assert all(d > 0 for d in expanded(report.runs))
         points = list(orbit(alpha, 4))
         assert torus_distance(points[0], points[3]) == 0
 
@@ -291,10 +293,10 @@ class TestGapReport:
                 report = gap_report(alpha, N)
             except DegenerateOrbitError:
                 continue
-            first = {}
-            for n, d in enumerate(report.deltas, start=1):
+            deltas, first = expanded(report.runs), {}
+            for n, d in enumerate(deltas, start=1):
                 first.setdefault(d, n)
-            assert report.distinct_gaps == sorted(set(report.deltas)), (str(alpha), N)
+            assert report.distinct_gaps == sorted(set(deltas)), (str(alpha), N)
             assert list(report.witnesses.items()) == list(first.items()), (str(alpha), N)
             assert report.gap_count == len(first)
             checked += 1
@@ -313,11 +315,11 @@ class TestGapReport:
             for _ in ks[1:]:
                 values.append(values[-1] * Fraction(rng.randint(1, 99), 100))
             report = GapReport(N, (ks, values))
-            first = {}
-            for n, d in enumerate(report.deltas, start=1):
+            deltas, first = expanded(report.runs), {}
+            for n, d in enumerate(deltas, start=1):
                 first.setdefault(d, n)
             assert list(report.witnesses.items()) == sorted(first.items()), (ks, N)
-            assert report.distinct_gaps == sorted(set(report.deltas)), (ks, N)
+            assert report.distinct_gaps == sorted(set(deltas)), (ks, N)
             assert report.gap_count == 1 + sum(N // 2 < k <= N - 1 for k in ks), (ks, N)
 
     def test_invariant_under_reduction(self, rng):
@@ -330,7 +332,7 @@ class TestGapReport:
             except DegenerateOrbitError:
                 continue
             b = gap_report(reduced, 7)
-            assert a.deltas == b.deltas
+            assert expanded(a.runs) == expanded(b.runs)
 
 
 class TestRealBound:
@@ -369,7 +371,7 @@ class TestRealBound:
                 with pytest.raises(DegenerateOrbitError):
                     gap_report(alpha, N)
                 continue
-            assert gap_report(alpha, N).deltas == expected, (str(alpha), N)
+            assert expanded(gap_report(alpha, N).runs) == expected, (str(alpha), N)
             compared += 1
         assert compared >= 20
 
