@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -118,55 +118,58 @@ def _first_near_zero(A: int, M: int, H: int) -> int:
     return q1
 
 
-def _congruence(xbar: TorusPoint, num: int, den: int, K: int,
-                powers: dict[int, int]) -> tuple[int, int]:
-    """(Q, u) such that, for 1 <= k <= K and an integer j with |k*xbar_inf - j| < L,
-    L = num/den <= 1, every p-term of k*xbar - j is below L exactly when
-    j = k*u mod Q.
+def _congruence(xbar: TorusPoint, K: int) -> Callable[[int, int], tuple[int, int]]:
+    """The congruence of xbar's windows as one state: at(num, den) gives (Q, u)
+    such that, for 1 <= k <= K and an integer j with |k*xbar_inf - j| < L,
+    L = num/den <= 1 and no larger than at the last call, every p-term of
+    k*xbar - j is below L exactly when j = k*u mod Q.
 
     With L <= 1 only an integer shift j can bring D[k] below L: any other
     element of Gamma_P has p-adic size at least p at some prime of the set.
     The term at p is w_p * |k*xbar_p - j|_p, w_p being 1 on a finite set and
     1/p on a cofinite one.  It is below L for every j when w_p < L, and
     otherwise exactly when j = k*xbar_p mod p^e, with e the least exponent
-    such that w_p / p^e < L (p^0 = 1 when w_p < L, a congruence every j
-    meets), and one CRT step adds its congruence to (Q, u), one prime at a
-    time.  `powers` maps each prime to its p^e at an earlier, larger L (empty
-    on the first call) and is updated in place: L only falls from call to
-    call, so p^e only rises, and it rises from there one factor of p at a
-    time.  Every listed prime of a finite set, and every override prime
-    of a cofinite one, keeps its constraint.  The other primes of a cofinite
-    set, p <= 1/L, carry the default c/d and come in increasing order from
-    `PrimeSet.members()`: each states
-    p^e | j*d - k*c.  Then 0 <= j <= k <= K bounds |j*d - k*c| by
-    (K + 1)(|c| + d), so once the product R of their moduli exceeds that bound
-    they force j*d = k*c, which implies every later one: they are added only
-    until then.
+    such that w_p / p^e < L.  As L falls p^e only rises, to p^e', and u
+    already meets the congruence mod p^e, so one CRT step modulo the rise
+    p^(e'-e), with the inverse of Q/p^e there, lifts (Q, u): nothing is
+    rebuilt.  Every listed prime of a finite set, and every override prime of
+    a cofinite one, keeps its constraint.  The other primes p <= 1/L of a
+    cofinite set carry the default c/d, each stating p^e | j*d - k*c, and are
+    walked in increasing order (`PrimeSet.members()`).  As 0 <= j <= k <= K
+    bounds |j*d - k*c| by (K + 1)(|c| + d), the walk resumes where it stopped
+    only while the product R of their moduli is at most that bound.  No prime
+    is ever dropped: each kept p was at most 1/L when it was added, so its
+    constraint holds at every later L, and once R exceeds the bound the kept
+    ones force j*d = k*c, which implies every other default congruence.
     """
-    primes, default = xbar.primes, xbar.default_value
-    Q, u = 1, 0
+    primes, default, overrides = xbar.primes, xbar.default_value, xbar.overrides
+    powers = dict.fromkeys(primes.listed if primes.finite else overrides, 1)  # p -> p^e
+    bound = (K + 1) * (abs(default.numerator) + default.denominator)
+    walk = iter(()) if primes.finite else (p for p in primes.members() if p not in overrides)
+    Q, u, R, p = 1, 0, 1, next(walk, None)
 
-    def require(p: int, c: Fraction) -> int:
-        """Add j = k*c mod p^e, for the least e with w_p / p^e < L; returns p^e."""
-        nonlocal Q, u
-        pe, scale = powers.get(p, 1), num if primes.finite else num * p
-        while pe * scale <= den:  # until w_p / p^e < L
-            pe *= p
-        powers[p] = pe
-        residue = c.numerator * pow(c.denominator, -1, pe) % pe
-        u += Q * ((residue - u) * pow(Q, -1, pe) % pe)
-        Q *= pe
-        return pe
+    def lift(q: int, num: int, den: int) -> None:
+        """Raise q^e to the least one with w_q / q^e < L, and (Q, u) and R with it."""
+        nonlocal Q, u, R
+        pe, rise, scale = powers.get(q, 1), 1, num if primes.finite else num * q
+        while pe * rise * scale <= den:  # until w_q / q^e < L
+            rise *= q
+        if rise > 1:
+            c = overrides.get(q, default)
+            t = (c.numerator - u * c.denominator) // pe  # exact: c = u mod pe
+            u += Q * (t * pow(c.denominator * (Q // pe), -1, rise) % rise)
+            Q, R, powers[q] = Q * rise, R if q in overrides else R * rise, pe * rise
 
-    for p in primes.listed if primes.finite else xbar.overrides:
-        require(p, xbar.overrides.get(p, default))
-    if not primes.finite:
-        bound, R = (K + 1) * (abs(default.numerator) + default.denominator), 1
-        walk = primes.members()
-        while R <= bound and (p := next(walk)) * num <= den:  # w_p = 1/p >= L
-            if p not in xbar.overrides:
-                R *= require(p, default)
-    return Q, u
+    def at(num: int, den: int) -> tuple[int, int]:
+        nonlocal p
+        for q in powers:
+            lift(q, num, den)
+        while p and R <= bound and p * num <= den:  # w_p = 1/p >= L
+            lift(p, num, den)
+            p = next(walk)
+        return Q, u
+
+    return at
 
 
 def _records(alpha: AdelePoint, K: int) -> tuple[list[int], list[Fraction]]:
@@ -177,16 +180,16 @@ def _records(alpha: AdelePoint, K: int) -> tuple[list[int], list[Fraction]]:
     is found from the one before it, in time that does not grow with K.  With
     L the current record value and a/b the real coordinate of the reduced
     alpha, D[k] < L holds exactly when some integer j has |k*a/b - j| < L and
-    j = k*u mod Q (`_congruence`, with each prime's p^e kept in `powers`
-    from one record to the next), that is, when (a - u*b)*k mod Q*b lies
-    within L*b of 0.  No k up to the last record has D[k] < L, so the next
-    record is the least such k >= 1, a convergent denominator of
-    (a - u*b)/(Q*b) (`_first_near_zero`), and D there, from the reduced
-    alpha's integers as a pair (`_multiple_distance`), is its value.  A D of 0
-    there means k*alpha lies in Gamma_P: D[k] is then periodic with period k,
-    and no later D falls below L, so the list is complete.  D[1] comes from
-    `_reduced_distance`.  Raises DegenerateOrbitError when D[1] = 0: alpha is
-    then in Gamma_P, and all orbit points coincide.
+    j = k*u mod Q (one `_congruence` state, lifted as L falls), that is, when
+    (a - u*b)*k mod Q*b lies within L*b of 0.  No k up to the last record has
+    D[k] < L, so the next record is the least such k >= 1, a convergent
+    denominator of (a - u*b)/(Q*b) (`_first_near_zero`), and D there, from
+    the reduced alpha's integers as a pair (`_multiple_distance`), is its
+    value.  A D of 0 there means k*alpha lies in Gamma_P: D[k] is then
+    periodic with period k, and no later D falls below L, so the list is
+    complete.  D[1] comes from `_reduced_distance`.  Raises
+    DegenerateOrbitError when D[1] = 0: alpha is then in Gamma_P, and all
+    orbit points coincide.
     """
     first = next(orbit(alpha, K))
     low = _reduced_distance(first, zero_point(alpha.primes))
@@ -196,9 +199,9 @@ def _records(alpha: AdelePoint, K: int) -> tuple[list[int], list[Fraction]]:
         )
     a, b = first.at_infinity.numerator, first.at_infinity.denominator
     num, den = low.numerator, low.denominator
-    ks, values, powers = [1], [low], {}
+    ks, values, congruence = [1], [low], _congruence(first, K)
     while True:
-        Q, u = _congruence(first, num, den, K, powers)
+        Q, u = congruence(num, den)
         k = _first_near_zero(a - u * b, Q * b, (num * b - 1) // den)  # H < L*b
         if k > K:
             return ks, values

@@ -450,11 +450,16 @@ class TestRecordEngine:
         assert cases > 170_000
 
     def test_carried_powers_give_the_fresh_congruence(self):
-        """At every record value of `_records(alpha, 10**18)`, in falling order,
-        `_congruence` with one dict of prime powers carried from call to call
-        gives the (Q, u) of a fresh dict, whose p^e rise from p^0 = 1: on F1,
+        """At every record value L of `_records(alpha, 10**18)`, in falling
+        order, one `_congruence` state asked at each L in turn gives on a
+        finite set the (Q, u) of a fresh state built for that L alone, and on
+        every set the same answer to the query of `_records` up to K, on F1,
         the 2,3,5 and cofinite instances of the CI runs, and seeded points over
-        finite and cofinite sets, nonzero defaults and overrides included."""
+        finite and cofinite sets, nonzero defaults and overrides included.  A
+        carried cofinite Q may hold more default primes than a fresh one (see
+        `test_congruence_against_the_place_terms`): a prime kept at a larger L
+        stays, where the fresh walk stops at the product bound, past which
+        every default congruence is implied."""
         K = 10**18
         rng = random.Random(20261027)
         alphas = [F1_ALPHA,
@@ -466,31 +471,59 @@ class TestRecordEngine:
         seen = Counter()
         for alpha in alphas:
             try:
-                _, values = torus_gaps._records(alpha, K)
+                with within_seconds(1):  # a wrong congruence finds the same k forever
+                    _, values = torus_gaps._records(alpha, K)
             except DegenerateOrbitError:
                 continue
-            xbar, shared = reduce(alpha)[0], {}
+            xbar = reduce(alpha)[0]
+            a, b = xbar.at_infinity.numerator, xbar.at_infinity.denominator
+            carried = torus_gaps._congruence(xbar, K)
             for value in values:
                 num, den = value.numerator, value.denominator
-                carried = torus_gaps._congruence(xbar, num, den, K, shared)
-                assert carried == torus_gaps._congruence(xbar, num, den, K, {}), (str(alpha), value)
+                got, fresh = carried(num, den), torus_gaps._congruence(xbar, K)(num, den)
+                H = (num * b - 1) // den
+                first, again = (min(torus_gaps._first_near_zero(a - u * b, Q * b, H), K + 1)
+                                for Q, u in (got, fresh))
+                assert first == again, (str(alpha), value)
+                if alpha.primes.finite:
+                    assert got == fresh, (str(alpha), value)
                 seen["finite" if alpha.primes.finite else "cofinite"] += 1
-                seen["Q > 1"] += carried[0] > 1
+                seen["Q > 1"] += got[0] > 1
         assert min(seen.values()) >= 500, seen
+
+    def test_one_congruence_state_per_records_call(self, monkeypatch):
+        """`_records` builds one `_congruence` state and asks it once per query,
+        at each record value in turn: on F1 through K = 10**300, 989 records,
+        the state is lifted from one record to the next, never rebuilt."""
+        built, asked = [], []
+        make = torus_gaps._congruence
+
+        def spy(xbar, K):
+            built.append(K)
+            at = make(xbar, K)
+            return lambda num, den: asked.append(Fraction(num, den)) or at(num, den)
+
+        monkeypatch.setattr(torus_gaps, "_congruence", spy)
+        with within_seconds(2):
+            ks, values = torus_gaps._records(F1_ALPHA, 10**300)
+        assert built == [10**300]
+        assert asked == values and len(values) == 989
 
     def test_congruence_against_the_place_terms(self):
         """For every k <= K and every integer j within L of k*xbar_inf, the
         p-terms of k*xbar - j (`reference_norm` with the real term 0) are all
-        below L exactly when j = k*u mod Q, on seeded reduced points.  Half the
-        draws range widely: finite and cofinite sets, override primes,
-        defaults 0, up to 60 in size or multiples of 2310, over a prime
-        outside the set, and L = num/den over small denominators, powers of 2
-        and denominators up to 5000.  The other half leave only the cofinite
-        default primes, an integer default up to 60 and L = 1/den with
-        den <= 32, where the product of the primes up to 1/L meets the bound
-        (K + 1)(|c| + d) for K <= 40, so the cut there decides.  Real
-        coordinates of small denominator put many integers k*xbar_inf in the
-        window."""
+        below L exactly when j = k*u mod Q, on seeded reduced points, each
+        asked at three falling L by one `_congruence` state, whose first call
+        is fresh.  Half the draws range widely: finite and cofinite sets,
+        override primes, defaults 0, up to 60 in size or multiples of 2310,
+        over a prime outside the set, and L = num/den over small
+        denominators, powers of 2 and denominators up to 5000.  The other half
+        leave only the cofinite default primes, an integer default up to 60
+        and L = 1/den with den <= 32, where the product of the primes up to
+        1/L meets the bound (K + 1)(|c| + d) for K <= 40, so the cut there
+        decides, and a carried Q may keep a default prime that a fresh state
+        at the same L leaves out, as implied.  Real coordinates of small
+        denominator put many integers k*xbar_inf in the window."""
         rng = random.Random(20261026)
         finite = (PrimeSet.of(2), PrimeSet.of(3), PrimeSet.of(2, 3), PrimeSet.of(2, 3, 5),
                   PrimeSet.of(3, 5, 7))
@@ -501,7 +534,8 @@ class TestRecordEngine:
             if i % 2:
                 primes, overrides = rng.choice(cofinite), {}
                 default = Fraction(rng.choice((0, rng.randint(-60, 60))))
-                num, den, d = 1, rng.randint(1, 32), rng.randint(1, 12)
+                Ls = [Fraction(1, rng.randint(1, 32)) for _ in range(3)]
+                d = rng.randint(1, 12)
             else:
                 primes = rng.choice(finite + cofinite)
                 # a prime outside the set may divide the default's denominator
@@ -513,21 +547,29 @@ class TestRecordEngine:
                     if rng.random() < 0.5:
                         m = rng.choice([m for m in (1, 2, 3, 5, 7) if m % p])
                         overrides[p] = Fraction(rng.randint(-60, 60) * p ** rng.randint(0, 3), m)
-                den = rng.choice((rng.randint(1, 12), 2 ** rng.randint(0, 12), rng.randint(1, 5000)))
-                num = rng.choice((1, rng.randint(1, den)))
+                Ls = []
+                for _ in range(3):
+                    den = rng.choice((rng.randint(1, 12), 2 ** rng.randint(0, 12),
+                                      rng.randint(1, 5000)))
+                    Ls.append(Fraction(rng.choice((1, rng.randint(1, den))), den))
                 d = rng.choice((rng.randint(1, 12), rng.randint(1, 1000)))
             xbar = TorusPoint(Fraction(rng.randrange(d), d), default, overrides, primes)
-            L, K = Fraction(num, den), rng.randint(1, 40)
-            Q, u = torus_gaps._congruence(xbar, num, den, K, {})
-            for k in range(1, K + 1):
-                center = k * xbar.at_infinity
-                for j in range(math.floor(center - L) + 1, math.ceil(center + L)):
-                    coords = {p: k * v - j for p, v in overrides.items()}
-                    below = reference_norm(Fraction(0), k * default - j, coords, primes) < L
-                    assert below == ((j - k * u) % Q == 0), (str(xbar), L, K, k, j)
-                    seen["below L" if below else "not below L"] += 1
-                    seen["cofinite, nonzero default"] += not primes.finite and default != 0
-        assert min(seen.values()) >= 2000, seen
+            K = rng.randint(1, 40)
+            congruence = torus_gaps._congruence(xbar, K)
+            for L in sorted(Ls, reverse=True):
+                Q, u = congruence(L.numerator, L.denominator)
+                fresh_Q = torus_gaps._congruence(xbar, K)(L.numerator, L.denominator)[0]
+                assert Q % fresh_Q == 0, (str(xbar), L, K)
+                seen["carried Q keeps more primes"] += Q != fresh_Q
+                for k in range(1, K + 1):
+                    center = k * xbar.at_infinity
+                    for j in range(math.floor(center - L) + 1, math.ceil(center + L)):
+                        coords = {p: k * v - j for p, v in overrides.items()}
+                        below = reference_norm(Fraction(0), k * default - j, coords, primes) < L
+                        assert below == ((j - k * u) % Q == 0), (str(xbar), L, K, k, j)
+                        seen["below L" if below else "not below L"] += 1
+                        seen["cofinite, nonzero default"] += not primes.finite and default != 0
+        assert seen.pop("carried Q keeps more primes") >= 20 and min(seen.values()) >= 2000, seen
 
     def test_wide_digit_defaults_against_the_walk(self):
         """The check runs in a child process, killed after 10 s, so that a
