@@ -1,4 +1,10 @@
-"""Exact nearest-neighbor gap statistics for rotation orbits on adelic tori."""
+"""Exact nearest-neighbor gap statistics for rotation orbits on adelic tori.
+
+Importing the package loads `arith`, `adele` and `torus_gaps`; a name of
+`lattice` or `paper_examples` loads its module when it is first read.
+"""
+
+from importlib import import_module
 
 from .adele import (
     AdelePoint,
@@ -10,27 +16,31 @@ from .adele import (
     zero_point,
 )
 from .arith import is_prime, padic_abs, valuation
-from .lattice import (
-    RotationMatrixSpec,
-    ScanResult,
-    G_N_value,
-    delta_via_lattice,
-    F_value,
-    min_positive_diagonal_distance,
-    scan_G,
-)
-from .paper_examples import (
-    ExampleInstance,
-    default_instances,
-    reproduce_all,
-    sharp_instance,
-)
 from .torus_gaps import (
     DegenerateOrbitError,
     GapReport,
     gap_report,
     orbit,
 )
+
+#: Each public name that loads on first use -> the module that defines it.
+_LAZY = {
+    **dict.fromkeys(("RotationMatrixSpec", "ScanResult", "G_N_value", "delta_via_lattice",
+                     "F_value", "min_positive_diagonal_distance", "scan_G"), "lattice"),
+    **dict.fromkeys(("ExampleInstance", "default_instances", "reproduce_all",
+                     "sharp_instance"), "paper_examples"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "AdelePoint",

@@ -9,12 +9,12 @@ sup in the metric exactly computable.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
 from types import MappingProxyType
-from typing import Iterator, Mapping
 
 from .arith import PRIMALITY_LIMIT, is_prime, next_prime, padic_abs, split_power
 

@@ -17,20 +17,16 @@ closed by its reader, 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import random
 import re
-import shlex
 import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
 from .adele import AdelePoint, PrimeSet, reduce
-from .lattice import RotationMatrixSpec, G_N_value, delta_via_lattice, scan_G
-from .paper_examples import reproduce_all
 from .torus_gaps import DegenerateOrbitError, gap_report
 
 EXIT_OK = 0
@@ -169,6 +165,8 @@ def _emit(fmt: str, record: dict, lines: list[str], rows: Iterable[Sequence] = (
         else:
             print(text)
     elif fmt == "csv":
+        import csv  # here, not at the top: only CSV output uses it
+
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
         n = 1
         for text, count in deltas:
@@ -233,6 +231,7 @@ def cmd_verify(args) -> int:
                 continue
             break
         if report.gap_count > 3:
+            import shlex  # here, not at the top: only this report uses it
             # the gaps and their least witnesses, not the N deltas: N may be 10^12
             gaps = {_text(g): n for g, n in report.witnesses.items()}
             print(
@@ -263,6 +262,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_paper(args) -> int:
+    from .paper_examples import reproduce_all  # only `paper` loads paper_examples
+
     table = reproduce_all()
     record = {"all_pass": table.all_pass, "rows": [vars(r) for r in table.rows]}
     failures = sum(not r.ok for r in table.rows)
@@ -278,6 +279,8 @@ def cmd_paper(args) -> int:
 
 
 def cmd_lattice_check(args) -> int:
+    from .lattice import RotationMatrixSpec, G_N_value, delta_via_lattice, scan_G  # only here
+
     primes = parse_primes(args.primes)
     alpha = parse_alpha(args.alpha, primes)
     N = args.N

@@ -1,5 +1,7 @@
+import pytest
+
 import adelic_gaps
-from adelic_gaps import adele, lattice, torus_gaps
+from adelic_gaps import adele, lattice, paper_examples, torus_gaps
 
 PUBLIC_NAMES = {
     "AdelePoint",
@@ -54,3 +56,30 @@ def test_runs_expand_only_in_the_tests():
     assert not hasattr(torus_gaps.GapReport, "deltas")
     assert not hasattr(lattice.ScanResult, "interval_values")
     assert not hasattr(torus_gaps, "_expanded")
+
+
+LAZY_NAMES = {
+    lattice: ("F_value", "G_N_value", "RotationMatrixSpec", "ScanResult", "delta_via_lattice",
+              "min_positive_diagonal_distance", "scan_G"),
+    paper_examples: ("ExampleInstance", "default_instances", "reproduce_all", "sharp_instance"),
+}
+
+
+def test_names_loaded_on_first_use_are_their_modules_objects():
+    for module, names in LAZY_NAMES.items():
+        for name in names:
+            assert getattr(adelic_gaps, name) is getattr(module, name), name
+
+
+def test_dir_and_star_import_cover_all():
+    assert set(adelic_gaps.__all__) <= set(dir(adelic_gaps))
+    namespace = {}
+    exec("from adelic_gaps import *", namespace)
+    for name in adelic_gaps.__all__:
+        assert namespace[name] is getattr(adelic_gaps, name), name
+
+
+def test_unknown_name_is_an_attribute_error():
+    assert not hasattr(adelic_gaps, "nosuch")
+    with pytest.raises(AttributeError, match="nosuch"):
+        adelic_gaps.nosuch

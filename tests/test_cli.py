@@ -335,6 +335,51 @@ def test_closed_stdout_pipe_exits_quietly():
     assert proc.returncode == 1
     assert b"Traceback" not in err and b"Exception ignored" not in err, err.decode()
 
+
+class TestCommandImports:
+    """A command loads only the modules it runs: `import adelic_gaps.cli` and
+    `gaps` leave out the lattice, the paper examples, csv and shlex."""
+
+    UNUSED_BY_GAPS = {"adelic_gaps.lattice", "adelic_gaps.paper_examples", "csv", "shlex"}
+    CHILD = "\n".join([
+        "import contextlib, io, json, sys",
+        "start = set(sys.modules)",
+        "import adelic_gaps.cli",
+        "steps = [(None, sorted(set(sys.modules) - start))]",
+        "for argv in json.loads(sys.argv[1]):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        code = adelic_gaps.cli.main(argv)",
+        "    steps.append((code, sorted(set(sys.modules) - start)))",
+        "print(json.dumps(steps))",
+    ])
+
+    def loaded(self, *argvs):
+        """(exit code, modules new since start-up) in a fresh interpreter,
+        after `import adelic_gaps.cli` and after each `main(argv)` in turn."""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        child = subprocess.run([sys.executable, "-c", self.CHILD, json.dumps(argvs)], env=env,
+                               capture_output=True, text=True, timeout=60, check=True)
+        return [(code, set(modules)) for code, modules in json.loads(child.stdout)]
+
+    def test_import_and_gaps_load_no_other_command(self):
+        gaps = ["gaps", "--primes", "2", "--alpha", "inf=351/100;default=0;2=1", "--N", "200"]
+        steps = self.loaded(gaps, [*gaps, "--format", "json"])
+        assert [code for code, _ in steps] == [None, 0, 0]
+        assert "adelic_gaps.cli" in steps[0][1]
+        for _, modules in steps:
+            assert not modules & self.UNUSED_BY_GAPS, modules & self.UNUSED_BY_GAPS
+
+    def test_each_command_loads_its_module(self):
+        lattice_check = ["lattice-check", "--primes", "3", "--alpha", "inf=16/5;default=0;3=1",
+                         "--N", "5"]
+        (_, imported), (code, after_check) = self.loaded(lattice_check)
+        assert code == 0 and "adelic_gaps.lattice" in after_check - imported
+        assert "adelic_gaps.paper_examples" not in after_check
+        (_, imported), (code, after_paper) = self.loaded(["paper"])
+        assert code == 0 and "adelic_gaps.paper_examples" in after_paper - imported
+        assert "adelic_gaps.lattice" not in after_paper
+
+
 class TestBoundedErrorMessages:
     """An input echoed in an error message is cut, so stderr stays small."""
 

@@ -23,7 +23,7 @@ from adelic_gaps import (
     scan_G,
     zero_point,
 )
-from adelic_gaps import adele, cli, lattice
+from adelic_gaps import adele, lattice
 from adelic_gaps.cli import main, parse_alpha, parse_primes
 
 from conftest import (
@@ -338,7 +338,7 @@ class TestVMinTable:
         report, not once per radius."""
         runs = len(gap_report(parse_alpha(alpha, parse_primes(primes)), N).runs)
         counts = Counter()
-        monkeypatch.setattr(cli, "delta_via_lattice",
+        monkeypatch.setattr(lattice, "delta_via_lattice",
                             counting(counts, "delta_via_lattice", delta_via_lattice))
         argv = ["lattice-check", "--primes", primes, "--alpha", alpha, "--N", str(N)]
         assert main(argv) == 0
