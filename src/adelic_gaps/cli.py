@@ -17,7 +17,6 @@ closed by its reader, 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import re
@@ -25,6 +24,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote  # json's own, ensure_ascii
 
 from .adele import AdelePoint, PrimeSet, reduce
 from .torus_gaps import DegenerateOrbitError, gap_report
@@ -35,7 +35,7 @@ EXIT_VERIFICATION = 2
 ERROR_MESSAGE_CHARS = 200
 #: The largest N for the commands whose work is O(N), where plain `gaps`
 #: answers any N from the records: `gaps --format json|csv` lists every delta
-#: (at this N, about 0.1 s for JSON and 2 s for CSV, streamed in
+#: (at this N, 0.09-0.16 s for JSON and 2 s for CSV, streamed in
 #: `LISTING_CHUNK` items, so memory stays near the interpreter's own size), and
 #: `lattice-check` walks every radius up to N in O(drops) memory (at this N,
 #: ten CLI runs took 0.16-0.20 s on F1 and 7.4-8.2 s on `all`, Python 3.11).
@@ -66,15 +66,17 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_primes(text: str) -> PrimeSet:
     text = text.strip()
+    if text == "all":
+        return PrimeSet.all_primes()
+    body = text.removeprefix("all-except:")
     try:
-        if text == "all":
-            return PrimeSet.all_primes()
-        if text.startswith("all-except:"):
-            body = text[len("all-except:") :]
-            return PrimeSet.all_except(*(int(tok) for tok in body.split(",") if tok))
-        return PrimeSet.of(*(int(tok) for tok in text.split(",") if tok))
+        listed = sorted(int(tok) for tok in body.split(",") if tok)
+        primes = PrimeSet(body == text, tuple(dict.fromkeys(listed)))
     except ValueError as exc:
         raise CliError(f"cannot parse prime set {text!r}: {exc}") from None
+    if len(primes.listed) < len(listed):  # the list is sorted here, so only a repeat is refused
+        raise CliError(f"repeated prime {next(p for p, q in zip(listed, listed[1:]) if p == q)}")
+    return primes
 
 
 def parse_alpha(text: str, primes: PrimeSet) -> AdelePoint:
@@ -134,36 +136,63 @@ def _text(r: Fraction) -> str:
                        "for int-to-string conversion") from None
 
 
+def _write_json(value, out: list[str], indent: str = "\n", deltas=()) -> None:
+    """Append to `out` the json module's indent=2 text of `value`, of dicts with
+    str keys, lists, str, bool and int only, but a key "deltas" from the runs
+    `deltas` (see `_emit`), handing `out` to stdout at each LISTING_CHUNK items."""
+    kind, inner, sep = type(value), indent + "  ", ""
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict:
+        for key, item in value.items():
+            out.append(f"{sep or '{'}{inner}{_quote(key)}: ")
+            if deltas and key == "deltas":  # each distinct text quoted once, with its comma
+                pieces, held = {t: f"{inner}  {_quote(t)}," for t, _ in deltas}, 0
+                out.append("[")
+                for text, count in deltas:
+                    while count:
+                        if held == LISTING_CHUNK:
+                            sys.stdout.write("".join(out))
+                            out[:], held = [], 0
+                        n = min(count, LISTING_CHUNK - held)
+                        out.append(pieces[text] * n)
+                        held, count = held + n, count - n
+                out[-1] = out[-1][:-1] + inner + "]"  # the last item has no comma
+            else:
+                _write_json(item, out, inner)
+            sep = ","
+        out.append(indent + "}" if value else "{}")
+    elif kind is list:
+        for item in value:
+            out.append((sep or "[") + inner)
+            _write_json(item, out, inner)
+            sep = ","
+        out.append(indent + "]" if value else "[]")
+    else:
+        raise TypeError(f"cannot write a {kind.__name__} as JSON")
+
+
 def _emit(fmt: str, record: dict, lines: list[str], rows: Iterable[Sequence] = (),
           deltas: Sequence[tuple[str, int]] = ()) -> None:
     """Print one result: `record` as JSON, `rows` (header first, read only for
     CSV) as CSV, else `lines`.
 
     `deltas`, if given, is the listing delta_1, ..., delta_N as runs (text,
-    count) in order, and is written in the bytes that json.dumps(indent=2)
-    and csv.writer write item by item, at most LISTING_CHUNK items at a time,
-    so the memory it takes does not grow with N.  In JSON it is the array
-    record["deltas"], and the record holds [] in its place: each distinct
-    text is encoded once, with the separator before it, and a chunk of a run
-    is that piece repeated.  In CSV it is the rows n,text after `rows`, n
-    counting from 1, and a chunk is one `str.join` of its row numbers; a
-    rational's text holds nothing that csv.writer would quote.
+    count) in order, written at most LISTING_CHUNK items at a time, so its
+    memory does not grow with N: in JSON the array record["deltas"], which
+    holds [] in its place (`_write_json`; a record is one write unless its
+    listing fills a chunk), in CSV the rows n,text after `rows`, n counting
+    from 1, a chunk one `str.join` of its row numbers (a rational's text
+    holds nothing that csv.writer would quote).
     """
     if fmt == "json":
-        text = json.dumps(record, indent=2)
-        if deltas:
-            head, tail = text.split('"deltas": []', 1)
-            encoded = {t: ",\n    " + json.dumps(t) for t in {t for t, _ in deltas}}
-            pieces = [(encoded[t], count) for t, count in deltas]
-            first, count = pieces[0]
-            pieces[0] = first, count - 1
-            print(head, '"deltas": [', first[1:], sep="", end="")  # the first item has no comma
-            for piece, count in pieces:
-                for done in range(0, count, LISTING_CHUNK):
-                    print(piece * min(LISTING_CHUNK, count - done), end="")
-            print("\n  ]", tail, sep="")
-        else:
-            print(text)
+        out: list[str] = []
+        _write_json(record, out, deltas=deltas)
+        sys.stdout.write("".join(out) + "\n")
     elif fmt == "csv":
         import csv  # here, not at the top: only CSV output uses it
 

@@ -162,8 +162,9 @@ def _congruence(xbar: TorusPoint, K: int) -> Callable[[int, int], tuple[int, int
 
     def at(num: int, den: int) -> tuple[int, int]:
         nonlocal p
-        for q in powers:
-            lift(q, num, den)
+        for q, pe in powers.items():
+            if pe * (num if primes.finite else num * q) <= den:  # w_q / q^e >= L: q^e rises
+                lift(q, num, den)
         while p and R <= bound and p * num <= den:  # w_p = 1/p >= L
             lift(p, num, den)
             p = next(walk)

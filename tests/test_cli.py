@@ -63,6 +63,17 @@ class TestParsing:
             with pytest.raises(CliError, match="repeated point key"):
                 parse_alpha(repeated, primes)
 
+    @pytest.mark.parametrize("text, prime", [("2,2", 2), ("all-except:3,3", 3), ("5,3,02,2", 2)])
+    def test_repeated_prime_is_named(self, text, prime, capsys):
+        """The list is sorted here, so only a repeat can be refused: the error
+        names it, as a repeated point key is named."""
+        assert main(["gaps", "--primes", text, "--alpha", "inf=1/3", "--N", "5"]) == 1
+        assert capsys.readouterr() == ("", f"error: repeated prime {prime}\n")
+
+    def test_a_built_unsorted_set_is_still_refused(self):
+        with pytest.raises(ValueError, match="sorted"):
+            PrimeSet(True, (3, 2))
+
 
 class TestGapsCommand:
     def test_f1(self, capsys):
@@ -198,6 +209,86 @@ class TestStreamedListing:
         rows = io.StringIO()
         csv.writer(rows, lineterminator="\n").writerows([("n", "delta"), *enumerate(deltas, start=1)])
         assert capsys.readouterr().out == rows.getvalue()
+
+
+class TestJsonWriter:
+    """`_write_json` and `_emit` write the bytes of json.dumps(indent=2)."""
+
+    TEXTS = ['"', "\\", "\x7f", "é", "\u2028", "\uffff", "€uro", "\U0001f600", "𝔸", "a/b", ""]
+    TEXTS += [chr(c) for c in range(0x20)]
+
+    @classmethod
+    def text(cls, rng: random.Random) -> str:
+        return "".join(rng.choice(cls.TEXTS) for _ in range(rng.randint(0, 4)))
+
+    @classmethod
+    def value(cls, rng: random.Random, depth: int):
+        """A seeded value of the written kinds, containers nested up to `depth`."""
+        kind = rng.choice(["str", "bool", "int", "dict", "list"] if depth else ["str", "bool", "int"])
+        if kind == "str":
+            return cls.text(rng)
+        if kind == "bool":
+            return rng.random() < 0.5
+        if kind == "int":
+            return rng.choice([0, 1, -1, rng.randint(-10**6, 10**6), rng.randint(-10**40, 10**40)])
+        items = [cls.value(rng, depth - 1) for _ in range(rng.choice([0, 0, 1, 2, 4]))]
+        return items if kind == "list" else {f"{cls.text(rng)}{k}": v for k, v in enumerate(items)}
+
+    @staticmethod
+    def written(value) -> str:
+        out = []
+        cli._write_json(value, out)
+        return "".join(out)
+
+    def test_seeded_values_match_json_dumps(self):
+        rng = random.Random(40)
+        seen = set()
+        for _ in range(600):
+            value = self.value(rng, rng.randint(0, 3))
+            assert self.written(value) == json.dumps(value, indent=2), value
+            seen.add(type(value).__name__)
+        assert seen == {"str", "bool", "int", "dict", "list"}
+        every_text = {"".join(self.TEXTS): self.TEXTS}
+        for value in ({}, [], [[]], {"a": {}}, [{}, [[], {}]], {"x": [True, 1, False, 0, -2]}, every_text):
+            assert self.written(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, None, (1, 2), {1: "a"}, {"a": [Fraction(1, 2)]}])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            self.written(value)
+
+    def test_runs_around_the_default_chunk(self, capsys):
+        chunk = cli.LISTING_CHUNK
+        counts = [1, chunk - 1, chunk, chunk + 1, 3 * chunk + 2]
+        for runs in [[("1/3", count)] for count in counts] + [[(f"1/{c}", c) for c in counts]]:
+            deltas = [text for text, count in runs for _ in range(count)]
+            record = {"N": len(deltas), "deltas": [], "primes": "2"}
+            cli._emit("json", record, [], deltas=runs)
+            assert capsys.readouterr().out == json.dumps({**record, "deltas": deltas}, indent=2) + "\n"
+
+    def test_listing_is_written_a_chunk_at_a_time(self, monkeypatch):
+        """F1 at N = 10^6: no write holds more than one chunk of items and the
+        record around the listing; a listing joined whole would be one 15 MB write."""
+        writes = []
+
+        class Recorder:
+            write = writes.append
+
+            def flush(self):
+                pass
+
+        argv = ["gaps", *F1[:4], "--N", "1000000", "--format", "json"]
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(argv) == 0
+        monkeypatch.undo()
+        record = json.loads("".join(writes))
+        deltas = record.pop("deltas")
+        assert len(deltas) == 10**6 and deltas[0] == "1/8192" and deltas[180801 - 1] == "1/4096"
+        piece = max(len(f',\n    "{text}"') for text in set(deltas))
+        record = {"N": record.pop("N"), "deltas": [], **record}
+        bound = cli.LISTING_CHUNK * piece + len(json.dumps(record, indent=2)) + 1
+        assert len(writes) > 10**6 // cli.LISTING_CHUNK
+        assert max(map(len, writes)) <= bound
 
 
 class TestVerifyCommand:
